@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"specslice"
 	"specslice/internal/server"
 )
 
@@ -130,6 +129,9 @@ type Router struct {
 	// so hot-path reads are never serialized.
 	building map[string]*flight
 	warm     map[string]int64 // ContentKey -> epoch it completed under
+
+	// memo answers the routing keys of program texts seen before.
+	memo server.KeyMemo
 
 	rebalances int64
 	tenantShed int64
@@ -422,18 +424,17 @@ func (rt *Router) handleSlice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The router parses only to compute the routing keys; the worker
-	// re-validates and analyzes. Routing by FamilyKey — not ContentKey —
-	// is what keeps version chains shard-local: every version of an
-	// evolving program hashes to the same shard, so Advance always finds
-	// its cached ancestor there.
-	prog, err := specslice.Parse(req.Program)
+	// The router parses only to compute the routing keys, and only for a
+	// text it has not seen before; the worker re-validates and analyzes.
+	// Routing by FamilyKey — not ContentKey — is what keeps version chains
+	// shard-local: every version of an evolving program hashes to the same
+	// shard, so Advance always finds its cached ancestor there.
+	keys, _, err := rt.memo.Keys(req.Program)
 	if err != nil {
 		rt.writeError(w, http.StatusUnprocessableEntity, "program does not parse: %v", err)
 		return
 	}
-	key := server.ContentKey(prog.Source())
-	family := server.FamilyKey(prog.ProcNames())
+	key, family := keys.Content, keys.Family
 
 	// Forward, retrying across membership changes: a dead worker is
 	// marked down on its first hard failure and the family re-routes to
@@ -603,11 +604,14 @@ type RouterStats struct {
 	// TenantShed counts 429s from per-tenant token buckets; ShardShed
 	// sums the per-shard hot-shed counters; DedupWaits counts requests
 	// that waited on the cross-node singleflight gate; Retries counts
-	// forwards re-routed after a worker failure.
-	TenantShed int64 `json:"tenant_shed"`
-	ShardShed  int64 `json:"shard_shed"`
-	DedupWaits int64 `json:"dedup_waits"`
-	Retries    int64 `json:"retries"`
+	// forwards re-routed after a worker failure; KeyMemoHits counts
+	// requests whose routing keys came from the router's raw-text key memo
+	// without a parse.
+	TenantShed  int64 `json:"tenant_shed"`
+	ShardShed   int64 `json:"shard_shed"`
+	DedupWaits  int64 `json:"dedup_waits"`
+	Retries     int64 `json:"retries"`
+	KeyMemoHits int64 `json:"key_memo_hits"`
 }
 
 // StatsResponse is the router's GET /v1/stats body: a cluster-wide
@@ -646,6 +650,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	rt.mu.Unlock()
+	resp.Router.KeyMemoHits = rt.memo.Hits()
 
 	resp.UptimeNS = int64(time.Since(rt.start))
 	for _, sn := range snapshot {
@@ -674,6 +679,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 				resp.Failed += st.Failed
 				resp.BuildsTimed += st.BuildsTimed
 				resp.ResponseEncodeErrors += st.ResponseEncodeErrors
+				resp.KeyMemoHits += st.KeyMemoHits
 				resp.Phases.Add(st.Phases)
 				resp.Build.Add(st.Build)
 				c := &resp.Cache

@@ -248,12 +248,12 @@ func ComputeModRefWorkers(prog *lang.Program, workers int) *ModRef {
 // previous version: a procedure's four relations depend only on its own
 // statements and its (transitive) callees' summaries, so every procedure
 // whose call subtree is textually unchanged keeps its old rows, and the
-// fixpoints re-run only over the dirty region — the edited procedures and
-// their transitive callers. old is only read (its rows are copied, never
-// aliased), so the previous version may keep serving concurrently. Falls
-// back to a full computation when the global declarations or the
-// address-taken function set changed (both are program-wide inputs to
-// every summary).
+// fixpoints re-run only over the dirty region — the edited procedures, the
+// members of any call cycle they sit in, and their transitive callers. old
+// is only read (its rows are copied, never aliased), so the previous
+// version may keep serving concurrently. Falls back to a full computation
+// when the global declarations or the address-taken function set changed
+// (both are program-wide inputs to every summary).
 func AdvanceModRef(newProg, oldProg *lang.Program, old *ModRef) *ModRef {
 	if old == nil || oldProg == nil {
 		return ComputeModRef(newProg)
@@ -298,17 +298,54 @@ func AdvanceModRefDiff(newProg, oldProg *lang.Program, old *ModRef, diff lang.Pr
 		oldHas[fn.Name] = true
 	}
 	// Reverse call graph of the new program (all calls are direct here —
-	// indirect-call programs took the full-recompute path above).
+	// indirect-call programs took the full-recompute path above), plus its
+	// forward edges by procedure index for the SCC condensation.
+	idx := make(map[string]int, len(newProg.Funcs))
+	for i, fn := range newProg.Funcs {
+		idx[fn.Name] = i
+	}
 	callers := map[string][]string{}
-	for _, fn := range newProg.Funcs {
+	succs := make([][]int, len(newProg.Funcs))
+	for i, fn := range newProg.Funcs {
 		seen := map[string]bool{}
 		for _, s := range fn.Stmts() {
 			if c, ok := s.(*lang.CallStmt); ok && !c.Indirect && !seen[c.Callee] {
 				seen[c.Callee] = true
 				callers[c.Callee] = append(callers[c.Callee], fn.Name)
+				if j, ok := idx[c.Callee]; ok {
+					succs[i] = append(succs[i], j)
+				}
 			}
 		}
 	}
+	// The solver treats every procedure outside the dirty set as final, but
+	// inside a call cycle each member's rows depend on every other member's:
+	// the old rows of an untouched member were solved against the edited
+	// member's old rows and are stale the moment those change. So the dirty
+	// set is kept closed under the new program's SCCs — initially and after
+	// every round that pulls callers in.
+	var cycles [][]int
+	for _, comps := range sccLevels(len(newProg.Funcs), succs) {
+		for _, members := range comps {
+			if len(members) > 1 {
+				cycles = append(cycles, members)
+			}
+		}
+	}
+	closeUnderCycles := func() {
+		for _, members := range cycles {
+			touched := false
+			for _, i := range members {
+				touched = touched || dirty[newProg.Funcs[i].Name]
+			}
+			if touched {
+				for _, i := range members {
+					dirty[newProg.Funcs[i].Name] = true
+				}
+			}
+		}
+	}
+	closeUnderCycles()
 
 	for {
 		var dirtyFns []*lang.FuncDecl
@@ -340,6 +377,7 @@ func AdvanceModRefDiff(newProg, oldProg *lang.Program, old *ModRef, diff lang.Pr
 		if !grew {
 			return mr
 		}
+		closeUnderCycles()
 	}
 }
 

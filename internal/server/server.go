@@ -71,6 +71,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	cache *EngineCache
+	memo  KeyMemo
 	mux   *http.ServeMux
 	start time.Time
 
@@ -352,6 +353,10 @@ type StatsResponse struct {
 	// after the status header was written (the client saw a truncated
 	// body); non-zero means broken responses went out.
 	ResponseEncodeErrors int64 `json:"response_encode_errors"`
+	// KeyMemoHits counts requests whose exact program text had been seen
+	// before, so their cache keys came from the raw-text key memo without
+	// a parse.
+	KeyMemoHits int64 `json:"key_memo_hits"`
 	// Store reports the persistent snapshot tier; omitted when disabled.
 	Store *StoreStatsResponse `json:"store,omitempty"`
 }
@@ -424,6 +429,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	dropped := s.persistDropped
 	s.mu.Unlock()
 	resp.UptimeNS = int64(time.Since(s.start))
+	resp.KeyMemoHits = s.memo.Hits()
 	resp.Cache = s.cache.Stats()
 	if s.store != nil {
 		st := s.store.Stats()
@@ -466,15 +472,23 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	prog, err := specslice.Parse(req.Program)
+	// A text seen before byte for byte skips the parse: the memo answers
+	// its keys, and norm stays "" until a build needs it.
+	keys, norm, err := s.memo.Keys(req.Program)
 	if err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, "program does not parse: %v", err)
 		return
 	}
-	norm := prog.Source()
-	key := ContentKey(norm)
-	family := FamilyKey(prog.ProcNames())
+	key, family := keys.Content, keys.Family
 	eng, hit, deduped, source, err := s.cache.Get(key, family, func(ancestor *specslice.Engine) (*specslice.Engine, BuildSource, error) {
+		if norm == "" {
+			// Memo hit, engine gone: recover the canonical text lazily.
+			prog, err := specslice.Parse(req.Program)
+			if err != nil {
+				return nil, BuildCold, err
+			}
+			norm = prog.Source()
+		}
 		// Build from the canonical normalized source, not the request
 		// text: every normalization-equivalent request must observe the
 		// same engine, including source positions — a line criterion

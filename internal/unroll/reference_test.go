@@ -1,10 +1,12 @@
-// Package unroll materializes the (truncated) unrolled SDG — the explicit
-// configuration graph the paper formalizes specialization slicing on — and
-// slices it by plain graph reachability. For non-recursive programs the
-// unrolling is finite and exact, giving an independent ground truth for the
-// soundness, completeness, and minimality (Defn. 2.10) of the
-// automaton-based algorithm; for recursive programs a depth bound gives a
-// one-sided check.
+// Package unroll is a test-only package: it materializes the (truncated)
+// unrolled SDG — the explicit configuration graph the paper formalizes
+// specialization slicing on — and slices it by plain graph reachability.
+// For non-recursive programs the unrolling is finite and exact, giving an
+// independent ground truth for the soundness, completeness, and minimality
+// (Defn. 2.10) of the automaton-based algorithm; for recursive programs a
+// depth bound gives a one-sided check. Nothing outside its own tests uses
+// it, so like the fsa, core and dataflow reference implementations it
+// lives in _test.go files and ships in no binary.
 package unroll
 
 import (
