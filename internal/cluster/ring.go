@@ -2,10 +2,11 @@
 // coordinator/router consistent-hashes ContentKey *families* (FamilyKey, so
 // version chains stay shard-local and Engine.Advance always finds its
 // ancestor on the same worker) across N `specslice serve` workers, with
-// router-level singleflight on in-flight builds, health-checked membership
-// with deterministic rebalancing, graceful drain, and per-tenant admission
-// control (token-bucket rate limiting plus load-shedding when a shard's
-// in-flight depth or byte budget runs hot).
+// health-checked membership with deterministic rebalancing, graceful
+// drain, and per-tenant admission control (token-bucket rate limiting plus
+// load-shedding when a shard's in-flight depth or byte budget runs hot).
+// Concurrent builds of one program need no router-level gate: the ring
+// sends them all to one worker, whose engine cache joins them.
 package cluster
 
 import (
@@ -22,12 +23,12 @@ const ringVnodes = 160
 
 // Ring is an immutable consistent-hash ring mapping family keys to shard
 // IDs. Immutability is the concurrency story: the router swaps a freshly
-// built ring on every membership change (an "epoch") instead of locking
-// lookups against mutation.
+// built ring on every membership change instead of locking lookups
+// against mutation.
 //
 // The placement is deterministic in the member set alone — point hashes
 // mix only the shard ID and vnode index — so every router instance, and
-// every epoch with the same members, routes a family identically, and
+// every rebuild with the same members, routes a family identically, and
 // removing one shard remaps only the families that lived on it (its
 // points vanish; every other family still meets the same first point).
 type Ring struct {

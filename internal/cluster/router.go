@@ -98,12 +98,6 @@ type workerState struct {
 	hotBytes atomic.Int64
 }
 
-// flight is the router-level singleflight cell for one ContentKey whose
-// first build is believed to be in flight somewhere in the cluster.
-type flight struct {
-	done chan struct{}
-}
-
 // Router consistent-hashes slice requests across slicing workers by
 // program family and fronts them with admission control. It serves the
 // same HTTP surface as one worker (POST /v1/slice, GET /v1/stats,
@@ -120,22 +114,12 @@ type Router struct {
 	workers map[string]*workerState
 	order   []string // registration order, for stable stats listing
 	ring    *Ring
-	epoch   int64
-	// building/warm implement cross-node singleflight: the first request
-	// for a ContentKey the router has not yet seen complete becomes the
-	// flight leader; concurrent requests for the same key wait for the
-	// leader instead of racing duplicate builds onto the shard. Keys the
-	// router has seen complete (warm, per epoch) skip the gate entirely,
-	// so hot-path reads are never serialized.
-	building map[string]*flight
-	warm     map[string]int64 // ContentKey -> epoch it completed under
 
 	// memo answers the routing keys of program texts seen before.
 	memo server.KeyMemo
 
 	rebalances int64
 	tenantShed int64
-	dedupWaits int64
 	retries    int64
 }
 
@@ -143,20 +127,18 @@ type Router struct {
 func NewRouter(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	rt := &Router{
-		cfg:      cfg,
-		client:   cfg.Client,
-		mux:      http.NewServeMux(),
-		admit:    newAdmitter(cfg.TenantRatePerSec, cfg.TenantBurst, cfg.Now),
-		start:    time.Now(),
-		workers:  map[string]*workerState{},
-		ring:     NewRing(nil),
-		building: map[string]*flight{},
-		warm:     map[string]int64{},
+		cfg:     cfg,
+		client:  cfg.Client,
+		mux:     http.NewServeMux(),
+		admit:   newAdmitter(cfg.TenantRatePerSec, cfg.TenantBurst, cfg.Now),
+		start:   time.Now(),
+		workers: map[string]*workerState{},
+		ring:    NewRing(nil),
 	}
 	if rt.client == nil {
 		// ResponseHeaderTimeout bounds how long a wedged worker — one that
-		// accepted the forward but never answers — can hold the leader and
-		// its singleflight waiters. It must comfortably exceed the slowest
+		// accepted the forward but never answers — can hold a forward and
+		// the shard's in-flight slot. It must comfortably exceed the slowest
 		// legitimate build; the generous bound exists to fail the forward
 		// eventually, not to police latency (shedding does that).
 		rt.client = &http.Client{Transport: &http.Transport{
@@ -236,10 +218,7 @@ func (rt *Router) RemoveWorker(id string) {
 }
 
 // rebuildRingLocked recomputes the ring over healthy, non-draining
-// members and advances the epoch. Epoch changes invalidate the warm-key
-// set: a remapped family's keys are cold on their new shard, and
-// re-entering the singleflight gate once per key is the cheap, correct
-// way to rediscover that.
+// members and counts the rebalance.
 func (rt *Router) rebuildRingLocked() {
 	var ids []string
 	for id, ws := range rt.workers {
@@ -248,9 +227,7 @@ func (rt *Router) rebuildRingLocked() {
 		}
 	}
 	rt.ring = NewRing(ids)
-	rt.epoch++
 	rt.rebalances++
-	rt.warm = map[string]int64{}
 }
 
 // Ring returns the current ring (tests assert placement directly).
@@ -424,34 +401,33 @@ func (rt *Router) handleSlice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The router parses only to compute the routing keys, and only for a
+	// The router parses only to compute the routing key, and only for a
 	// text it has not seen before; the worker re-validates and analyzes.
 	// Routing by FamilyKey — not ContentKey — is what keeps version chains
 	// shard-local: every version of an evolving program hashes to the same
-	// shard, so Advance always finds its cached ancestor there.
+	// shard, so Advance always finds its cached ancestor there. It also
+	// sends concurrent requests for one program to one worker, whose
+	// engine cache joins them onto a single build.
 	keys, _, err := rt.memo.Keys(req.Program)
 	if err != nil {
 		rt.writeError(w, http.StatusUnprocessableEntity, "program does not parse: %v", err)
 		return
 	}
-	key, family := keys.Content, keys.Family
 
 	// Forward, retrying across membership changes: a dead worker is
 	// marked down on its first hard failure and the family re-routes to
 	// the rebalanced ring — a kill mid-run costs the client latency, not
 	// an error.
-	waited := false
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
 		rt.mu.Lock()
-		id, ok := rt.ring.Lookup(family)
+		id, ok := rt.ring.Lookup(keys.Family)
 		if !ok {
 			rt.mu.Unlock()
 			rt.writeError(w, http.StatusServiceUnavailable, "no healthy workers")
 			return
 		}
 		ws := rt.workers[id]
-		epoch := rt.epoch
 		rt.mu.Unlock()
 
 		// Shard-level shedding: depth and byte-budget pressure answer
@@ -467,49 +443,7 @@ func (rt *Router) handleSlice(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 
-		// Cross-node singleflight: the first request for a key not yet
-		// seen warm leads; concurrent requests for the same key wait for
-		// the leader and then forward to a now-warm shard.
-		var leading *flight
-		if !waited {
-			rt.mu.Lock()
-			if rt.warm[key] != rt.epoch {
-				if fl, inFlight := rt.building[key]; inFlight {
-					rt.dedupWaits++
-					rt.mu.Unlock()
-					select {
-					case <-fl.done:
-					case <-r.Context().Done():
-						// The client gave up while queued behind the
-						// leader; nothing to answer and nothing to charge
-						// against the worker.
-						return
-					}
-					waited = true
-					continue // re-pick: membership may have changed while waiting
-				}
-				leading = &flight{done: make(chan struct{})}
-				rt.building[key] = leading
-			}
-			rt.mu.Unlock()
-		}
-
 		status, hdr, respBody, err := rt.forward(r.Context(), ws, body)
-		if leading != nil {
-			rt.mu.Lock()
-			delete(rt.building, key)
-			if err == nil && status == http.StatusOK {
-				rt.warm[key] = epoch
-				// The warm set is an optimization with bounded value and
-				// must have bounded size; past 64k keys, forget and let
-				// keys re-prove themselves through the gate.
-				if len(rt.warm) > 64<<10 {
-					rt.warm = map[string]int64{}
-				}
-			}
-			rt.mu.Unlock()
-			close(leading.done)
-		}
 		if err != nil {
 			// A forward that failed because the *client* went away — its
 			// context cancelled on disconnect or expired on deadline — says
@@ -597,18 +531,19 @@ type ShardStats struct {
 
 // RouterStats is the router's own counters block.
 type RouterStats struct {
-	Epoch          int64 `json:"epoch"`
 	Rebalances     int64 `json:"rebalances"`
 	Workers        int   `json:"workers"`
 	HealthyWorkers int   `json:"healthy_workers"`
 	// TenantShed counts 429s from per-tenant token buckets; ShardShed
-	// sums the per-shard hot-shed counters; DedupWaits counts requests
-	// that waited on the cross-node singleflight gate; Retries counts
-	// forwards re-routed after a worker failure; KeyMemoHits counts
-	// requests whose routing keys came from the router's raw-text key memo
-	// without a parse.
-	TenantShed  int64 `json:"tenant_shed"`
-	ShardShed   int64 `json:"shard_shed"`
+	// sums the per-shard hot-shed counters; Retries counts forwards
+	// re-routed after a worker failure; KeyMemoHits counts requests whose
+	// routing keys came from the router's raw-text key memo without a
+	// parse.
+	TenantShed int64 `json:"tenant_shed"`
+	ShardShed  int64 `json:"shard_shed"`
+	// Deprecated: DedupWaits is always 0. The router no longer gates
+	// concurrent requests for one program; the owning worker joins them
+	// onto one build, counted in the aggregate cache.builds_deduped.
 	DedupWaits  int64 `json:"dedup_waits"`
 	Retries     int64 `json:"retries"`
 	KeyMemoHits int64 `json:"key_memo_hits"`
@@ -641,11 +576,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := StatsResponse{
 		Router: RouterStats{
-			Epoch:      rt.epoch,
 			Rebalances: rt.rebalances,
 			Workers:    len(rt.workers),
 			TenantShed: rt.tenantShed,
-			DedupWaits: rt.dedupWaits,
 			Retries:    rt.retries,
 		},
 	}

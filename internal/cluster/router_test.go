@@ -182,8 +182,9 @@ func TestRoutedResponsesByteIdentical(t *testing.T) {
 }
 
 // TestRouterSingleflight: concurrent cold requests for one ContentKey
-// must cost the cluster exactly one cold build — followers wait at the
-// router's flight gate and then hit the now-warm shard.
+// must cost the cluster exactly one cold build — the ring sends them all
+// to the owning worker, whose engine cache joins the followers onto the
+// first request's build or serves them the finished engine.
 func TestRouterSingleflight(t *testing.T) {
 	lc := startLocal(t, 2, server.Config{}, Config{})
 	prog := testProgram("flight", 7)
@@ -208,8 +209,9 @@ func TestRouterSingleflight(t *testing.T) {
 	if st.Cache.ColdBuilds != 1 {
 		t.Errorf("%d cold builds across the cluster for one key, want 1", st.Cache.ColdBuilds)
 	}
-	if st.Router.DedupWaits == 0 {
-		t.Error("no requests waited at the router singleflight gate")
+	if got := st.Cache.Hits + st.Cache.Deduped; got != n-1 {
+		t.Errorf("hits %d + builds_deduped %d = %d, want %d: every follower must reuse the one build",
+			st.Cache.Hits, st.Cache.Deduped, got, n-1)
 	}
 }
 
@@ -528,9 +530,9 @@ func TestRouterProbeRecovery(t *testing.T) {
 
 // TestRouterClientCancelKeepsWorkerHealthy: a forward that fails because
 // the *client* disconnected must not demote the worker — one aborted
-// request must never rebalance the ring or empty it. A waiter queued at
-// the singleflight gate behind the cancelled leader must also unblock
-// when its own client gives up.
+// request must never rebalance the ring or empty it. A second request for
+// the same program, parked on the same worker, must also unblock when its
+// own client gives up while the first stays parked.
 func TestRouterClientCancelKeepsWorkerHealthy(t *testing.T) {
 	bw := newBlockingWorker()
 	defer bw.ts.Close()
@@ -557,7 +559,8 @@ func TestRouterClientCancelKeepsWorkerHealthy(t *testing.T) {
 	}()
 	<-bw.arrived // the leader's forward is parked on the worker
 
-	// Same key: this request queues at the singleflight gate.
+	// Same key: this request is forwarded to the same worker and parks
+	// there too.
 	waiterCtx, cancelWaiter := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
@@ -571,12 +574,10 @@ func TestRouterClientCancelKeepsWorkerHealthy(t *testing.T) {
 		}
 		waiterErr <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for routerStats(t, ts.URL).Router.DedupWaits == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second request never reached the singleflight gate")
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-bw.arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("second request never reached the worker")
 	}
 
 	// The waiter's client gives up: its handler must return even though
@@ -588,7 +589,7 @@ func TestRouterClientCancelKeepsWorkerHealthy(t *testing.T) {
 			t.Error("waiter completed despite cancelled context")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled waiter still blocked at the singleflight gate")
+		t.Fatal("cancelled waiter still blocked on its forward")
 	}
 
 	// The leader's client gives up: the forward fails with the client's
@@ -597,7 +598,7 @@ func TestRouterClientCancelKeepsWorkerHealthy(t *testing.T) {
 	if err := <-leaderErr; err == nil {
 		t.Error("leader completed despite cancelled context")
 	}
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := routerStats(t, ts.URL)
 		if st.Shards[0].InFlight == 0 {

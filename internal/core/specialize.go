@@ -8,21 +8,20 @@ import (
 	"specslice/internal/sdg"
 )
 
-// Timings records where the algorithm spent its time (paper Fig. 21). The
-// JSON tags fix the canonical wire names of the phases (durations marshal
-// as integer nanoseconds); the serving layer's public mirror,
-// specslice.Timings, must use the same names — a test asserts the two
-// stay in sync, so rename fields in both places or neither.
+// Timings records where the algorithm spent its time (paper Fig. 21). It
+// is also the public specslice.Timings and the "phases" object of the
+// HTTP service, so the JSON tags and the field order are the wire schema:
+// durations marshal as integer nanoseconds, and internal/server pins the
+// keys in order.
 type Timings struct {
 	Encode       time.Duration `json:"encode_ns"`
 	Prestar      time.Duration `json:"prestar_ns"`
 	AutomatonOps time.Duration `json:"automaton_ns"` // fused reverse/determinize/minimize/reverse chain
-	Readout      time.Duration `json:"readout_ns"`
-	Total        time.Duration `json:"total_ns"`
-
 	// Sub-phases of AutomatonOps, as reported by the fused fsa.MRD chain.
 	AutomatonDeterminize time.Duration `json:"determinize_ns"`
 	AutomatonMinimize    time.Duration `json:"minimize_ns"`
+	Readout              time.Duration `json:"readout_ns"`
+	Total                time.Duration `json:"total_ns"`
 }
 
 // Add accumulates o into t (batch aggregation of per-request timings).
@@ -30,10 +29,10 @@ func (t *Timings) Add(o Timings) {
 	t.Encode += o.Encode
 	t.Prestar += o.Prestar
 	t.AutomatonOps += o.AutomatonOps
-	t.Readout += o.Readout
-	t.Total += o.Total
 	t.AutomatonDeterminize += o.AutomatonDeterminize
 	t.AutomatonMinimize += o.AutomatonMinimize
+	t.Readout += o.Readout
+	t.Total += o.Total
 }
 
 // Result is the output of the specialization-slicing algorithm.

@@ -236,19 +236,21 @@ type BatchOptions struct {
 	Workers int
 }
 
-// BatchStats aggregates a SliceAll run.
+// BatchStats aggregates a SliceAll run. It is also the public
+// specslice.BatchStats and the "stats" object of the HTTP service's slice
+// response, so the JSON tags and the field order are the wire schema.
 type BatchStats struct {
-	Requests int
-	Failed   int
-	Workers  int
+	Requests int `json:"requests"`
+	Failed   int `json:"failed"`
+	Workers  int `json:"workers"`
 	// Wall is the end-to-end batch time; Work is the sum of per-request
 	// durations (Work/Wall ≈ achieved parallelism).
-	Wall time.Duration
-	Work time.Duration
+	Wall time.Duration `json:"wall_ns"`
+	Work time.Duration `json:"work_ns"`
 	// Phases sums the polyvariant requests' per-phase timings (the paper's
 	// Fig. 21 breakdown: Prestar, AutomatonOps with its determinize and
 	// minimize sub-phases, Readout) across the batch.
-	Phases core.Timings
+	Phases core.Timings `json:"phases"`
 }
 
 // SliceAll serves every request, fanning them out across a worker pool, and

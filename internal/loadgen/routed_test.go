@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -49,8 +50,8 @@ func TestRunRoutedReadHeavy(t *testing.T) {
 		routed += n
 	}
 	// Every completed non-shed op was forwarded at least once (a 429
-	// never reaches a shard; singleflight waits and kill-retries can add
-	// forwards, never remove them).
+	// never reaches a shard; kill-retries can add forwards, never remove
+	// them).
 	if routed < rep.Ops-rep.ServerShed {
 		t.Errorf("forwards %d < completed ops %d - sheds %d", routed, rep.Ops, rep.ServerShed)
 	}
@@ -73,13 +74,14 @@ func TestRunRoutedReadHeavy(t *testing.T) {
 // server_shed, never an error — the CI errors == 0 gate must not conflate
 // intentional load-shedding with breakage.
 func TestDoSliceCountsServerShed(t *testing.T) {
-	var n int
+	// Requests arrive on concurrent connections, so the counter is atomic.
+	var count atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/stats" {
 			fmt.Fprint(w, `{"cache":{}}`)
 			return
 		}
-		n++
+		n := count.Add(1)
 		switch {
 		case n%3 == 0: // shed
 			w.Header().Set("Retry-After", "1")

@@ -520,25 +520,43 @@ func SortedGlobals(prog *lang.Program) []string {
 }
 
 // BuildStats records where a Build spent its time and how wide its worker
-// pool ran — the cold-path mirror of core.Timings, surfaced through the
-// engine and the serving layer's /v1/stats.
+// pool ran — the cold-path counterpart of core.Timings. It is also the
+// public specslice.BuildStats and the "build" object of the HTTP
+// service's /v1/stats, so the JSON tags and the field order are the wire
+// schema: durations marshal as integer nanoseconds. Advanced engines
+// report zeros — their graphs were never built from scratch.
 type BuildStats struct {
 	// Workers is the pool size the procedure-parallel phases actually used.
-	Workers int
+	Workers int `json:"workers"`
 	// ModRef covers the interprocedural mod/ref analysis (plus build
 	// signatures), PDG the per-procedure skeleton+body construction and
 	// merge, Connect the interprocedural wiring.
-	ModRef  time.Duration
-	PDG     time.Duration
-	Connect time.Duration
-	Total   time.Duration
+	ModRef time.Duration `json:"modref_ns"`
 	// ModRefIntern/Local/Fixpoint split the dense mod/ref solve: variable
 	// interning and call-graph setup, per-procedure CFG + effect-bit
 	// extraction, and the word-wise summary propagation. Their sum is
 	// less than ModRef, which also covers build-signature hashing.
-	ModRefIntern   time.Duration
-	ModRefLocal    time.Duration
-	ModRefFixpoint time.Duration
+	ModRefIntern   time.Duration `json:"modref_intern_ns"`
+	ModRefLocal    time.Duration `json:"modref_local_ns"`
+	ModRefFixpoint time.Duration `json:"modref_fixpoint_ns"`
+	PDG            time.Duration `json:"pdg_ns"`
+	Connect        time.Duration `json:"connect_ns"`
+	Total          time.Duration `json:"total_ns"`
+}
+
+// Add accumulates o into s (aggregation across builds); the worker width
+// is taken from the most recent build.
+func (s *BuildStats) Add(o BuildStats) {
+	if o.Workers != 0 {
+		s.Workers = o.Workers
+	}
+	s.ModRef += o.ModRef
+	s.ModRefIntern += o.ModRefIntern
+	s.ModRefLocal += o.ModRefLocal
+	s.ModRefFixpoint += o.ModRefFixpoint
+	s.PDG += o.PDG
+	s.Connect += o.Connect
+	s.Total += o.Total
 }
 
 // BuildStats reports the graph's build-phase timings (zero for graphs not

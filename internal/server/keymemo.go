@@ -8,11 +8,10 @@ import (
 	"specslice"
 )
 
-// keyMemoCapacity bounds the key memo's entry count. A full memo is reset,
-// the way the router bounds its warm-key set: a working set wider than
-// this pays one parse per text again, never unbounded memory. An entry is
-// a 32-byte digest plus two 64-character hex keys, so a full memo holds
-// well under 1 MiB.
+// keyMemoCapacity bounds the key memo's entry count. A full memo is reset:
+// a working set wider than this pays one parse per text again, never
+// unbounded memory. An entry is a 32-byte digest plus two 64-character hex
+// keys, so a full memo holds well under 1 MiB.
 const keyMemoCapacity = 4096
 
 // ProgramKeys are the two cache keys of one program: its ContentKey (the

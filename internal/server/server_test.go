@@ -126,7 +126,7 @@ func TestSliceEndpoint(t *testing.T) {
 	if resp.Stats.Requests != 2 || resp.Stats.Failed != 0 {
 		t.Errorf("batch stats = %+v", resp.Stats)
 	}
-	if resp.Stats.Phases.TotalNS <= 0 {
+	if resp.Stats.Phases.Total <= 0 {
 		t.Errorf("phase timings not reported: %+v", resp.Stats.Phases)
 	}
 
@@ -560,7 +560,7 @@ func TestServerLoadConcurrent(t *testing.T) {
 	if st.Batches != lookups {
 		t.Errorf("batches %d, want %d", st.Batches, lookups)
 	}
-	if st.Phases.TotalNS <= 0 || st.Phases.PrestarNS <= 0 {
+	if st.Phases.Total <= 0 || st.Phases.Prestar <= 0 {
 		t.Errorf("aggregate phases not accumulated: %+v", st.Phases)
 	}
 

@@ -433,54 +433,15 @@ func (e *Engine) Advance(p *Program) (*Engine, AdvanceStats, error) {
 func (e *Engine) Warm() error { return e.s.eng.Warm() }
 
 // BuildStats is the JSON-stable cold-build phase breakdown of an engine's
-// graph: the interprocedural mod/ref analysis, the procedure-parallel PDG
-// construction, and the interprocedural wiring, plus the worker-pool
-// width the parallel phases ran at. Advanced engines (version chains)
-// report zeros — their graphs were never built from scratch.
-type BuildStats struct {
-	Workers  int   `json:"workers"`
-	ModRefNS int64 `json:"modref_ns"`
-	// The mod/ref sub-phases of the dense bitset solver: variable
-	// interning, per-procedure local effect extraction, and the
-	// bottom-up fixpoint over the call-graph condensation. Their sum is
-	// below ModRefNS, which also covers build-signature hashing.
-	ModRefInternNS   int64 `json:"modref_intern_ns"`
-	ModRefLocalNS    int64 `json:"modref_local_ns"`
-	ModRefFixpointNS int64 `json:"modref_fixpoint_ns"`
-	PDGNS            int64 `json:"pdg_ns"`
-	ConnectNS        int64 `json:"connect_ns"`
-	TotalNS          int64 `json:"total_ns"`
-}
-
-// Add accumulates o into s (aggregation across builds); the worker width
-// is taken from the most recent build.
-func (s *BuildStats) Add(o BuildStats) {
-	if o.Workers != 0 {
-		s.Workers = o.Workers
-	}
-	s.ModRefNS += o.ModRefNS
-	s.ModRefInternNS += o.ModRefInternNS
-	s.ModRefLocalNS += o.ModRefLocalNS
-	s.ModRefFixpointNS += o.ModRefFixpointNS
-	s.PDGNS += o.PDGNS
-	s.ConnectNS += o.ConnectNS
-	s.TotalNS += o.TotalNS
-}
+// graph: the interprocedural mod/ref analysis with its sub-phases, the
+// procedure-parallel PDG construction, and the interprocedural wiring, plus
+// the worker-pool width the parallel phases ran at. Durations marshal as
+// integer nanoseconds. Advanced engines (version chains) report zeros —
+// their graphs were never built from scratch.
+type BuildStats = sdg.BuildStats
 
 // BuildStats reports the cold-build phase timings of this engine's graph.
-func (e *Engine) BuildStats() BuildStats {
-	bs := e.s.eng.BuildStats()
-	return BuildStats{
-		Workers:          bs.Workers,
-		ModRefNS:         int64(bs.ModRef),
-		ModRefInternNS:   int64(bs.ModRefIntern),
-		ModRefLocalNS:    int64(bs.ModRefLocal),
-		ModRefFixpointNS: int64(bs.ModRefFixpoint),
-		PDGNS:            int64(bs.PDG),
-		ConnectNS:        int64(bs.Connect),
-		TotalNS:          int64(bs.Total),
-	}
-}
+func (e *Engine) BuildStats() BuildStats { return e.s.eng.BuildStats() }
 
 // Footprint estimates the bytes retained by the engine's cached analysis
 // state (graph, encoding, reachable-configuration automaton), warming the
@@ -559,56 +520,16 @@ type BatchOptions struct {
 	Workers int
 }
 
-// BatchStats aggregates a SliceAll run.
-type BatchStats struct {
-	Requests int `json:"requests"`
-	Failed   int `json:"failed"`
-	Workers  int `json:"workers"`
-	// Wall is the end-to-end batch time; Work is the sum of per-request
-	// durations, so Work/Wall approximates the achieved parallelism.
-	Wall time.Duration `json:"wall_ns"`
-	Work time.Duration `json:"work_ns"`
-	// Phases sums the polyvariant requests' per-phase timings across the
-	// batch (the paper's Fig. 21 breakdown).
-	Phases Timings `json:"phases"`
-}
+// BatchStats aggregates a SliceAll run: request and failure counts, the
+// pool width, the end-to-end Wall time, the summed per-request Work time
+// (Work/Wall approximates the achieved parallelism), and the polyvariant
+// requests' Phases summed across the batch.
+type BatchStats = engine.BatchStats
 
 // Timings is the JSON-stable per-phase time breakdown of polyvariant slice
-// requests (the paper's Fig. 21), in nanoseconds. It mirrors the internal
-// core.Timings so services can report phase costs without reaching into
-// internal packages.
-type Timings struct {
-	EncodeNS      int64 `json:"encode_ns"`
-	PrestarNS     int64 `json:"prestar_ns"`
-	AutomatonNS   int64 `json:"automaton_ns"`
-	DeterminizeNS int64 `json:"determinize_ns"`
-	MinimizeNS    int64 `json:"minimize_ns"`
-	ReadoutNS     int64 `json:"readout_ns"`
-	TotalNS       int64 `json:"total_ns"`
-}
-
-// Add accumulates o into t (aggregation across batches).
-func (t *Timings) Add(o Timings) {
-	t.EncodeNS += o.EncodeNS
-	t.PrestarNS += o.PrestarNS
-	t.AutomatonNS += o.AutomatonNS
-	t.DeterminizeNS += o.DeterminizeNS
-	t.MinimizeNS += o.MinimizeNS
-	t.ReadoutNS += o.ReadoutNS
-	t.TotalNS += o.TotalNS
-}
-
-func timingsFrom(t core.Timings) Timings {
-	return Timings{
-		EncodeNS:      int64(t.Encode),
-		PrestarNS:     int64(t.Prestar),
-		AutomatonNS:   int64(t.AutomatonOps),
-		DeterminizeNS: int64(t.AutomatonDeterminize),
-		MinimizeNS:    int64(t.AutomatonMinimize),
-		ReadoutNS:     int64(t.Readout),
-		TotalNS:       int64(t.Total),
-	}
-}
+// requests (the paper's Fig. 21). Durations marshal as integer
+// nanoseconds.
+type Timings = core.Timings
 
 // SliceAll serves a batch of slice requests through a worker pool, sharing
 // the engine's cached analysis state across all of them. Results come back
@@ -659,12 +580,5 @@ func (e *Engine) SliceAll(reqs []BatchRequest, opts BatchOptions) ([]BatchResult
 		}
 		out[i] = br
 	}
-	return out, BatchStats{
-		Requests: estats.Requests,
-		Failed:   estats.Failed,
-		Workers:  estats.Workers,
-		Wall:     estats.Wall,
-		Work:     estats.Work,
-		Phases:   timingsFrom(estats.Phases),
-	}
+	return out, estats
 }

@@ -1,10 +1,10 @@
 package specslice_test
 
-// The per-phase timing breakdown has two JSON representations: the
-// canonical internal one (core.Timings, tagged with the wire names) and
-// the public serving mirror (specslice.Timings, returned by the batch API
-// and reported by internal/server). They must marshal to the same field
-// set, and the facade's conversion must carry every phase across —
+// The per-phase timing breakdown is published as specslice.Timings (returned
+// by the batch API and reported by internal/server), an alias of the
+// canonical core.Timings that carries the wire names. These tests guard that
+// contract: should the public type ever become a separate mirror again, it
+// must still marshal to the same field set and carry every phase across —
 // otherwise the serving contract silently drifts from the internal one.
 
 import (
@@ -44,8 +44,8 @@ func TestTimingsWireNamesInSync(t *testing.T) {
 	}
 }
 
-// TestTimingsConversionLossless drives the facade's core→public conversion
-// through SliceAll and checks no phase is dropped: serialized as JSON, the
+// TestTimingsConversionLossless round-trips an internal aggregate through
+// the public type and checks no phase is dropped: serialized as JSON, the
 // public phases must equal the internal aggregate field-for-field.
 func TestTimingsConversionLossless(t *testing.T) {
 	in := core.Timings{
