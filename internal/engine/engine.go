@@ -158,7 +158,7 @@ func (e *Engine) Footprint() int64 {
 		siteBytes   = 176 // *Site + struct
 		procBytes   = 176 // *Proc + struct
 		idBytes     = 8   // one VertexID/SiteID slot in a slice
-		ruleBytes   = 152 // Rule + its copy in a Prestar index bucket
+		ruleBytes   = 96  // Rule + its W + its Prestar CSR index entry
 		locBytes    = 96  // LocOfFO entry + per-location bookkeeping
 		stateBytes  = 48  // out slice header + bitset slots
 		transBytes  = 56  // out entry + dedup index entry

@@ -10,8 +10,12 @@
 package pds
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"specslice/internal/fsa"
 )
@@ -59,56 +63,222 @@ func (p *PDS) Prestar(a *fsa.FSA) *fsa.FSA {
 	return NewPrestarEngine(p).Prestar(a)
 }
 
-// dyn is a dynamic pseudo-internal rule Δ′: <p₁,γ₁> → <q′,γ₂>.
-type dyn struct {
-	p1 int
-	g1 fsa.Symbol
-}
-
-// PrestarEngine answers repeated Prestar queries over one fixed PDS: the
-// static rule indexes are built once at construction, and each run draws
-// its worklist state (worklist, rel index, Δ′ rules) from a reusable arena
-// free list. A single engine is safe for concurrent use.
+// PrestarEngine answers repeated Prestar queries over one fixed PDS, and a
+// query touches no Go map:
 //
-// The free list is explicit (not a sync.Pool) so the engine can account
-// the scratch it retains between batches: cleared maps keep their buckets
-// and the worklist keeps its capacity, which for a long-lived engine is
-// real heap pinned by the interned saturation state of past queries.
-// ScratchBytes reports it, and engine.Footprint charges it to the
-// content-addressed cache's byte budget.
+//   - the rule indexes, built once, are CSR arrays keyed by the right-hand
+//     head symbol W[0] in rule order; the lookup for a transition
+//     (q, γ, q′) scans γ's bucket and keeps the rules whose RHS location
+//     is q;
+//   - the result automaton's own packed transition index is the set of
+//     processed transitions, as in Poststar;
+//   - the per-run relations (processed transitions by (state, symbol), the
+//     Δ′ rules, and the Δ′ dedup set) are open-addressing tables over
+//     packed uint64 keys whose values head flat int32 lists.
+//
+// Each run draws those tables from an arena on an explicit free list (not
+// a sync.Pool), so the engine can account the scratch it retains between
+// batches: ScratchBytes reports the arenas' slice capacities, and
+// engine.Footprint charges them to the content-addressed cache's byte
+// budget. The tables reset in O(1) by a generation stamp, so a warm arena
+// keeps its capacity and is not cleared between runs. A single engine is
+// safe for concurrent use.
 type PrestarEngine struct {
-	p        *PDS
-	internal map[locSym][]Rule // internal rules indexed by RHS <q, γ>
-	push     map[locSym][]Rule // push rules indexed by RHS head <q, γ>
-	pops     []Rule
+	p *PDS
+
+	// Symbol ids. A symbol in [0, nDense) is its own id. Any other symbol
+	// of a rule's W (negative, or too large for tables sized by the rule
+	// count) is listed in wide, sorted, and wide[i] has id nDense+i.
+	nDense int
+	wide   []fsa.Symbol
+
+	// The internal rules whose W[0] has id s are
+	// internal[intOff[s]:intOff[s+1]], and likewise for push rules.
+	intOff, pushOff []int32
+	internal        []internalRule
+	push            []pushRule
+	// isW1[s] reports whether id s is some push rule's W[1]. Only
+	// transitions over such symbols can meet a Δ′ rule, so only they are
+	// indexed by (state, symbol).
+	isW1    []bool
+	classes []dynClass
+	pops    []fsa.Transition
 
 	mu   sync.Mutex
 	free []*prestarArena
 }
 
-// prestarArena holds the per-run mutable state, reused across runs to keep
-// map buckets and worklist capacity warm.
-type prestarArena struct {
-	work     []fsa.Transition
-	relSeen  map[fsa.Transition]bool
-	relBySrc map[locSym][]int
-	dynRules map[locSym][]dyn
-	dynSeen  map[[4]int]bool
-	// High-water populations. reset clears the maps but their buckets (and
-	// the worklist backing array) stay allocated, so retained bytes follow
-	// the largest run, not the current one.
-	hwWork, hwRel, hwDyn int
+type internalRule struct {
+	p2, p int32 // RHS and LHS control locations
+	g     fsa.Symbol
 }
 
-func (a *prestarArena) reset() {
-	a.hwWork = max(a.hwWork, cap(a.work))
-	a.hwRel = max(a.hwRel, len(a.relSeen))
-	a.hwDyn = max(a.hwDyn, len(a.dynSeen))
-	a.work = a.work[:0]
-	clear(a.relSeen)
-	clear(a.relBySrc)
-	clear(a.dynRules)
-	clear(a.dynSeen)
+type pushRule struct {
+	p2    int32 // RHS control location
+	class int32 // index into PrestarEngine.classes
+}
+
+// dynClass is one distinct (P, G, W[1]) among the push rules. A push rule
+// <P, G> ↪ <P2, γ W[1]> meeting a transition (P2, γ, q) registers the
+// dynamic pseudo-internal rule Δ′ <P, G> → <q, W[1]>, which depends only on
+// the class and q; push rules of one class register the same Δ′ rules.
+type dynClass struct {
+	p  int32
+	w1 int32 // symbol id of W[1]
+	g  fsa.Symbol
+}
+
+// NewPrestarEngine indexes the rules of p for repeated Prestar queries. It
+// panics if a rule names a control location outside [0, p.NumLocs).
+func NewPrestarEngine(p *PDS) *PrestarEngine {
+	e := &PrestarEngine{p: p}
+	// Symbols below limit index the per-symbol tables directly, which keeps
+	// those tables (and each arena's qSym) O(|rules|) long.
+	limit := 4*len(p.Rules) + 64
+	for _, r := range p.Rules {
+		if r.P < 0 || r.P >= p.NumLocs || r.P2 < 0 || r.P2 >= p.NumLocs {
+			panic(fmt.Sprintf("pds: rule %v names a location outside [0, %d)", r, p.NumLocs))
+		}
+		for _, s := range r.W {
+			if s >= 0 && int(s) < limit {
+				e.nDense = max(e.nDense, int(s)+1)
+			} else {
+				e.wide = append(e.wide, s)
+			}
+		}
+	}
+	slices.Sort(e.wide)
+	e.wide = slices.Compact(e.wide)
+	n := e.nDense + len(e.wide)
+	e.intOff = make([]int32, n+1)
+	e.pushOff = make([]int32, n+1)
+	e.isW1 = make([]bool, n)
+
+	var pushes []int // rule indexes of the push rules
+	for i, r := range p.Rules {
+		switch len(r.W) {
+		case 0:
+			e.pops = append(e.pops, fsa.Transition{From: r.P, Sym: r.G, To: r.P2})
+		case 1:
+			e.intOff[e.symID(r.W[0])+1]++
+		case 2:
+			e.pushOff[e.symID(r.W[0])+1]++
+			e.isW1[e.symID(r.W[1])] = true
+			pushes = append(pushes, i)
+		}
+	}
+	for s := range n {
+		e.intOff[s+1] += e.intOff[s]
+		e.pushOff[s+1] += e.pushOff[s]
+	}
+
+	shape := func(i int) dynClass {
+		r := p.Rules[i]
+		return dynClass{p: int32(r.P), w1: int32(e.symID(r.W[1])), g: r.G}
+	}
+	slices.SortFunc(pushes, func(i, j int) int {
+		a, b := shape(i), shape(j)
+		return cmp.Or(cmp.Compare(a.p, b.p), cmp.Compare(a.g, b.g), cmp.Compare(a.w1, b.w1))
+	})
+	classOf := make([]int32, len(p.Rules))
+	for k, i := range pushes {
+		if c := shape(i); k == 0 || c != e.classes[len(e.classes)-1] {
+			e.classes = append(e.classes, c)
+		}
+		classOf[i] = int32(len(e.classes) - 1)
+	}
+
+	e.internal = make([]internalRule, e.intOff[n])
+	e.push = make([]pushRule, e.pushOff[n])
+	intAt, pushAt := slices.Clone(e.intOff[:n]), slices.Clone(e.pushOff[:n])
+	for i, r := range p.Rules {
+		switch len(r.W) {
+		case 1:
+			s := e.symID(r.W[0])
+			e.internal[intAt[s]] = internalRule{p2: int32(r.P2), p: int32(r.P), g: r.G}
+			intAt[s]++
+		case 2:
+			s := e.symID(r.W[0])
+			e.push[pushAt[s]] = pushRule{p2: int32(r.P2), class: classOf[i]}
+			pushAt[s]++
+		}
+	}
+	return e
+}
+
+// symID returns the id of symbol s, or -1 when no rule has s in its W.
+func (e *PrestarEngine) symID(s fsa.Symbol) int {
+	if uint64(s) < uint64(e.nDense) {
+		return int(s)
+	}
+	if i, ok := slices.BinarySearch(e.wide, s); ok {
+		return e.nDense + i
+	}
+	return -1
+}
+
+// prestarArena holds the per-run state, reused across runs at its
+// high-water capacity.
+type prestarArena struct {
+	work []fsa.Transition
+
+	// The query's transitions, sorted, and which have been processed.
+	// qSym[γ] (qWide for γ outside [0, nDense)) counts the unprocessed
+	// ones over γ that leave a control location: only those can be
+	// derived again by a rule.
+	qs    []fsa.Transition
+	qDone []bool
+	qSym  []int32
+	qWide int32
+
+	pairs   stampTable // (state, symbol id) → index into lists
+	lists   []pairLists
+	nodes   []listNode
+	dynSeen stampTable // (Δ′ class, target state) registered
+}
+
+func (ar *prestarArena) reset() {
+	// A finished run leaves every count at zero, but one cut short by a
+	// panic may not.
+	for _, t := range ar.qs {
+		if uint64(t.Sym) < uint64(len(ar.qSym)) {
+			ar.qSym[t.Sym] = 0
+		}
+	}
+	ar.qWide = 0
+	ar.work = ar.work[:0]
+	ar.qs = ar.qs[:0]
+	ar.lists = ar.lists[:0]
+	ar.nodes = ar.nodes[:0]
+	ar.pairs.reset()
+	ar.dynSeen.reset()
+}
+
+// bytes reports the heap the arena retains: the capacity of its slices.
+func (ar *prestarArena) bytes() int64 {
+	return int64(cap(ar.work)+cap(ar.qs))*int64(unsafe.Sizeof(fsa.Transition{})) +
+		int64(cap(ar.qDone)) + 4*int64(cap(ar.qSym)) +
+		int64(cap(ar.pairs.slots)+cap(ar.dynSeen.slots))*int64(unsafe.Sizeof(stampSlot{})) +
+		int64(cap(ar.lists))*int64(unsafe.Sizeof(pairLists{})) +
+		int64(cap(ar.nodes))*int64(unsafe.Sizeof(listNode{}))
+}
+
+// qCount returns the counter of unprocessed query transitions over sym.
+func (ar *prestarArena) qCount(sym fsa.Symbol) *int32 {
+	if uint64(sym) < uint64(len(ar.qSym)) {
+		return &ar.qSym[sym]
+	}
+	return &ar.qWide
+}
+
+// pair returns the index of the lists of (state, symbol id s), adding
+// empty ones on first use.
+func (ar *prestarArena) pair(state, s int) int32 {
+	i, added := ar.pairs.upsert(uint64(state)<<32|uint64(s), int32(len(ar.lists)))
+	if added {
+		ar.lists = append(ar.lists, pairLists{rel: emptyList, dyn: emptyList})
+	}
+	return i
 }
 
 func (e *PrestarEngine) getArena() *prestarArena {
@@ -119,12 +289,7 @@ func (e *PrestarEngine) getArena() *prestarArena {
 		e.free = e.free[:n-1]
 		return ar
 	}
-	return &prestarArena{
-		relSeen:  map[fsa.Transition]bool{},
-		relBySrc: map[locSym][]int{},
-		dynRules: map[locSym][]dyn{},
-		dynSeen:  map[[4]int]bool{},
-	}
+	return &prestarArena{qSym: make([]int32, e.nDense)}
 }
 
 func (e *PrestarEngine) putArena(ar *prestarArena) {
@@ -134,17 +299,13 @@ func (e *PrestarEngine) putArena(ar *prestarArena) {
 	e.mu.Unlock()
 }
 
-// Per-entry scratch estimates, deliberately coarse like engine.Footprint's
-// graph constants: a worklist slot is one Transition; a rel transition
-// costs a relSeen map entry plus a relBySrc index slot; a Δ′ rule costs a
-// dynSeen entry plus a dynRules slot.
-const (
-	scratchWorkBytes = 24  // fsa.Transition
-	scratchRelBytes  = 104 // relSeen entry + relBySrc slot
-	scratchDynBytes  = 112 // dynSeen entry + dynRules slot
-)
+// scratchRuleBytes is the floor of the scratch one arena retains per PDS
+// rule once queries have run: after every per-procedure printf criterion
+// and every 13th vertex of the 8 Siemens suites, gzip and space, an arena
+// held 41–168 bytes per rule.
+const scratchRuleBytes = 40
 
-// ScratchBytes estimates the heap retained by the engine's pooled arenas
+// ScratchBytes reports the heap retained by the engine's pooled arenas
 // between queries. Arenas checked out by in-flight queries are not
 // counted; between batches every arena is on the free list, which is when
 // cache byte budgets are enforced.
@@ -153,44 +314,20 @@ func (e *PrestarEngine) ScratchBytes() int64 {
 	defer e.mu.Unlock()
 	var n int64
 	for _, ar := range e.free {
-		n += int64(ar.hwWork)*scratchWorkBytes +
-			int64(ar.hwRel)*scratchRelBytes +
-			int64(ar.hwDyn)*scratchDynBytes
+		n += ar.bytes()
 	}
 	return n
 }
 
 // ScratchProvision estimates the steady-state scratch of a single arena
-// before any query has run: saturation materializes at least the rel
-// transitions its rules can derive, so a freshly built engine charged into
-// a byte-budgeted cache reserves this much for the scratch its first
-// queries will pin. Without it, a cache would charge engines at insert
-// time (when ScratchBytes is still zero) and then silently exceed its
-// budget once traffic warms the arenas.
+// before any query has run: saturation materializes rel transitions in
+// proportion to the rules that derive them, so a freshly built engine
+// charged into a byte-budgeted cache reserves this much for the scratch
+// its first queries will pin. Without it, a cache would charge engines at
+// insert time (when ScratchBytes is still zero) and then silently exceed
+// its budget once traffic warms the arenas.
 func (e *PrestarEngine) ScratchProvision() int64 {
-	return int64(len(e.p.Rules)) * scratchRelBytes
-}
-
-// NewPrestarEngine indexes the rules of p for repeated Prestar queries.
-func NewPrestarEngine(p *PDS) *PrestarEngine {
-	e := &PrestarEngine{
-		p:        p,
-		internal: map[locSym][]Rule{},
-		push:     map[locSym][]Rule{},
-	}
-	for _, r := range p.Rules {
-		switch len(r.W) {
-		case 0:
-			e.pops = append(e.pops, r)
-		case 1:
-			k := locSym{r.P2, r.W[0]}
-			e.internal[k] = append(e.internal[k], r)
-		case 2:
-			k := locSym{r.P2, r.W[0]}
-			e.push[k] = append(e.push[k], r)
-		}
-	}
-	return e
+	return int64(len(e.p.Rules)) * scratchRuleBytes
 }
 
 // Prestar runs the saturation against query automaton a, returning a fresh
@@ -200,58 +337,221 @@ func (e *PrestarEngine) Prestar(a *fsa.FSA) *fsa.FSA {
 	for res.NumStates() < e.p.NumLocs {
 		res.AddState()
 	}
-
+	if res.NumStates() > math.MaxInt32 {
+		panic("pds: Prestar automaton exceeds the int32 state range")
+	}
 	ar := e.getArena()
 	defer e.putArena(ar)
-	relSeen, relBySrc := ar.relSeen, ar.relBySrc
-	dynRules, dynSeen := ar.dynRules, ar.dynSeen
-	work := ar.work
+	s := saturation{e: e, ar: ar, res: res}
 
-	pushT := func(t fsa.Transition) {
-		if !relSeen[t] {
-			work = append(work, t)
+	// The worklist is LIFO and the query's transitions go in first, so
+	// they sit below everything else; they are taken from qs, last first,
+	// whenever work runs dry.
+	a.Each(func(t fsa.Transition) { ar.qs = append(ar.qs, t) })
+	slices.SortFunc(ar.qs, cmpTransition)
+	ar.qDone = slices.Grow(ar.qDone[:0], len(ar.qs))[:len(ar.qs)]
+	clear(ar.qDone)
+	for _, t := range ar.qs {
+		if t.From < e.p.NumLocs {
+			*ar.qCount(t.Sym)++
 		}
 	}
-	for _, t := range a.Transitions() {
-		pushT(t)
-	}
-	for _, r := range e.pops {
-		pushT(fsa.Transition{From: r.P, Sym: r.G, To: r.P2})
-	}
+	ar.work = append(ar.work, e.pops...)
 
-	for len(work) > 0 {
-		t := work[len(work)-1]
-		work = work[:len(work)-1]
-		if relSeen[t] {
+	next := len(ar.qs)
+	for {
+		var t fsa.Transition
+		if n := len(ar.work); n > 0 {
+			t = ar.work[n-1]
+			ar.work = ar.work[:n-1]
+			if !res.Add(t.From, t.Sym, t.To) {
+				j := s.pending(t)
+				if j < 0 {
+					continue
+				}
+				s.done(j)
+			}
+		} else if next > 0 {
+			next--
+			if ar.qDone[next] {
+				continue
+			}
+			s.done(next)
+			t = ar.qs[next]
+		} else {
+			return res
+		}
+		s.process(t)
+	}
+}
+
+// saturation is one Prestar run.
+type saturation struct {
+	e   *PrestarEngine
+	ar  *prestarArena
+	res *fsa.FSA
+}
+
+// pending returns the index in qs of t if t is a query transition not yet
+// processed, else -1. Every other transition in res has been processed.
+// t comes from a pop rule or is derived by a rule, so it leaves a control
+// location, and the per-symbol count covers it.
+func (s *saturation) pending(t fsa.Transition) int {
+	if *s.ar.qCount(t.Sym) == 0 {
+		return -1
+	}
+	j, ok := slices.BinarySearchFunc(s.ar.qs, t, cmpTransition)
+	if !ok || s.ar.qDone[j] {
+		return -1
+	}
+	return j
+}
+
+func (s *saturation) done(j int) {
+	s.ar.qDone[j] = true
+	if t := s.ar.qs[j]; t.From < s.e.p.NumLocs {
+		*s.ar.qCount(t.Sym)--
+	}
+}
+
+// push adds t to the worklist unless it has been processed.
+func (s *saturation) push(t fsa.Transition) {
+	if s.res.Has(t.From, t.Sym, t.To) && s.pending(t) < 0 {
+		return
+	}
+	s.ar.work = append(s.ar.work, t)
+}
+
+// process draws the consequences of the newly processed transition t.
+func (s *saturation) process(t fsa.Transition) {
+	e, ar := s.e, s.ar
+	id := e.symID(t.Sym)
+	if id < 0 {
+		return
+	}
+	k := int32(-1)
+	if e.isW1[id] {
+		k = ar.pair(t.From, id)
+		ar.lists[k].rel.add(&ar.nodes, int32(t.To))
+	}
+	for _, r := range e.internal[e.intOff[id]:e.intOff[id+1]] {
+		if int(r.p2) == t.From {
+			s.push(fsa.Transition{From: int(r.p), Sym: r.g, To: t.To})
+		}
+	}
+	if k >= 0 {
+		for n := ar.lists[k].dyn.head; n >= 0; n = ar.nodes[n].next {
+			c := &e.classes[ar.nodes[n].val]
+			s.push(fsa.Transition{From: int(c.p), Sym: c.g, To: t.To})
+		}
+	}
+	for _, r := range e.push[e.pushOff[id]:e.pushOff[id+1]] {
+		if int(r.p2) != t.From {
 			continue
 		}
-		relSeen[t] = true
-		res.Add(t.From, t.Sym, t.To)
-		k := locSym{t.From, t.Sym}
-		relBySrc[k] = append(relBySrc[k], t.To)
-
-		for _, r := range e.internal[k] {
-			pushT(fsa.Transition{From: r.P, Sym: r.G, To: t.To})
+		// Register Δ′ rule <c.p, c.g> → <t.To, W[1]>.
+		if _, added := ar.dynSeen.upsert(uint64(r.class)<<32|uint64(t.To), 0); !added {
+			continue
 		}
-		for _, d := range dynRules[k] {
-			pushT(fsa.Transition{From: d.p1, Sym: d.g1, To: t.To})
-		}
-		for _, r := range e.push[k] {
-			// Register Δ′ rule <r.P, r.G> → <t.To, r.W[1]>.
-			key := [4]int{r.P, int(r.G), t.To, int(r.W[1])}
-			if !dynSeen[key] {
-				dynSeen[key] = true
-				dk := locSym{t.To, r.W[1]}
-				dynRules[dk] = append(dynRules[dk], dyn{r.P, r.G})
-				for _, q2 := range relBySrc[dk] {
-					pushT(fsa.Transition{From: r.P, Sym: r.G, To: q2})
-				}
-			}
+		c := &e.classes[r.class]
+		dk := ar.pair(t.To, int(c.w1))
+		ar.lists[dk].dyn.add(&ar.nodes, r.class)
+		for n := ar.lists[dk].rel.head; n >= 0; n = ar.nodes[n].next {
+			s.push(fsa.Transition{From: int(c.p), Sym: c.g, To: int(ar.nodes[n].val)})
 		}
 	}
-	ar.work = work
-	return res
 }
+
+func cmpTransition(a, b fsa.Transition) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Sym, b.Sym), cmp.Compare(a.To, b.To))
+}
+
+// stampTable is an open-addressing hash table from packed uint64 keys to
+// int32 values. A slot is live only while it carries the table's current
+// generation, so reset empties the table in O(1) without touching the
+// slots.
+type stampTable struct {
+	slots []stampSlot
+	gen   uint32 // ≥ 1 once slots exist; zero marks a never-written slot
+	n     int
+}
+
+type stampSlot struct {
+	key uint64
+	gen uint32
+	val int32
+}
+
+func (t *stampTable) reset() {
+	t.n = 0
+	t.gen++
+	if t.gen == 0 { // wrapped: slots from 2^32 runs ago would look live
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// upsert returns the value stored under key and false, or, when key is
+// absent, stores val under it and returns val and true.
+func (t *stampTable) upsert(key uint64, val int32) (int32, bool) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := (key * 0x9E3779B97F4A7C15) >> 32 & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			*s = stampSlot{key: key, gen: t.gen, val: val}
+			t.n++
+			return val, true
+		}
+		if s.key == key {
+			return s.val, false
+		}
+	}
+}
+
+// grow doubles the slot array and re-inserts the live slots.
+func (t *stampTable) grow() {
+	old := t.slots
+	t.slots = make([]stampSlot, max(64, 2*len(old)))
+	t.gen = max(t.gen, 1)
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.gen != t.gen {
+			continue
+		}
+		i := (s.key * 0x9E3779B97F4A7C15) >> 32 & mask
+		for t.slots[i].gen == t.gen {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
+// list is a linked list of int32 values in a flat node arena. It appends
+// at the tail, so it iterates in insertion order.
+type list struct{ head, tail int32 }
+
+var emptyList = list{head: -1, tail: -1}
+
+type listNode struct{ val, next int32 }
+
+func (l *list) add(nodes *[]listNode, v int32) {
+	n := int32(len(*nodes))
+	*nodes = append(*nodes, listNode{val: v, next: -1})
+	if l.tail < 0 {
+		l.head = n
+	} else {
+		(*nodes)[l.tail].next = n
+	}
+	l.tail = n
+}
+
+// pairLists are the lists of one (state q, symbol γ): rel holds each q′
+// with (q, γ, q′) processed, and dyn the classes of the Δ′ rules
+// registered with right-hand side <q, γ>.
+type pairLists struct{ rel, dyn list }
 
 // Poststar saturates a copy of the query automaton a so that it accepts
 // post*(L(a)): every configuration reachable from some configuration in
