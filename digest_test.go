@@ -54,6 +54,45 @@ func TestSliceCorpusDigest(t *testing.T) {
 	}
 }
 
+// featureRemovalCorpusDigest pins the feature removals the public API
+// emits on the 8 Siemens suites (see TestFeatureRemovalCorpusDigest),
+// under the same re-pin rule as sliceCorpusDigest.
+const featureRemovalCorpusDigest = "7141a3f5ed0bb2297e2d13253a0b27d20b480cbfd3fd2096c996dfb027f027d7"
+
+// TestFeatureRemovalCorpusDigest hashes the feature removal from every 16th
+// line criterion of the 8 Siemens suites: its emitted source, variant
+// counts and vertex count, or its error. Feature removal intersects the
+// reachable configurations with a complement, so this ties that
+// automaton's language across commits, which TestSliceCorpusDigest's poly
+// and mono slices do not.
+func TestFeatureRemovalCorpusDigest(t *testing.T) {
+	h := sha256.New()
+	removals, criteria := 0, 0
+	for _, cfg := range workload.SmallBenchmarks() {
+		src := lang.Print(workload.Generate(cfg))
+		prog, err := specslice.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		s, err := prog.SDG()
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		n := strings.Count(src, "\n") + 1
+		for line := 1; line <= n; line += 16 {
+			sl, err := s.RemoveFeature(s.LineCriterion(line))
+			fmt.Fprintf(h, "%s line:%d\n", cfg.Name, line)
+			removals += writeSlice(h, sl, err)
+			criteria++
+		}
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("%d removals, %d errors", removals, criteria-removals)
+	if got != featureRemovalCorpusDigest {
+		t.Fatalf("feature removal corpus digest %s, pinned %s", got, featureRemovalCorpusDigest)
+	}
+}
+
 // hashSlices writes the poly and mono slices of c into h, or their errors
 // (a criterion that selects nothing is one), and returns how many slices it
 // wrote.

@@ -21,9 +21,9 @@ import (
 // call-site s has symbol NumVertices+s.
 //
 // An Encoding is immutable once built and safe for concurrent use: the
-// Prestar rule indexes and the reachable-configuration automaton are cached
-// on it, so one Encoding can serve many slice requests without repeating
-// the setup work.
+// Prestar rule indexes, the live call graph and the reachable-configuration
+// automaton are cached on it, so one Encoding can serve many slice requests
+// without repeating the setup work.
 type Encoding struct {
 	G   *sdg.Graph
 	PDS *pds.PDS
@@ -34,6 +34,7 @@ type Encoding struct {
 	prestar *pds.PrestarEngine
 
 	reachOnce sync.Once
+	calls     *liveCallGraph
 	reach     *fsa.FSA
 	reachErr  error
 
@@ -72,14 +73,35 @@ func (e *Encoding) Prestar(a *fsa.FSA) *fsa.FSA { return e.prestar.Prestar(a) }
 func (e *Encoding) ScratchBytes() int64     { return e.prestar.ScratchBytes() }
 func (e *Encoding) ScratchProvision() int64 { return e.prestar.ScratchProvision() }
 
-// Reachable returns the cached reachable-configuration automaton
-// Poststar[P]({(p, entry_main)}), computing it on first use. Safe for
-// concurrent callers.
+// Reachable returns the cached reachable-configuration automaton, a plain
+// FSA accepting the stack word of every configuration of the unrolled SDG
+// reachable along dependence edges from main's entry: the language of
+// Poststar[P]({(p, entry_main)}) at p. It and the live call graph it is
+// read from are computed together on first use, without a Poststar
+// saturation (see computeReachableConfigs). Safe for concurrent callers.
 func (e *Encoding) Reachable() (*fsa.FSA, error) {
 	e.reachOnce.Do(func() {
-		e.reach, e.reachErr = computeReachableConfigs(e)
+		e.calls, e.reachErr = buildLiveCallGraph(e.G)
+		if e.reachErr == nil {
+			e.reach = computeReachableConfigs(e, e.calls)
+		}
 	})
 	return e.reach, e.reachErr
+}
+
+// callGraph returns the live call graph, building it with Reachable.
+func (e *Encoding) callGraph() (*liveCallGraph, error) {
+	_, err := e.Reachable()
+	return e.calls, err
+}
+
+// CallGraphBytes reports the heap held by the live call graph behind
+// Reachable, building it first; zero when Reachable fails.
+func (e *Encoding) CallGraphBytes() int64 {
+	if cg, err := e.callGraph(); err == nil {
+		return cg.bytes()
+	}
+	return 0
 }
 
 // VertexSym returns the stack symbol of an SDG vertex.

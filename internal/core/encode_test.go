@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"specslice/internal/fsa"
@@ -114,6 +115,17 @@ func TestCriterionValidation(t *testing.T) {
 			t.Errorf("case %d: want error", i)
 		}
 	}
+	// Out-of-range vertices get Configs' error from every vertex
+	// criterion: past the end they used to read as call-site symbols,
+	// -1 as epsilon, and below that they panicked.
+	for _, v := range []sdg.VertexID{sdg.VertexID(len(g.Vertices)), sdg.VertexID(len(g.Vertices) + 2), -1, -3} {
+		want := fmt.Sprintf("core: criterion vertex %d out of range", v)
+		for _, spec := range []CriterionSpec{Vertices{0, v}, SDGVertices{0, v}} {
+			if _, err := spec.buildQuery(enc); err == nil || err.Error() != want {
+				t.Errorf("%T%v: error %v, want %q", spec, spec, err, want)
+			}
+		}
+	}
 }
 
 // TestReachableConfigs: every criterion config used in Fig. 1's slice is
@@ -121,7 +133,7 @@ func TestCriterionValidation(t *testing.T) {
 func TestReachableConfigs(t *testing.T) {
 	g := sdg.MustBuild(lang.MustParse(fig1Src))
 	enc := Encode(g)
-	reach, err := ReachableConfigs(enc)
+	reach, err := enc.Reachable()
 	if err != nil {
 		t.Fatal(err)
 	}

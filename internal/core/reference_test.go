@@ -19,6 +19,7 @@ package core_test
 // graphs), checked across every source graph and specialized result.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -27,6 +28,9 @@ import (
 
 	"specslice/internal/core"
 	"specslice/internal/emit"
+	"specslice/internal/fsa"
+	"specslice/internal/funcptr"
+	"specslice/internal/lang"
 	"specslice/internal/mono"
 	"specslice/internal/sdg"
 	sliceg "specslice/internal/slice"
@@ -552,4 +556,379 @@ func TestFormalMatchDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The retired constructions of the reachable configurations and of the
+// Vertices query follow: Encoding.Reachable ran a Poststar saturation from
+// main's entry, and Vertices built A0 by intersecting v·Σ_sites* with that
+// automaton. Both now read the live call graph directly; the differential
+// tests below hold them to the same languages with fsa.Equal.
+
+// referenceReachable is the Poststar construction of the reachable
+// configurations: the language of Poststar[P]({(p, entry_main)}) at p.
+func referenceReachable(enc *core.Encoding) (*fsa.FSA, error) {
+	mainIdx, ok := enc.G.ProcByName["main"]
+	if !ok {
+		return nil, errors.New("core: program has no main")
+	}
+	q := fsa.New(enc.PDS.NumLocs)
+	f := q.AddState()
+	q.SetFinal(f)
+	q.Add(0, enc.VertexSym(enc.G.Procs[mainIdx].Entry), f)
+	return core.PAutomatonToFSA(enc.PDS.Poststar(q)), nil
+}
+
+// referenceVerticesQuery is the Intersect construction of the query A0 of
+// core.Vertices(vs) against the reference reachable automaton reach.
+func referenceVerticesQuery(enc *core.Encoding, reach *fsa.FSA, vs []sdg.VertexID) (*fsa.FSA, error) {
+	raw, err := core.BuildQuery(enc, core.SDGVertices(vs))
+	if err != nil {
+		return nil, err
+	}
+	inter := fsa.Intersect(core.PAutomatonToFSA(raw), reach)
+	if inter.IsEmpty() {
+		return nil, errors.New("core: criterion vertices are unreachable from main")
+	}
+	return core.FSAToQuery(inter, enc.PDS.NumLocs), nil
+}
+
+// reachCase is one program of the reachable-configuration corpus.
+type reachCase struct {
+	name string
+	g    *sdg.Graph
+	// queries is how many single-vertex Vertices queries to spread over
+	// the program's vertices (0 compares the reachable automaton only;
+	// -1 queries every vertex).
+	queries int
+}
+
+// Hand-written shapes the generator does not produce.
+const (
+	// u is never called, and w is called only from u.
+	uncalledSrc = `
+int g;
+void w(int a) { g = a; }
+void u(int a) {
+  w(a);
+  printf("%d", g);
+}
+int main() {
+  g = 1;
+  printf("%d", g);
+  return 0;
+}
+`
+	// Calls after return and after break.
+	deadCallsSrc = `
+int g;
+int f(int a) {
+  return a + 1;
+  g = f(a);
+}
+int h(int a) { return a; }
+int k(int a) { return a * 2; }
+int main() {
+  int x;
+  int i;
+  i = 0;
+  x = 0;
+  while (i < 3) {
+    x = f(i);
+    break;
+    x = h(x);
+  }
+  printf("%d", x);
+  return 0;
+  x = k(2);
+}
+`
+	mutualSrc = `
+int g;
+void odd(int n) {
+  if (n > 0) {
+    g = g + 1;
+    even(n - 1);
+  }
+}
+void even(int n) {
+  if (n > 0) {
+    odd(n - 1);
+  }
+  printf("%d", g);
+}
+int main() {
+  g = 0;
+  even(4);
+  printf("%d", g);
+  return 0;
+}
+`
+	selfMainSrc = `
+int n;
+int main() {
+  int x;
+  x = n;
+  if (n > 0) {
+    n = n - 1;
+    main();
+  }
+  printf("%d", x);
+  return 0;
+}
+`
+	// Indirect calls through a global pointer set in a callee; h is only
+	// ever reached through the dispatch procedure.
+	indirectSrc = `
+int f(int a) { return a * 2; }
+int h(int a) { return a + 1; }
+fnptr gp;
+void set(fnptr q) { gp = q; }
+int main() {
+  fnptr lp;
+  int x;
+  lp = f;
+  set(lp);
+  set(h);
+  x = gp(5);
+  printf("%d", x);
+  return 0;
+}
+`
+	indirectLocalSrc = `
+int f(int a, int b) { return a + b; }
+int g(int a, int b) { return a; }
+int main() {
+  fnptr p;
+  int x;
+  int c;
+  scanf("%d", &c);
+  if (c > 0) { p = f; } else { p = &g; }
+  x = p(1, 2);
+  printf("%d", x);
+  return 0;
+}
+`
+)
+
+// orphanGraph is a hand-built SDG with vertices no control or flow edge
+// reaches from their procedure's entry, which sdg.Build never emits: an
+// orphan statement in main and in p, and the call vertex of main's site
+// calling q, so q is never entered and its own site calling p is not live.
+func orphanGraph() *sdg.Graph {
+	g := &sdg.Graph{ProcByName: map[string]int{}}
+	vertex := func(p *sdg.Proc, kind sdg.VertexKind, site sdg.SiteID) sdg.VertexID {
+		return g.AddVertex(&sdg.Vertex{Kind: kind, Proc: p.Index, Site: site, Param: sdg.NoParam})
+	}
+	proc := func(name string) *sdg.Proc {
+		p := &sdg.Proc{Index: len(g.Procs), Name: name}
+		g.Procs = append(g.Procs, p)
+		g.ProcByName[name] = p.Index
+		p.Entry = vertex(p, sdg.KindEntry, -1)
+		return p
+	}
+	call := func(caller, callee *sdg.Proc, live bool) {
+		s := &sdg.Site{ID: sdg.SiteID(len(g.Sites)), CallerProc: caller.Index, Callee: callee.Name}
+		g.Sites = append(g.Sites, s)
+		caller.Sites = append(caller.Sites, s.ID)
+		s.CallVertex = vertex(caller, sdg.KindCall, s.ID)
+		if live {
+			g.AddEdge(caller.Entry, s.CallVertex, sdg.EdgeControl)
+		}
+		g.AddEdge(s.CallVertex, callee.Entry, sdg.EdgeCall)
+	}
+	main, p, q := proc("main"), proc("p"), proc("q")
+	s1, s2, orphan := vertex(main, sdg.KindStmt, -1), vertex(main, sdg.KindStmt, -1), vertex(main, sdg.KindStmt, -1)
+	g.AddEdge(main.Entry, s1, sdg.EdgeControl)
+	g.AddEdge(s1, s2, sdg.EdgeFlow)
+	g.AddEdge(orphan, s2, sdg.EdgeFlow)
+	vertex(p, sdg.KindStmt, -1)
+	call(main, p, true)
+	call(main, q, false)
+	call(p, p, true)
+	call(q, p, true)
+	return g
+}
+
+// reachCorpus returns the differential corpus: the 12 Fig. 17 suites (the
+// four large ones compared on the reachable automaton only), generated
+// programs of 3–16 procedures with every third recursive, indirect-call
+// programs after funcptr.Transform, and the hand-written shapes above.
+func reachCorpus(t *testing.T, generated int) []reachCase {
+	var out []reachCase
+	for i, cfg := range workload.Benchmarks() {
+		g := sdg.MustBuild(workload.Generate(cfg))
+		sliceg.ComputeSummaryEdges(g)
+		q := 16
+		if i >= 8 {
+			q = 0
+		}
+		out = append(out, reachCase{cfg.Name, g, q})
+	}
+	rng := rand.New(rand.NewSource(0x5EAC))
+	for i := 0; i < generated; i++ {
+		procs := 3 + rng.Intn(14)
+		cfg := workload.BenchConfig{
+			Name:           "reach",
+			Procs:          procs,
+			TargetVertices: 40 + rng.Intn(200),
+			CallSites:      procs + rng.Intn(3*procs),
+			Seed:           int64(9000 + i),
+			Recursive:      i%3 == 0,
+		}
+		out = append(out, reachCase{fmt.Sprintf("generated %d", i), sdg.MustBuild(workload.Generate(cfg)), 8})
+	}
+	for _, src := range [][2]string{
+		{"fig15", workload.Fig15Source}, {"indirect", indirectSrc}, {"indirect-local", indirectLocalSrc},
+	} {
+		prog, created, err := funcptr.Transform(lang.MustParse(src[1]))
+		if err != nil || created == 0 {
+			t.Fatalf("%s: funcptr.Transform: %d dispatch procedures, %v", src[0], created, err)
+		}
+		out = append(out, reachCase{src[0], sdg.MustBuild(prog), -1})
+	}
+	for _, src := range [][2]string{
+		{"uncalled", uncalledSrc}, {"dead-calls", deadCallsSrc}, {"mutual", mutualSrc},
+		{"self-main", selfMainSrc}, {"fig1", workload.Fig1Source}, {"fig2", workload.Fig2Source},
+	} {
+		out = append(out, reachCase{src[0], sdg.MustBuild(lang.MustParse(src[1])), -1})
+	}
+	return append(out, reachCase{"orphans", orphanGraph(), -1})
+}
+
+func reachCorpusSize() int {
+	if testing.Short() {
+		return 50
+	}
+	return 200
+}
+
+// equalToDFA reports whether a accepts exactly L(d), for a deterministic
+// d. It walks a's subset construction in lockstep with d: every pair
+// (subset, d-state) reached by a common word must agree on acceptance, and
+// on every symbol the subset must move to a nonempty set exactly when d
+// has a transition. Both sides are trimmed first, so a nonempty subset or
+// an existing d-state always accepts some continuation.
+//
+// fsa.Equal minimizes through tables of determinized states × alphabet
+// size; on the four large suites the Poststar automaton determinizes to
+// 2,000–15,000 states over 5,000–16,000 symbols, beyond a test's time and
+// memory. The live-call-graph automata are deterministic, so this walk
+// stands in for fsa.Equal there, and agrees with it on every other program.
+func equalToDFA(a, d *fsa.FSA) bool {
+	a, d = a.Trim(), d.Trim()
+	if a.NumStarts() == 0 || d.NumStarts() == 0 {
+		return a.NumStarts() == d.NumStarts()
+	}
+	if !d.IsDeterministic() {
+		panic("equalToDFA: d is not deterministic")
+	}
+	type pair struct {
+		set string // sorted member list of a's subset
+		q   int
+	}
+	key := func(set []int) string { return fmt.Sprint(set) }
+	seen := map[pair]bool{}
+	type item struct {
+		set []int
+		q   int
+	}
+	start := a.Starts()
+	work := []item{{start, d.Starts()[0]}}
+	seen[pair{key(start), work[0].q}] = true
+	for len(work) > 0 {
+		it := work[len(work)-1]
+		work = work[:len(work)-1]
+		final := false
+		moves := map[fsa.Symbol][]int{}
+		for _, s := range it.set {
+			final = final || a.IsFinal(s)
+			for _, t := range a.Out(s) {
+				moves[t.Sym] = append(moves[t.Sym], t.To)
+			}
+		}
+		if final != d.IsFinal(it.q) || len(moves) != len(d.Out(it.q)) {
+			return false
+		}
+		for _, t := range d.Out(it.q) {
+			next, ok := moves[t.Sym]
+			if !ok {
+				return false
+			}
+			slices.Sort(next)
+			next = slices.Compact(next)
+			if p := (pair{key(next), t.To}); !seen[p] {
+				seen[p] = true
+				work = append(work, item{next, t.To})
+			}
+		}
+	}
+	return true
+}
+
+// TestReachableDifferential: the live-call-graph reachable automaton
+// accepts exactly the Poststar language on every corpus program.
+func TestReachableDifferential(t *testing.T) {
+	for _, c := range reachCorpus(t, reachCorpusSize()) {
+		enc := core.Encode(c.g)
+		got, err := enc.Reachable()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := referenceReachable(enc)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		if !equalToDFA(want, got) {
+			t.Fatalf("%s: reachable configurations differ from Poststar's", c.name)
+		}
+		if c.queries != 0 && !fsa.Equal(got, want) {
+			t.Fatalf("%s: fsa.Equal disagrees with the lockstep walk", c.name)
+		}
+	}
+}
+
+// TestVerticesQueryDifferential: the Vertices query built from the live
+// call graph accepts the same configurations as the Intersect
+// construction, and fails exactly when it does, for single-vertex queries
+// spread over each program and for all of its printf actuals.
+func TestVerticesQueryDifferential(t *testing.T) {
+	queries, failures := 0, 0
+	for _, c := range reachCorpus(t, reachCorpusSize()) {
+		if c.queries == 0 {
+			continue
+		}
+		enc := core.Encode(c.g)
+		reach, err := referenceReachable(enc)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		n := len(c.g.Vertices)
+		step := 1
+		if c.queries > 0 {
+			step = max(1, n/c.queries)
+		}
+		var crits [][]sdg.VertexID
+		for v := 0; v < n; v += step {
+			crits = append(crits, []sdg.VertexID{sdg.VertexID(v)})
+		}
+		if vs := core.PrintfCriterion(c.g, ""); len(vs) > 0 {
+			crits = append(crits, vs)
+		}
+		for _, vs := range crits {
+			got, gerr := core.BuildQuery(enc, core.Vertices(vs))
+			want, werr := referenceVerticesQuery(enc, reach, vs)
+			queries++
+			if gerr != nil || werr != nil {
+				if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+					t.Fatalf("%s %v: error %v, reference error %v", c.name, vs, gerr, werr)
+				}
+				failures++
+				continue
+			}
+			if !fsa.Equal(core.PAutomatonToFSA(got), core.PAutomatonToFSA(want)) {
+				t.Fatalf("%s %v: query language differs from the Intersect construction", c.name, vs)
+			}
+		}
+	}
+	t.Logf("%d queries, %d unreachable from main", queries, failures)
 }

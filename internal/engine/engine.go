@@ -144,12 +144,13 @@ func (e *Engine) RemoveFeature(criterion []sdg.VertexID) (*core.Result, error) {
 
 // Footprint estimates, in bytes, the heap retained by the engine's cached
 // analysis state: the SDG itself, the PDS encoding with its Prestar rule
-// indexes, and the reachable-configuration automaton. The caches are built
+// indexes, the live call graph (at its exact slice capacities) and the
+// reachable-configuration automaton read from it. The caches are built
 // first (Warm) so the estimate is stable; a program whose warm fails (e.g.
-// no reachable configurations) is still accounted for its graph and
-// encoding. The per-element constants are deliberately coarse — the number
-// exists so content-addressed engine caches can evict by an additive byte
-// budget, not for profiling.
+// no main) is still accounted for its graph and encoding. The per-element
+// constants are deliberately coarse — the number exists so
+// content-addressed engine caches can evict by an additive byte budget,
+// not for profiling.
 func (e *Engine) Footprint() int64 {
 	_ = e.Warm()
 	const (
@@ -175,6 +176,7 @@ func (e *Engine) Footprint() int64 {
 	n += int64(len(enc.PDS.Rules))*ruleBytes + int64(len(enc.LocOfFO))*locBytes
 	if reach, err := enc.Reachable(); err == nil {
 		n += int64(reach.NumStates())*stateBytes + int64(reach.NumTransitions())*transBytes
+		n += enc.CallGraphBytes()
 	}
 	// Interned Prestar scratch survives between batches (pooled arenas
 	// keep their buckets), so it is part of what a byte-budgeted cache

@@ -44,7 +44,7 @@ func RemoveWithEncoding(g *sdg.Graph, enc *core.Encoding, criterion []sdg.Vertex
 	a0 := core.PAutomatonToFSA(enc.PDS.Poststar(q))
 
 	// A1 = Poststar(entry_main) ∩ complement(determinize(A0)).
-	reach, err := core.ReachableConfigs(enc)
+	reach, err := enc.Reachable()
 	if err != nil {
 		return nil, err
 	}
