@@ -43,6 +43,25 @@ func BenchmarkReachable(b *testing.B) {
 	}
 }
 
+// BenchmarkMRD times fsa.MRD, Alg. 1 lines 4–8, on the A1 of gzip's
+// all-printf Vertices criterion: the automaton chain every polyvariant
+// slice runs after Prestar.
+func BenchmarkMRD(b *testing.B) {
+	g := gzipGraph(b)
+	enc := Encode(g)
+	q, err := Vertices(PrintfCriterion(g, "")).buildQuery(enc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a1 := PAutomatonToFSA(enc.Prestar(q))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a6, _ := fsa.MRD(a1)
+		benchFSA = a6
+	}
+}
+
 // BenchmarkVerticesQuery times building the query A0 of gzip's all-printf
 // Vertices criterion on a warm encoding: what every slice whose criterion
 // leaves main pays.

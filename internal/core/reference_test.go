@@ -809,11 +809,9 @@ func reachCorpusSize() int {
 // has a transition. Both sides are trimmed first, so a nonempty subset or
 // an existing d-state always accepts some continuation.
 //
-// fsa.Equal minimizes through tables of determinized states × alphabet
-// size; on the four large suites the Poststar automaton determinizes to
-// 2,000–15,000 states over 5,000–16,000 symbols, beyond a test's time and
-// memory. The live-call-graph automata are deterministic, so this walk
-// stands in for fsa.Equal there, and agrees with it on every other program.
+// The walk runs no minimizer, so it checks the live-call-graph automata
+// independently of fsa.Equal, which TestReachableDifferential runs beside
+// it on every program.
 func equalToDFA(a, d *fsa.FSA) bool {
 	a, d = a.Trim(), d.Trim()
 	if a.NumStarts() == 0 || d.NumStarts() == 0 {
@@ -881,7 +879,7 @@ func TestReachableDifferential(t *testing.T) {
 		if !equalToDFA(want, got) {
 			t.Fatalf("%s: reachable configurations differ from Poststar's", c.name)
 		}
-		if c.queries != 0 && !fsa.Equal(got, want) {
+		if !fsa.Equal(got, want) {
 			t.Fatalf("%s: fsa.Equal disagrees with the lockstep walk", c.name)
 		}
 	}
@@ -931,4 +929,109 @@ func TestVerticesQueryDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("%d queries, %d unreachable from main", queries, failures)
+}
+
+// TestMRDSliceAutomataDifferential checks fsa.MRD on the automata serving
+// gives it: partial DFAs of a few states over thousands of symbols, unlike
+// the random NFAs over a handful of symbols in internal/fsa. The inputs are
+// the polyvariant A1 of every per-procedure printf criterion and of up to
+// 16 evenly spaced statement lines on the 8 Siemens suites, and of gzip's
+// all-printf criterion. A6 must have the state and transition counts of
+// the Moore chain's result, and its reversal must accept exactly A1's
+// reversed language, by a walk that runs no minimizer. The same must hold
+// for MRD of A1 with twinned states, and there the refinement must merge
+// states on at least half of the inputs.
+func TestMRDSliceAutomataDifferential(t *testing.T) {
+	checked, merged := 0, 0
+	check := func(name string, enc *core.Encoding, vs []sdg.VertexID) {
+		t.Helper()
+		if _, err := core.BuildQuery(enc, core.Vertices(vs)); err != nil {
+			return // a criterion main does not reach has no A1
+		}
+		res, err := core.SpecializeWithEncoding(enc, core.Vertices(vs))
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, vs, err)
+		}
+		defer res.Release()
+		// The reversed slice automata determinize to minimal DFAs, so MRD
+		// also runs on A1 with twinned states, where it must merge states.
+		twinned, st := fsa.MRD(twinStates(res.A1))
+		if st.DetStates > twinned.NumStates() {
+			merged++
+		}
+		moore := res.A1.Reverse().Determinize().MinimizeMoore().Reverse()
+		for i, a6 := range []*fsa.FSA{res.A6, twinned} {
+			tag := []string{"A6", "twinned A6"}[i]
+			if a6.NumStates() != moore.NumStates() || a6.NumTransitions() != moore.NumTransitions() {
+				t.Fatalf("%s %v: %s has %d states and %d transitions, the Moore chain %d and %d", name, vs, tag,
+					a6.NumStates(), a6.NumTransitions(), moore.NumStates(), moore.NumTransitions())
+			}
+			if !equalToDFA(res.A1.Reverse(), a6.Reverse()) {
+				t.Fatalf("%s %v: %s does not accept A1's language", name, vs, tag)
+			}
+		}
+		checked++
+	}
+	for _, cfg := range workload.SmallBenchmarks() {
+		// Parsing the printed program numbers its lines.
+		g := sdg.MustBuild(lang.MustParse(lang.Print(workload.Generate(cfg))))
+		sliceg.ComputeSummaryEdges(g)
+		enc := core.Encode(g)
+		for _, p := range g.Procs {
+			if vs := core.PrintfCriterion(g, p.Name); len(vs) > 0 {
+				check(cfg.Name+" printf:"+p.Name, enc, vs)
+			}
+		}
+		lines := map[int][]sdg.VertexID{}
+		for _, v := range g.Vertices {
+			if v.Kind == sdg.KindStmt && v.Stmt != nil {
+				l := v.Stmt.Base().Pos.Line
+				lines[l] = append(lines[l], v.ID)
+			}
+		}
+		keys := make([]int, 0, len(lines))
+		for l := range lines {
+			keys = append(keys, l)
+		}
+		sort.Ints(keys)
+		for i := 0; i < len(keys); i += max(1, len(keys)/16) {
+			check(fmt.Sprintf("%s line:%d", cfg.Name, keys[i]), enc, lines[keys[i]])
+		}
+	}
+	for _, cfg := range workload.Benchmarks() {
+		if cfg.Name == "gzip" {
+			g := sdg.MustBuild(workload.Generate(cfg))
+			sliceg.ComputeSummaryEdges(g)
+			check("gzip printf", core.Encode(g), core.PrintfCriterion(g, ""))
+		}
+	}
+	if merged*2 < checked {
+		t.Fatalf("the refinement merged states on only %d of %d twinned automata", merged, checked)
+	}
+	t.Logf("%d slice automata, %d twinned ones merged", checked, merged)
+}
+
+// twinStates returns an automaton for L(a) in which every state s has a
+// twin s+n: both have s's incoming transitions, and s's outgoing ones are
+// split between them, so subsets that differ only in which twin they hold
+// are equivalent.
+func twinStates(a *fsa.FSA) *fsa.FSA {
+	n := a.NumStates()
+	tw := fsa.New(2 * n)
+	for s := 0; s < n; s++ {
+		if a.IsStart(s) {
+			tw.SetStart(s)
+			tw.SetStart(s + n)
+		}
+		if a.IsFinal(s) {
+			tw.SetFinal(s)
+			tw.SetFinal(s + n)
+		}
+	}
+	a.Each(func(t fsa.Transition) {
+		from := t.From + n*(int(t.Sym)&1)
+		tw.Add(from, t.Sym, t.To)
+		tw.Add(from, t.Sym, t.To+n)
+	})
+	return tw
 }

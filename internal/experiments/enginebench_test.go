@@ -155,7 +155,11 @@ func TestRunEngineBenchSmoke(t *testing.T) {
 	if eb.ReadoutNsPerOp <= 0 {
 		t.Errorf("readout ns per op = %v, want > 0", eb.ReadoutNsPerOp)
 	}
-	if eb.ReadoutAllocsPerOp > 8 {
+	// Under the race detector sync.Pool drops a random share of Puts, so the
+	// pooled readout scratch is reallocated and the count measures the
+	// detector, not the readout. Plain `go test` and the bench job's gate
+	// enforce the bound.
+	if !raceEnabled && eb.ReadoutAllocsPerOp > 8 {
 		t.Errorf("readout allocs per op = %v, want <= 8 (arena-backed readout regressed)", eb.ReadoutAllocsPerOp)
 	}
 	for _, w := range []string{"1", "2", "4"} {

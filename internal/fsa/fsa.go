@@ -9,9 +9,11 @@
 // The hot-path representations are dense: state sets are bitsets,
 // transition dedup goes through an open-addressing hash index keyed on
 // packed (from, sym, to) ints, subset construction interns state-set
-// bitsets through an FNV hash table, and the pipeline stages draw their
-// scratch (symbol-indexed adjacency, worklists, move sets) from a pooled
-// arena (see pipeline.go).
+// bitsets through an FNV hash table, minimization refines partitions of
+// states and transitions in O(n + m log m) for n states and m
+// transitions, and the pipeline stages draw their scratch (symbol-indexed
+// adjacency, worklists, move lists, partitions) from a pooled arena (see
+// pipeline.go).
 package fsa
 
 import (

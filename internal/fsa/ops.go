@@ -4,8 +4,8 @@ import "sort"
 
 // Minimize returns the minimal DFA for the automaton's language. The input
 // may be any automaton; it is determinized and trimmed first. The result is
-// deterministic, trim, and unique up to state renaming. Minimization runs
-// Hopcroft's algorithm on dense structures (see pipeline.go).
+// deterministic, trim, and unique up to state renaming. Minimization is
+// Hopcroft's partition refinement over transitions (see pipeline.go).
 func (a *FSA) Minimize() *FSA {
 	d := a
 	if !d.IsDeterministic() {
@@ -15,7 +15,11 @@ func (a *FSA) Minimize() *FSA {
 	if d.numStates == 0 {
 		return d
 	}
-	return hopcroft(d)
+	ar := getArena()
+	defer putArena(ar)
+	adj := buildAdjacency(d, false, ar)
+	p := hopcroft(&adj, d.finals, ar)
+	return quotient(&adj, &p, d.Starts()[0], d.finals, false, ar)
 }
 
 // MinimizeMoore is a reference implementation of DFA minimization by

@@ -2,12 +2,15 @@ package fsa
 
 // Dense automaton pipeline: per-automaton symbol-indexed adjacency (CSR),
 // bitset subset construction with an FNV interning table in place of sorted
-// string keys, in-place Hopcroft partition refinement, and the fused
+// string keys, Hopcroft minimization as partition refinement over
+// transitions (no dead state, no states × symbols table), and the fused
 // reverse→determinize→minimize→reverse chain (MRD) that core.Specialize
-// runs per slice request (Alg. 1 lines 4–8). All scratch is drawn from a
-// pooled arena, so warm requests run the whole chain with near-zero
-// per-request allocation — the same discipline pds.PrestarEngine applies to
-// the Prestar half of the pipeline.
+// runs per slice request (Alg. 1 lines 4–8). MRD keeps its DFA in arena
+// arrays from the subset construction to the refinement and builds one
+// *FSA, the result. All scratch is drawn from a pooled arena, so warm
+// requests run the whole chain with near-zero per-request allocation — the
+// same discipline pds.PrestarEngine applies to the Prestar half of the
+// pipeline.
 
 import (
 	"math/bits"
@@ -27,16 +30,11 @@ type pipeArena struct {
 	u64buf []uint64
 	u64off int
 
-	symbuf []Symbol // materialized sorted alphabet (valid until next buildAdjacency)
-	work   []int32  // determinize worklist of subset ids / hopcroft splitters
-	cwork  []int32  // closure / trim DFS stack
-	bmem   []int32  // hopcroft: splitter-block member snapshot
-	tbl    []int32  // hopcroft: blocks touched by the current splitter
-
+	symbuf  []Symbol // materialized sorted alphabet (valid until next buildAdjacency)
+	work    []int32  // determinize worklist of subset ids
+	cwork   []int32  // closure / trim DFS stack
 	touched []int    // determinize: dense symbol indexes hit by a subset
-	symSets []bitset // determinize: per-symbol move accumulation sets
-	symMark []uint64 // determinize: round stamp per symbol
-	round   uint64   // monotone per arena; never reused across runs
+	dtr     []dtrans // determinize: the DFA's transitions
 	in      interner
 }
 
@@ -285,6 +283,21 @@ func (adj *adjacency) closure(set bitset, ar *pipeArena) {
 	ar.cwork = work[:0]
 }
 
+// dtrans is one transition of a subset-construction DFA, on the
+// adjacency's dense symbol index.
+type dtrans struct{ from, sym, to int32 }
+
+// dfa is the subset construction's output, kept in the arena until the
+// arena's next determinize: state 0 is the start and every state is
+// reachable from it. Each state's transitions are contiguous in trans, in
+// ascending symbol order.
+type dfa struct {
+	n      int
+	syms   []Symbol // dense symbol index → symbol
+	trans  []dtrans // in creation order
+	finals bitset
+}
+
 // Determinize performs the subset construction, returning a deterministic
 // automaton (single start state, no epsilon transitions, at most one
 // transition per (state, symbol)). Missing transitions mean rejection.
@@ -292,45 +305,47 @@ func (a *FSA) Determinize() *FSA {
 	ar := getArena()
 	defer putArena(ar)
 	adj := buildAdjacency(a, false, ar)
-	return determinize(&adj, a.starts, a.finals, ar)
+	d := determinize(&adj, a.starts, a.finals, ar)
+	r := New(d.n)
+	r.SetStart(0)
+	r.finals = d.finals.clone()
+	r.Reserve(len(d.trans))
+	for _, t := range d.trans {
+		r.Add(int(t.from), d.syms[t.sym], int(t.to))
+	}
+	return r
 }
 
-// determinize is the bitset subset construction over a prebuilt adjacency:
-// subsets are fixed-width bitsets deduplicated through the FNV interner,
-// and the per-symbol move sets are arena bitsets reused across subsets.
-// starts/finals are read against adj (so a reversed adjacency passes the
-// original finals as starts and vice versa).
-func determinize(adj *adjacency, starts, finals bitset, ar *pipeArena) *FSA {
+// determinize is the bitset subset construction over a prebuilt adjacency,
+// recorded as a dfa in the arena. Subsets are fixed-width bitsets
+// deduplicated through the FNV interner. A subset's moves are bucketed by
+// dense symbol into lists threaded through one array, so the scratch is
+// bounded by the transitions, not by symbols × states. starts/finals are
+// read against adj (so a reversed adjacency passes the original finals as
+// starts and vice versa).
+func determinize(adj *adjacency, starts, finals bitset, ar *pipeArena) dfa {
 	w := bitsWords(adj.n)
 	ar.in.init(w)
-	k := len(adj.syms)
-	for len(ar.symSets) < k {
-		ar.symSets = append(ar.symSets, nil)
-	}
-	for len(ar.symMark) < k {
-		ar.symMark = append(ar.symMark, 0)
-	}
-
+	// seen[si] is the id+1 of the last subset that moved on si; head[si]
+	// is then its last move on si + 1, and moveNext chains the rest.
+	seen, head := ar.i32(len(adj.syms)), ar.i32(len(adj.syms))
+	moveTo, moveNext := ar.i32(len(adj.tto)), ar.i32(len(adj.tto))
 	cur := bitset(ar.u64(w))
 	copy(cur, starts)
 	adj.closure(cur, ar)
 	ar.in.lookupOrAdd(cur) // id 0
-	d := New(1)
-	d.SetStart(0)
-	if cur.intersects(finals) {
-		d.SetFinal(0)
-	}
+	trans := ar.dtr[:0]
 	work := append(ar.work[:0], 0)
 	touched := ar.touched[:0]
 
 	for len(work) > 0 {
-		curID := int(work[len(work)-1])
+		id := work[len(work)-1]
 		work = work[:len(work)-1]
-		ar.round++
 		touched = touched[:0]
-		// Bucket the subset's moves by dense symbol index. The interned
-		// payload is only read here, before lookupOrAdd can grow data.
-		set := ar.in.set(curID)
+		nm := int32(0)
+		// The interned payload is only read here, before lookupOrAdd can
+		// grow data.
+		set := ar.in.set(int(id))
 		for wi, wd := range set {
 			for wd != 0 {
 				i := bits.TrailingZeros64(wd)
@@ -338,247 +353,331 @@ func determinize(adj *adjacency, starts, finals bitset, ar *pipeArena) *FSA {
 				s := wi<<6 + i
 				for j := adj.start[s]; j < adj.start[s+1]; j++ {
 					si := adj.tsym[j]
-					ss := ar.symSets[si]
-					if ar.symMark[si] != ar.round {
-						ar.symMark[si] = ar.round
+					if seen[si] != id+1 {
+						seen[si], head[si] = id+1, 0
 						touched = append(touched, int(si))
-						if len(ss) < w {
-							ss = make(bitset, w)
-							ar.symSets[si] = ss
-						} else {
-							clear(ss[:w])
-						}
 					}
-					to := adj.tto[j]
-					ss[to>>6] |= 1 << (uint(to) & 63)
+					moveTo[nm], moveNext[nm] = adj.tto[j], head[si]
+					nm++
+					head[si] = nm
 				}
 			}
 		}
 		sort.Ints(touched)
 		for _, si := range touched {
-			next := ar.symSets[si][:w]
-			adj.closure(next, ar)
-			id, isNew := ar.in.lookupOrAdd(next)
-			if isNew {
-				ns := d.AddState()
-				if next.intersects(finals) {
-					d.SetFinal(ns)
-				}
-				work = append(work, int32(id))
+			clear(cur)
+			for x := head[si]; x != 0; x = moveNext[x-1] {
+				to := moveTo[x-1]
+				cur[to>>6] |= 1 << (uint(to) & 63)
 			}
-			d.Add(curID, adj.syms[si], id)
+			adj.closure(cur, ar)
+			to, isNew := ar.in.lookupOrAdd(cur)
+			if isNew {
+				work = append(work, int32(to))
+			}
+			trans = append(trans, dtrans{id, int32(si), int32(to)})
 		}
 	}
-	ar.work = work[:0]
-	ar.touched = touched[:0]
+	ar.work, ar.touched, ar.dtr = work[:0], touched[:0], trans
+
+	d := dfa{n: ar.in.n, syms: adj.syms, trans: trans, finals: ar.u64(bitsWords(ar.in.n))}
+	for s := 0; s < d.n; s++ {
+		if ar.in.set(s).intersects(finals) {
+			d.finals[s>>6] |= 1 << (uint(s) & 63)
+		}
+	}
 	return d
 }
 
-// hopcroft runs Hopcroft's partition-refinement minimization on a trim DFA,
-// on dense structures: a flat successor array, per-symbol inverse-CSR, and
-// in-place partition refinement over a state permutation. Missing
-// transitions are handled by an implicit dead state that is never emitted.
-func hopcroft(d *FSA) *FSA {
-	ar := getArena()
-	defer putArena(ar)
-	return hopcroftWith(d, ar)
+// trim returns the states of d that reach a final state — every subset is
+// reachable from the start by construction — as an adjacency, with their
+// finals. Kept states keep their relative order and each keeps its
+// transitions' order: the adjacency buildAdjacency reads off the
+// materialized DFA after Trim, so MRD and Minimize refine the same input.
+// The adjacency's dense symbols are d's, a superset of those it uses.
+func (d *dfa) trim(ar *pipeArena) (adjacency, bitset) {
+	n0 := d.n
+	// Co-reachability: backward from the finals over a CSR of the
+	// transitions by target.
+	inStart := ar.i32(n0 + 1)
+	for _, t := range d.trans {
+		inStart[t.to+1]++
+	}
+	for s := 0; s < n0; s++ {
+		inStart[s+1] += inStart[s]
+	}
+	inFrom := ar.i32(len(d.trans))
+	fill := ar.i32(n0)
+	copy(fill, inStart[:n0])
+	for _, t := range d.trans {
+		inFrom[fill[t.to]] = t.from
+		fill[t.to]++
+	}
+	keep := ar.i32(n0) // kept state + 1, once numbered
+	work := ar.cwork[:0]
+	for s := 0; s < n0; s++ {
+		if d.finals.get(s) {
+			keep[s] = 1
+			work = append(work, int32(s))
+		}
+	}
+	for len(work) > 0 {
+		s := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, p := range inFrom[inStart[s]:inStart[s+1]] {
+			if keep[p] == 0 {
+				keep[p] = 1
+				work = append(work, p)
+			}
+		}
+	}
+	ar.cwork = work[:0]
+	n := 0
+	for s := range keep {
+		if keep[s] != 0 {
+			n++
+			keep[s] = int32(n)
+		}
+	}
+
+	adj := adjacency{n: n, syms: d.syms, start: ar.i32(n + 1)}
+	finals := bitset(ar.u64(bitsWords(n)))
+	for s, k := range keep {
+		if k != 0 && d.finals.get(s) {
+			finals[(k-1)>>6] |= 1 << (uint(k-1) & 63)
+		}
+	}
+	// A transition is kept when its target is; its source then is too.
+	for _, t := range d.trans {
+		if keep[t.to] != 0 {
+			adj.start[keep[t.from]]++
+		}
+	}
+	for s := 0; s < n; s++ {
+		adj.start[s+1] += adj.start[s]
+	}
+	adj.tsym, adj.tto = ar.i32(int(adj.start[n])), ar.i32(int(adj.start[n]))
+	fill = ar.i32(n)
+	copy(fill, adj.start[:n])
+	for _, t := range d.trans {
+		if to := keep[t.to]; to != 0 {
+			f := keep[t.from] - 1
+			adj.tsym[fill[f]], adj.tto[fill[f]] = t.sym, to-1
+			fill[f]++
+		}
+	}
+	return adj, finals
 }
 
-func hopcroftWith(d *FSA, ar *pipeArena) *FSA {
-	n := d.numStates
-	adj := buildAdjacency(d, false, ar)
-	k := len(adj.syms)
-	dead := n
-	total := n + 1
+// partition is a refinable partition of the elements 0..n-1 into sets
+// (Valmari's data structure): the members of set s are
+// elems[first[s]:end[s]], its marked[s] marked members first, and pos
+// inverts elems. Every round of marks ends with a split.
+type partition struct {
+	elems, pos, set    []int32
+	first, end, marked []int32
+	touched            []int32 // the sets with a marked member
+	z                  int32   // set count
+}
 
-	// succ[s*k+si] = successor+1; 0 means the implicit dead state.
-	succ := ar.i32(total * k)
-	for s := 0; s < n; s++ {
-		for j := adj.start[s]; j < adj.start[s+1]; j++ {
-			succ[s*k+int(adj.tsym[j])] = adj.tto[j] + 1
-		}
+// newPartition returns the partition of n elements into one set (none
+// when n is 0), with room for n sets.
+func newPartition(n int, ar *pipeArena) partition {
+	p := partition{
+		elems: ar.i32(n), pos: ar.i32(n), set: ar.i32(n),
+		first: ar.i32(n), end: ar.i32(n), marked: ar.i32(n),
+		touched: ar.i32(n)[:0],
 	}
-	// Inverse CSR over (symbol, target): every (state, symbol) pair
-	// contributes one predecessor entry (missing transitions target dead).
-	invStart := ar.i32(k*total + 1)
-	for s := 0; s < total; s++ {
-		for si := 0; si < k; si++ {
-			to := dead
-			if s < n {
-				if v := succ[s*k+si]; v != 0 {
-					to = int(v - 1)
-				}
-			}
-			invStart[si*total+to+1]++
-		}
+	for i := range p.elems {
+		p.elems[i], p.pos[i] = int32(i), int32(i)
 	}
-	for i := 1; i <= k*total; i++ {
-		invStart[i] += invStart[i-1]
+	if n > 0 {
+		p.end[0], p.z = int32(n), 1
 	}
-	invPred := ar.i32(total * k)
-	invCur := ar.i32(k * total)
-	copy(invCur, invStart[:k*total])
-	for s := 0; s < total; s++ {
-		for si := 0; si < k; si++ {
-			to := dead
-			if s < n {
-				if v := succ[s*k+si]; v != 0 {
-					to = int(v - 1)
-				}
-			}
-			invPred[invCur[si*total+to]] = int32(s)
-			invCur[si*total+to]++
-		}
-	}
+	return p
+}
 
-	// Partition refinement state: elems is a permutation of the states,
-	// grouped by block; each block is elems[first:end) with its marked
-	// members in elems[first:mid).
-	elems := ar.i32(total)
-	pos := ar.i32(total)
-	blk := ar.i32(total)
-	first := ar.i32(total)
-	mid := ar.i32(total)
-	end := ar.i32(total)
-	nf := d.finals.count()
-	i, j := 0, nf
-	for s := 0; s < n; s++ {
-		if d.finals.get(s) {
-			elems[i] = int32(s)
-			i++
-		} else {
-			elems[j] = int32(s)
-			j++
-		}
+// mark moves e into its set's marked prefix. No element is marked twice
+// in one round: a cord holds at most one transition per source state, and
+// a transition enters one state.
+func (p *partition) mark(e int32) {
+	s := p.set[e]
+	i, j := p.pos[e], p.first[s]+p.marked[s]
+	o := p.elems[j]
+	p.elems[i], p.pos[o] = o, i
+	p.elems[j], p.pos[e] = e, j
+	if p.marked[s] == 0 {
+		p.touched = append(p.touched, s)
 	}
-	elems[j] = int32(dead)
-	for e := 0; e < total; e++ {
-		pos[elems[e]] = int32(e)
-	}
-	nb := 0
-	addInit := func(lo, hi int) {
-		first[nb], mid[nb], end[nb] = int32(lo), int32(lo), int32(hi)
-		for e := lo; e < hi; e++ {
-			blk[elems[e]] = int32(nb)
-		}
-		nb++
-	}
-	if nf > 0 {
-		addInit(0, nf)
-	}
-	addInit(nf, total)
+	p.marked[s]++
+}
 
-	// Worklist of (block, symbol) splitters, encoded block*k+symbol.
-	inWork := bitset(ar.u64(bitsWords(total * k)))
-	work := ar.work[:0]
-	push := func(b, si int) {
-		sp := b*k + si
-		if inWork[sp>>6]&(1<<(uint(sp)&63)) == 0 {
-			inWork[sp>>6] |= 1 << (uint(sp) & 63)
-			work = append(work, int32(sp))
-		}
-	}
-	for b := 0; b < nb; b++ {
-		for si := 0; si < k; si++ {
-			push(b, si)
-		}
-	}
-
-	for len(work) > 0 {
-		sp := int(work[len(work)-1])
-		work = work[:len(work)-1]
-		inWork[sp>>6] &^= 1 << (uint(sp) & 63)
-		bsp, si := sp/k, sp%k
-
-		// Snapshot the splitter block: marking permutes elems, possibly
-		// within this very block.
-		bm := ar.bmem[:0]
-		for e := first[bsp]; e < end[bsp]; e++ {
-			bm = append(bm, elems[e])
-		}
-		// Mark every state with a si-transition into the splitter block.
-		tb := ar.tbl[:0]
-		for _, qe := range bm {
-			row := si*total + int(qe)
-			for x := invStart[row]; x < invStart[row+1]; x++ {
-				p := invPred[x]
-				pb := blk[p]
-				if pos[p] < mid[pb] {
-					continue // already marked
-				}
-				if mid[pb] == first[pb] {
-					tb = append(tb, pb)
-				}
-				mp, pe := mid[pb], pos[p]
-				o := elems[mp]
-				elems[mp], elems[pe] = p, o
-				pos[p], pos[o] = mp, pe
-				mid[pb] = mp + 1
-			}
-		}
-		ar.bmem = bm[:0]
-		// Split every block the marks cut.
-		for _, pbv := range tb {
-			pb := int(pbv)
-			szIn := int(mid[pb] - first[pb])
-			szOut := int(end[pb] - mid[pb])
-			if szOut == 0 {
-				mid[pb] = first[pb]
-				continue
-			}
-			// The marked part keeps block id pb; the unmarked tail becomes
-			// a new block.
-			newb := nb
-			nb++
-			first[newb], mid[newb], end[newb] = mid[pb], mid[pb], end[pb]
-			end[pb], mid[pb] = first[newb], first[pb]
-			for e := first[newb]; e < end[newb]; e++ {
-				blk[elems[e]] = int32(newb)
-			}
-			for s2 := 0; s2 < k; s2++ {
-				if spb := pb*k + s2; inWork[spb>>6]&(1<<(uint(spb)&63)) != 0 {
-					push(newb, s2)
-				} else if szIn <= szOut {
-					push(pb, s2)
-				} else {
-					push(newb, s2)
-				}
-			}
-		}
-		ar.tbl = tb[:0]
-	}
-	ar.work = work[:0]
-
-	// Emit the quotient automaton, skipping the dead block.
-	deadBlock := blk[dead]
-	remap := ar.i32(nb) // block -> state + 1
-	m := New(0)
-	for b := 0; b < nb; b++ {
-		if int32(b) != deadBlock {
-			remap[b] = int32(m.AddState()) + 1
-		}
-	}
-	m.Reserve(d.index.n)
-	for s := 0; s < n; s++ {
-		fb := remap[blk[s]]
-		if fb == 0 {
+// split cuts every touched set into its marked and unmarked members. The
+// smaller part becomes the new set, so an element changes sets O(log n)
+// times.
+func (p *partition) split() {
+	for len(p.touched) > 0 {
+		s := p.touched[len(p.touched)-1]
+		p.touched = p.touched[:len(p.touched)-1]
+		j := p.first[s] + p.marked[s]
+		p.marked[s] = 0
+		if j == p.end[s] {
 			continue
 		}
+		z := p.z
+		p.z++
+		if j-p.first[s] <= p.end[s]-j {
+			p.first[z], p.end[z], p.first[s] = p.first[s], j, j
+		} else {
+			p.first[z], p.end[z], p.end[s] = j, p.end[s], j
+		}
+		for _, e := range p.elems[p.first[z]:p.end[z]] {
+			p.set[e] = z
+		}
+	}
+}
+
+// hopcroft partitions the states of a trim DFA into the states of its
+// minimal DFA, by Hopcroft's partition refinement in the form Valmari and
+// Lehtinen give for partial DFAs (STACS 2008; Valmari, IPL 2012). States
+// go into blocks, starting from finals and non-finals, and transitions
+// into cords, starting with one cord per symbol. Each cord splits blocks
+// by the source states of its transitions, and each new block but the
+// first splits cords by the transitions entering it, until every cord
+// holds one symbol's transitions into one block. Missing transitions need
+// no dead state, so for n states, m transitions and k symbols this takes
+// O(n + m log m) time and O(n + m + k) space. The returned blocks are the
+// states' set ids.
+func hopcroft(adj *adjacency, finals bitset, ar *pipeArena) partition {
+	n, m := adj.n, len(adj.tto)
+	from := ar.i32(m)
+	for s := 0; s < n; s++ {
 		for j := adj.start[s]; j < adj.start[s+1]; j++ {
-			if tbv := remap[blk[adj.tto[j]]]; tbv != 0 {
-				m.Add(int(fb-1), adj.syms[adj.tsym[j]], int(tbv-1))
+			from[j] = int32(s)
+		}
+	}
+	// The transitions entering each state, as a CSR.
+	inStart := ar.i32(n + 1)
+	for _, to := range adj.tto {
+		inStart[to+1]++
+	}
+	for s := 0; s < n; s++ {
+		inStart[s+1] += inStart[s]
+	}
+	in := ar.i32(m)
+	fill := ar.i32(n)
+	copy(fill, inStart[:n])
+	for t, to := range adj.tto {
+		in[fill[to]] = int32(t)
+		fill[to]++
+	}
+
+	blocks := newPartition(n, ar)
+	for s := 0; s < n; s++ {
+		if finals.get(s) {
+			blocks.mark(int32(s))
+		}
+	}
+	blocks.split()
+
+	// One cord per symbol in use: a counting sort on the dense index.
+	cords := newPartition(m, ar)
+	next := ar.i32(len(adj.syms))
+	for _, si := range adj.tsym {
+		next[si]++
+	}
+	sum := int32(0)
+	for si, c := range next {
+		next[si] = sum
+		sum += c
+	}
+	for t, si := range adj.tsym {
+		e := next[si]
+		next[si]++
+		cords.elems[e], cords.pos[t] = int32(t), e
+	}
+	cords.z = 0
+	lo := int32(0)
+	for _, hi := range next { // next[si] is now the end of si's run
+		if hi > lo {
+			cords.first[cords.z], cords.end[cords.z] = lo, hi
+			for _, t := range cords.elems[lo:hi] {
+				cords.set[t] = cords.z
 			}
+			cords.z++
+		}
+		lo = hi
+	}
+
+	for c, b := int32(0), int32(1); c < cords.z; c++ {
+		for _, t := range cords.elems[cords.first[c]:cords.end[c]] {
+			blocks.mark(from[t])
+		}
+		blocks.split()
+		for ; b < blocks.z; b++ {
+			for _, s := range blocks.elems[blocks.first[b]:blocks.end[b]] {
+				for _, t := range in[inStart[s]:inStart[s+1]] {
+					cords.mark(t)
+				}
+			}
+			cords.split()
 		}
 	}
-	if sbv := remap[blk[d.Starts()[0]]]; sbv != 0 {
-		m.SetStart(int(sbv - 1))
+	return blocks
+}
+
+// quotient emits the minimal DFA whose states are the blocks of p over the
+// trim DFA adj, or with reversed set its reversal: Alg. 1's A6. Block b's
+// transitions are those of its lowest-numbered member, in adjacency
+// order; every equivalent member's transitions map onto the same ones.
+func quotient(adj *adjacency, p *partition, start int, finals bitset, reversed bool, ar *pipeArena) *FSA {
+	rep := ar.i32(int(p.z))
+	for s := adj.n - 1; s >= 0; s-- {
+		rep[p.set[s]] = int32(s)
 	}
-	for _, f := range d.Finals() {
-		if fbv := remap[blk[f]]; fbv != 0 {
-			m.SetFinal(int(fbv - 1))
+	// Size every out list exactly, carved from one allocation.
+	deg := ar.i32(int(p.z))
+	m := 0
+	for b, s := range rep {
+		for j := adj.start[s]; j < adj.start[s+1]; j++ {
+			from := int32(b)
+			if reversed {
+				from = p.set[adj.tto[j]]
+			}
+			deg[from]++
+			m++
 		}
 	}
-	return m.Trim()
+	q := New(int(p.z))
+	back := make([]Transition, m)
+	for x, d := range deg {
+		q.out[x], back = back[:0:d], back[d:]
+	}
+	q.Reserve(m)
+	for b, s := range rep {
+		for j := adj.start[s]; j < adj.start[s+1]; j++ {
+			from, to := b, int(p.set[adj.tto[j]])
+			if reversed {
+				from, to = to, from
+			}
+			q.Add(from, adj.syms[adj.tsym[j]], to)
+		}
+	}
+	if reversed {
+		q.SetFinal(int(p.set[start]))
+	} else {
+		q.SetStart(int(p.set[start]))
+	}
+	for s := 0; s < adj.n; s++ {
+		switch {
+		case !finals.get(s):
+		case reversed:
+			q.SetStart(int(p.set[s]))
+		default:
+			q.SetFinal(int(p.set[s]))
+		}
+	}
+	return q
 }
 
 // MRDStats reports the fused pipeline's sub-phase breakdown (the automaton
@@ -588,15 +687,18 @@ type MRDStats struct {
 	// trimming — the §4.2 "determinize shrinks in practice" observable.
 	DetStates   int
 	Determinize time.Duration
-	Minimize    time.Duration
+	// Minimize covers trimming the DFA, refining it and building the
+	// result from the quotient.
+	Minimize time.Duration
 }
 
 // MRD computes the minimal reverse-deterministic automaton of a — the
 // fused reverse → determinize → minimize → reverse chain of Alg. 1 lines
-// 4–8. The reversal is folded into the subset construction's adjacency
-// (the reversed automaton is never materialized), the minimal DFA is
-// already epsilon-free so no epsilon-removal pass runs, and both stages
-// share one scratch arena.
+// 4–8. The reversal is folded into the subset construction's adjacency,
+// the DFA stays in arena arrays through trimming and refinement, and the
+// result is built once, directly as the reversed quotient: no reversed
+// input, DFA, trimmed DFA or unreversed quotient is materialized, and no
+// epsilon-removal pass runs.
 func MRD(a *FSA) (*FSA, MRDStats) {
 	var st MRDStats
 	ar := getArena()
@@ -604,14 +706,15 @@ func MRD(a *FSA) (*FSA, MRDStats) {
 	t0 := time.Now()
 	radj := buildAdjacency(a, true, ar)
 	d := determinize(&radj, a.finals, a.starts, ar)
-	st.DetStates = d.NumStates()
+	st.DetStates = d.n
 	st.Determinize = time.Since(t0)
 	t1 := time.Now()
-	d = d.Trim()
-	m := d
-	if d.NumStates() > 0 {
-		m = hopcroftWith(d, ar)
+	adj, finals := d.trim(ar)
+	a6 := New(0)
+	if adj.n > 0 {
+		p := hopcroft(&adj, finals, ar)
+		a6 = quotient(&adj, &p, 0, finals, true, ar)
 	}
 	st.Minimize = time.Since(t1)
-	return m.Reverse(), st
+	return a6, st
 }

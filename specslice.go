@@ -283,8 +283,7 @@ func (s *SDG) MonovariantSlice(c Criterion) (*Slice, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	res := s.eng.Binkley(c.vertices)
-	return &Slice{src: s.g, variants: res.Variants(), counts: singleCounts(res.Variants())}, nil
+	return monoSlice(s.g, s.eng.Binkley(c.vertices).Variants()), nil
 }
 
 // WeiserSlice computes the Weiser-style executable slice baseline.
@@ -292,8 +291,7 @@ func (s *SDG) WeiserSlice(c Criterion) (*Slice, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	res := s.eng.Weiser(c.vertices)
-	return &Slice{src: s.g, variants: res.Variants(), counts: singleCounts(res.Variants())}, nil
+	return monoSlice(s.g, s.eng.Weiser(c.vertices).Variants()), nil
 }
 
 // RemoveFeature computes the paper's §7 feature removal: the program minus
@@ -318,12 +316,14 @@ func (s *SDG) ClosureSliceSize(c Criterion) (int, error) {
 	return len(s.eng.Backward(c.vertices)), nil
 }
 
-func singleCounts(vars []core.ProcVariant) map[string]int {
-	out := map[string]int{}
+// monoSlice wraps the variants of a monovariant slice, which has one
+// variant per procedure.
+func monoSlice(src *sdg.Graph, vars []core.ProcVariant) *Slice {
+	counts := map[string]int{}
 	for _, v := range vars {
-		out[v.Orig.Name]++
+		counts[v.Orig.Name]++
 	}
-	return out
+	return &Slice{src: src, variants: vars, counts: counts}
 }
 
 // Program emits the slice as an executable MicroC program.
@@ -575,7 +575,7 @@ func (e *Engine) SliceAll(reqs []BatchRequest, opts BatchOptions) ([]BatchResult
 			case resp.Poly != nil:
 				br.Slice = &Slice{src: s.g, variants: resp.Poly.Variants(), counts: resp.Poly.VariantCounts(), res: resp.Poly, spec: specs[i]}
 			case resp.Mono != nil:
-				br.Slice = &Slice{src: s.g, variants: resp.Mono.Variants(), counts: singleCounts(resp.Mono.Variants())}
+				br.Slice = monoSlice(s.g, resp.Mono.Variants())
 			}
 		}
 		out[i] = br
