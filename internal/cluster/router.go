@@ -381,10 +381,8 @@ func (rt *Router) handleSlice(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	var req server.SliceRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := server.DecodeSliceRequest(bytes.NewReader(body))
+	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -652,5 +654,56 @@ func TestRouterStatsAggregation(t *testing.T) {
 	}
 	if st.Batches != 8 {
 		t.Errorf("aggregate batches = %d, want 8", st.Batches)
+	}
+}
+
+// TestRouterRejectsTrailingBody: the router, like a worker, accepts exactly
+// one JSON object per request. A valid object followed by garbage, a
+// second object or a stray brace is a 400 answered at the router, with
+// nothing forwarded; a trailing newline is still fine.
+func TestRouterRejectsTrailingBody(t *testing.T) {
+	var forwarded atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/slice", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		forwarded.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"program_key":"fake","results":[],"stats":{}}`)
+	})
+	worker := httptest.NewServer(mux)
+	defer worker.Close()
+	rt := NewRouter(Config{})
+	rt.AddWorker("w0", worker.URL)
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	valid := mustSliceBody(t, testProgram("trail", 1))
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/slice", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for name, trailer := range map[string]string{
+		"trailing garbage": " garbage",
+		"second object":    string(valid),
+		"stray brace":      "}",
+	} {
+		if status := post(string(valid) + trailer); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, status)
+		}
+	}
+	if n := forwarded.Load(); n != 0 {
+		t.Fatalf("%d malformed requests forwarded to the worker", n)
+	}
+	if status := post(string(valid) + "\n"); status != http.StatusOK {
+		t.Fatalf("trailing newline: status %d, want 200", status)
+	}
+	if n := forwarded.Load(); n != 1 {
+		t.Fatalf("%d requests forwarded, want 1", n)
 	}
 }

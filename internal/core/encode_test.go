@@ -169,11 +169,11 @@ func TestVariantsViewMatchesR(t *testing.T) {
 		if v.Name != res.R.Procs[i].Name {
 			t.Errorf("variant %d: name %q vs %q", i, v.Name, res.R.Procs[i].Name)
 		}
-		for site, callee := range v.CallTarget {
-			if site < 0 || int(site) >= len(res.Source.Sites) {
-				t.Errorf("variant %d: call target site %d out of source range", i, site)
+		for _, c := range v.Calls {
+			if c.Site < 0 || int(c.Site) >= len(res.Source.Sites) {
+				t.Errorf("variant %d: call target site %d out of source range", i, c.Site)
 			}
-			if callee == "" {
+			if c.Callee == "" {
 				t.Errorf("variant %d: empty call target", i)
 			}
 		}

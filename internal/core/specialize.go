@@ -234,40 +234,66 @@ func (r *Result) VariantCounts() map[string]int {
 	return out
 }
 
-// ProcVariant describes one specialized procedure for program emission.
+// ProcVariant describes one specialized procedure for program emission
+// (emit.Program): which of its source procedure's vertices it keeps, and
+// which specialized callee each of its call sites invokes. Both are lists
+// over the source graph's IDs, so the emitter loads a variant in time
+// proportional to its size.
 type ProcVariant struct {
 	Orig *sdg.Proc
 	Name string
-	// Vertices holds the source vertex IDs included in this variant.
-	Vertices map[sdg.VertexID]bool
-	// CallTarget maps each source call-site in the variant to the name of
-	// the specialized callee.
-	CallTarget map[sdg.SiteID]string
+	// Vertices lists the source vertex IDs included in this variant, each
+	// once; len(Vertices) is the variant's size.
+	Vertices []sdg.VertexID
+	// Calls lists, for each retained non-library call site of the variant,
+	// the name of its specialized callee.
+	Calls []CallTarget
 }
 
-// Variants returns the emission view of the result, ordered as R.Procs.
+// CallTarget binds one source call site to the specialized callee a
+// variant calls there.
+type CallTarget struct {
+	Site   sdg.SiteID
+	Callee string
+}
+
+// Variants returns the emission view of the result, ordered as R.Procs:
+// R's per-procedure vertex and site lists mapped back to the source graph
+// through OriginVertex and OriginSite. The view owns its storage (one
+// vertex array and one call array per call), so it stays valid after
+// Release.
 func (r *Result) Variants() []ProcVariant {
+	nv, nc := 0, 0
+	for _, rp := range r.R.Procs {
+		nv += len(rp.Vertices)
+		for _, sid := range rp.Sites {
+			if !r.R.Sites[sid].Lib {
+				nc++
+			}
+		}
+	}
+	verts := make([]sdg.VertexID, 0, nv)
+	calls := make([]CallTarget, 0, nc)
 	out := make([]ProcVariant, len(r.R.Procs))
 	for i, rp := range r.R.Procs {
-		v := ProcVariant{
-			Orig:       findOrigProc(r.Source, rp.Fn.Name),
-			Name:       rp.Name,
-			Vertices:   map[sdg.VertexID]bool{},
-			CallTarget: map[sdg.SiteID]string{},
-		}
+		v0, c0 := len(verts), len(calls)
 		for _, rv := range rp.Vertices {
-			v.Vertices[r.OriginVertex[rv]] = true
+			verts = append(verts, r.OriginVertex[rv])
 		}
 		// Every non-library R site is wired to exactly one specialized
 		// callee variant (reverse determinism: one call transition per
 		// site symbol into the caller's state), recorded in its Callee.
 		for _, sid := range rp.Sites {
-			rs := r.R.Sites[sid]
-			if !rs.Lib {
-				v.CallTarget[r.OriginSite[sid]] = rs.Callee
+			if rs := r.R.Sites[sid]; !rs.Lib {
+				calls = append(calls, CallTarget{Site: r.OriginSite[sid], Callee: rs.Callee})
 			}
 		}
-		out[i] = v
+		out[i] = ProcVariant{
+			Orig:     findOrigProc(r.Source, rp.Fn.Name),
+			Name:     rp.Name,
+			Vertices: verts[v0:len(verts):len(verts)],
+			Calls:    calls[c0:len(calls):len(calls)],
+		}
 	}
 	return out
 }

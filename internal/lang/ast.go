@@ -57,16 +57,6 @@ func (p *Program) Func(name string) *FuncDecl {
 	return nil
 }
 
-// Global reports whether name is a global variable of the program.
-func (p *Program) Global(name string) bool {
-	for _, g := range p.Globals {
-		if g.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // GlobalDecl declares a global variable. Globals are initialized to zero.
 type GlobalDecl struct {
 	Pos     Pos
@@ -275,13 +265,15 @@ func ExprVars(e Expr) []string {
 
 // HasCall reports whether e contains a CallExpr.
 func HasCall(e Expr) bool {
-	found := false
-	WalkExprs(e, func(x Expr) {
-		if _, ok := x.(*CallExpr); ok {
-			found = true
-		}
-	})
-	return found
+	switch x := e.(type) {
+	case *Unary:
+		return HasCall(x.X)
+	case *Binary:
+		return HasCall(x.X) || HasCall(x.Y)
+	case *CallExpr:
+		return true
+	}
+	return false
 }
 
 // StmtExprs returns the expressions directly used by s (not recursing into

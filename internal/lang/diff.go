@@ -3,7 +3,6 @@ package lang
 import (
 	"hash/fnv"
 	"sort"
-	"strings"
 )
 
 // ProcHash returns a normalization-stable content hash of one function: the
@@ -14,10 +13,10 @@ import (
 // positions are not part of the printed form, so edits elsewhere in the file
 // that merely shift a procedure's lines leave its hash untouched.
 func ProcHash(f *FuncDecl) uint64 {
+	var p printer
+	p.fn(f)
 	h := fnv.New64a()
-	var sb strings.Builder
-	printFunc(&sb, f)
-	h.Write([]byte(sb.String()))
+	h.Write([]byte(p.sb.String()))
 	return h.Sum64()
 }
 

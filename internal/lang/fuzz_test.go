@@ -121,7 +121,8 @@ func FuzzParse(f *testing.F) {
 // FuzzRoundTrip asserts print/parse is a fixed point: whatever Parse
 // accepts, Print must render to source that reparses to a program printing
 // identically. (Parse normalizes, so the first print may differ from the
-// input — but it must be stable from then on.)
+// input — but it must be stable from then on.) The first print must also
+// match the reference printer byte for byte.
 func FuzzRoundTrip(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -132,6 +133,9 @@ func FuzzRoundTrip(f *testing.F) {
 			return
 		}
 		out := Print(prog)
+		if ref := referencePrint(prog); out != ref {
+			t.Fatalf("Print diverges from the reference printer:\ninput:\n%s\nprinted:\n%s\nreference:\n%s", src, out, ref)
+		}
 		prog2, err := Parse(out)
 		if err != nil {
 			t.Fatalf("printed program does not reparse: %v\ninput:\n%s\nprinted:\n%s", err, src, out)
@@ -155,6 +159,9 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 		}
 		parsed++
 		out := Print(prog)
+		if ref := referencePrint(prog); out != ref {
+			t.Errorf("seed %d: Print diverges from the reference printer:\n%s\nvs:\n%s", i, out, ref)
+		}
 		prog2, err := Parse(out)
 		if err != nil {
 			t.Errorf("seed %d: printed program does not reparse: %v\n%s", i, err, out)

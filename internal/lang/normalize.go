@@ -1,29 +1,33 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// scope holds per-function symbol information used by resolution and
-// normalization.
+// scope holds the symbol information name resolution consults. resolve
+// builds the program-level tables once, so each reference costs a map
+// lookup rather than a scan of Program.Funcs or Program.Globals, and
+// resets the per-function ones for each function in turn.
 type scope struct {
-	prog   *Program
-	fn     *FuncDecl
-	vars   map[string]bool // params + locals
-	fnptrs map[string]bool // subset of vars (plus fnptr globals) holding function values
+	funcs   map[string]*FuncDecl
+	globals map[string]bool // name -> IsFnPtr
+	fn      *FuncDecl
+	vars    map[string]bool // params + locals
+	fnptrs  map[string]bool // the params and locals holding function values
 }
 
-func newScope(prog *Program, fn *FuncDecl) (*scope, error) {
-	sc := &scope{prog: prog, fn: fn, vars: map[string]bool{}, fnptrs: map[string]bool{}}
-	for _, g := range prog.Globals {
-		if g.IsFnPtr {
-			sc.fnptrs[g.Name] = true
-		}
-	}
+// enter resets sc to fn's params and locals, checking their declarations.
+func (sc *scope) enter(fn *FuncDecl) error {
+	sc.fn = fn
+	clear(sc.vars)
+	clear(sc.fnptrs)
 	for _, pm := range fn.Params {
 		if sc.vars[pm.Name] {
-			return nil, fmt.Errorf("%s: duplicate parameter %q in %s", fn.Pos, pm.Name, fn.Name)
+			return fmt.Errorf("%s: duplicate parameter %q in %s", fn.Pos, pm.Name, fn.Name)
 		}
-		if prog.Func(pm.Name) != nil {
-			return nil, fmt.Errorf("%s: parameter %q shadows a function", fn.Pos, pm.Name)
+		if sc.funcs[pm.Name] != nil {
+			return fmt.Errorf("%s: parameter %q shadows a function", fn.Pos, pm.Name)
 		}
 		sc.vars[pm.Name] = true
 		if pm.IsFnPtr {
@@ -40,7 +44,7 @@ func newScope(prog *Program, fn *FuncDecl) (*scope, error) {
 			err = fmt.Errorf("%s: duplicate local %q in %s (MicroC locals have flat function scope)", d.Pos, d.Name, fn.Name)
 			return
 		}
-		if prog.Func(d.Name) != nil {
+		if sc.funcs[d.Name] != nil {
 			err = fmt.Errorf("%s: local %q shadows a function", d.Pos, d.Name)
 			return
 		}
@@ -49,47 +53,57 @@ func newScope(prog *Program, fn *FuncDecl) (*scope, error) {
 			sc.fnptrs[d.Name] = true
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return sc, nil
+	return err
 }
 
 // known reports whether name is visible in the scope (local, param, or global).
 func (sc *scope) known(name string) bool {
-	return sc.vars[name] || sc.prog.Global(name)
+	if sc.vars[name] {
+		return true
+	}
+	_, ok := sc.globals[name]
+	return ok
+}
+
+// fnptr reports whether name is a variable holding a function value: an
+// fnptr param, local or global.
+func (sc *scope) fnptr(name string) bool {
+	return sc.fnptrs[name] || sc.globals[name]
 }
 
 // resolve performs name resolution on a freshly parsed program: it converts
 // variable references that name functions into FuncRefs, classifies calls as
 // direct or indirect, and checks declarations, arities, and main's shape.
 func resolve(prog *Program) error {
-	seenGlobal := map[string]bool{}
+	sc := &scope{
+		funcs:   make(map[string]*FuncDecl, len(prog.Funcs)),
+		globals: make(map[string]bool, len(prog.Globals)),
+		vars:    map[string]bool{},
+		fnptrs:  map[string]bool{},
+	}
 	for _, g := range prog.Globals {
-		if seenGlobal[g.Name] {
+		if _, dup := sc.globals[g.Name]; dup {
 			return fmt.Errorf("%s: duplicate global %q", g.Pos, g.Name)
 		}
-		seenGlobal[g.Name] = true
+		sc.globals[g.Name] = g.IsFnPtr
 	}
-	seenFunc := map[string]bool{}
 	for _, f := range prog.Funcs {
-		if seenFunc[f.Name] {
+		if sc.funcs[f.Name] != nil {
 			return fmt.Errorf("%s: duplicate function %q", f.Pos, f.Name)
 		}
-		if seenGlobal[f.Name] {
+		if _, ok := sc.globals[f.Name]; ok {
 			return fmt.Errorf("%s: function %q collides with a global", f.Pos, f.Name)
 		}
-		seenFunc[f.Name] = true
+		sc.funcs[f.Name] = f
 	}
-	if m := prog.Func("main"); m == nil {
+	if m := sc.funcs["main"]; m == nil {
 		return fmt.Errorf("program has no main function")
 	} else if len(m.Params) != 0 {
 		return fmt.Errorf("%s: main must take no parameters", m.Pos)
 	}
 
 	for _, fn := range prog.Funcs {
-		sc, err := newScope(prog, fn)
-		if err != nil {
+		if err := sc.enter(fn); err != nil {
 			return err
 		}
 		if err := sc.resolveFunc(); err != nil {
@@ -135,7 +149,7 @@ func (sc *scope) resolveStmt(s Stmt) error {
 			return err
 		}
 		if !x.Indirect {
-			callee := sc.prog.Func(x.Callee)
+			callee := sc.funcs[x.Callee]
 			if len(x.Args) != len(callee.Params) {
 				return fmt.Errorf("%s: call to %s with %d args, want %d", pos, x.Callee, len(x.Args), len(callee.Params))
 			}
@@ -195,9 +209,9 @@ func (sc *scope) resolveStmt(s Stmt) error {
 func (sc *scope) resolveCallTarget(callee *string, indirect *bool, pos Pos) error {
 	name := *callee
 	switch {
-	case sc.prog.Func(name) != nil:
+	case sc.funcs[name] != nil:
 		*indirect = false
-	case sc.fnptrs[name]:
+	case sc.fnptr(name):
 		*indirect = true
 	case sc.known(name):
 		return fmt.Errorf("%s: %q is not a function or fnptr", pos, name)
@@ -212,7 +226,7 @@ func (sc *scope) resolveExpr(e Expr, pos Pos) (Expr, error) {
 	case *IntLit:
 		return x, nil
 	case *VarRef:
-		if sc.prog.Func(x.Name) != nil {
+		if sc.funcs[x.Name] != nil {
 			return &FuncRef{Name: x.Name}, nil
 		}
 		if !sc.known(x.Name) {
@@ -220,7 +234,7 @@ func (sc *scope) resolveExpr(e Expr, pos Pos) (Expr, error) {
 		}
 		return x, nil
 	case *FuncRef:
-		if sc.prog.Func(x.Name) == nil {
+		if sc.funcs[x.Name] == nil {
 			return nil, fmt.Errorf("%s: &%s does not name a function", pos, x.Name)
 		}
 		return x, nil
@@ -247,7 +261,7 @@ func (sc *scope) resolveExpr(e Expr, pos Pos) (Expr, error) {
 			return nil, err
 		}
 		if !x.Indirect {
-			callee := sc.prog.Func(x.Callee)
+			callee := sc.funcs[x.Callee]
 			if !callee.ReturnsValue {
 				return nil, fmt.Errorf("%s: void function %s used as a value", pos, x.Callee)
 			}
@@ -474,13 +488,37 @@ func (n *normalizer) hoist(e Expr, pos Pos) (Expr, []Stmt, error) {
 // calls appear only as CallStmts, and all names resolve.
 func Validate(prog *Program) error {
 	for _, fn := range prog.Funcs {
-		for _, s := range fn.Stmts() {
-			for _, e := range StmtExprs(s) {
-				if HasCall(e) {
-					return fmt.Errorf("%s: internal error: call remains in expression position after normalization", s.Base().Pos)
-				}
+		var bad Stmt
+		WalkStmts(fn.Body, func(s Stmt) {
+			if bad == nil && stmtHasCall(s) {
+				bad = s
 			}
+		})
+		if bad != nil {
+			return fmt.Errorf("%s: internal error: call remains in expression position after normalization", bad.Base().Pos)
 		}
 	}
 	return resolve(prog)
+}
+
+// stmtHasCall reports whether an expression s uses directly (StmtExprs)
+// contains a CallExpr.
+func stmtHasCall(s Stmt) bool {
+	switch x := s.(type) {
+	case *DeclStmt:
+		return HasCall(x.Init)
+	case *AssignStmt:
+		return HasCall(x.RHS)
+	case *CallStmt:
+		return slices.ContainsFunc(x.Args, HasCall)
+	case *IfStmt:
+		return HasCall(x.Cond)
+	case *WhileStmt:
+		return HasCall(x.Cond)
+	case *ReturnStmt:
+		return HasCall(x.Value)
+	case *PrintfStmt:
+		return slices.ContainsFunc(x.Args, HasCall)
+	}
+	return false
 }

@@ -1,174 +1,231 @@
 package lang
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
 // Print renders the program as MicroC source text. The output reparses to an
 // equivalent program (modulo normalization temporaries already present).
+//
+// Print, ExprString and ProcHash share one append-based printer: every
+// statement and expression is written straight into a single
+// strings.Builder, with no fmt call and no intermediate string per
+// expression. The rendered text is a stable contract — the server's
+// content key and on-disk store hash it, ProcHash drives Advance's diff,
+// and sdg.EncodeSnapshot verifies its source by re-printing — so the
+// format must not change.
 func Print(prog *Program) string {
-	var sb strings.Builder
+	var p printer
 	for _, g := range prog.Globals {
-		ty := "int"
-		if g.IsFnPtr {
-			ty = "fnptr"
-		}
-		fmt.Fprintf(&sb, "%s %s;\n", ty, g.Name)
+		p.typ(g.IsFnPtr)
+		p.sb.WriteByte(' ')
+		p.sb.WriteString(g.Name)
+		p.sb.WriteString(";\n")
 	}
 	if len(prog.Globals) > 0 {
-		sb.WriteByte('\n')
+		p.sb.WriteByte('\n')
 	}
 	for i, f := range prog.Funcs {
 		if i > 0 {
-			sb.WriteByte('\n')
+			p.sb.WriteByte('\n')
 		}
-		printFunc(&sb, f)
+		p.fn(f)
 	}
-	return sb.String()
-}
-
-func printFunc(sb *strings.Builder, f *FuncDecl) {
-	ret := "void"
-	if f.ReturnsValue {
-		ret = "int"
-	}
-	var params []string
-	for _, p := range f.Params {
-		ty := "int"
-		if p.IsFnPtr {
-			ty = "fnptr"
-		}
-		params = append(params, ty+" "+p.Name)
-	}
-	fmt.Fprintf(sb, "%s %s(%s) {\n", ret, f.Name, strings.Join(params, ", "))
-	printBlockBody(sb, f.Body, 1)
-	sb.WriteString("}\n")
-}
-
-func indentOf(n int) string { return strings.Repeat("  ", n) }
-
-func printBlockBody(sb *strings.Builder, b *Block, depth int) {
-	if b == nil {
-		return
-	}
-	for _, s := range b.Stmts {
-		printStmt(sb, s, depth)
-	}
-}
-
-func printStmt(sb *strings.Builder, s Stmt, depth int) {
-	ind := indentOf(depth)
-	switch x := s.(type) {
-	case *DeclStmt:
-		ty := "int"
-		if x.IsFnPtr {
-			ty = "fnptr"
-		}
-		if x.Init != nil {
-			fmt.Fprintf(sb, "%s%s %s = %s;\n", ind, ty, x.Name, ExprString(x.Init))
-		} else {
-			fmt.Fprintf(sb, "%s%s %s;\n", ind, ty, x.Name)
-		}
-	case *AssignStmt:
-		fmt.Fprintf(sb, "%s%s = %s;\n", ind, x.LHS, ExprString(x.RHS))
-	case *CallStmt:
-		var args []string
-		for _, a := range x.Args {
-			args = append(args, ExprString(a))
-		}
-		call := fmt.Sprintf("%s(%s)", x.Callee, strings.Join(args, ", "))
-		if x.Target != "" {
-			fmt.Fprintf(sb, "%s%s = %s;\n", ind, x.Target, call)
-		} else {
-			fmt.Fprintf(sb, "%s%s;\n", ind, call)
-		}
-	case *IfStmt:
-		fmt.Fprintf(sb, "%sif (%s) {\n", ind, ExprString(x.Cond))
-		printBlockBody(sb, x.Then, depth+1)
-		if x.Else != nil {
-			fmt.Fprintf(sb, "%s} else {\n", ind)
-			printBlockBody(sb, x.Else, depth+1)
-		}
-		fmt.Fprintf(sb, "%s}\n", ind)
-	case *WhileStmt:
-		fmt.Fprintf(sb, "%swhile (%s) {\n", ind, ExprString(x.Cond))
-		printBlockBody(sb, x.Body, depth+1)
-		fmt.Fprintf(sb, "%s}\n", ind)
-	case *ReturnStmt:
-		if x.Value != nil {
-			fmt.Fprintf(sb, "%sreturn %s;\n", ind, ExprString(x.Value))
-		} else {
-			fmt.Fprintf(sb, "%sreturn;\n", ind)
-		}
-	case *BreakStmt:
-		fmt.Fprintf(sb, "%sbreak;\n", ind)
-	case *ContinueStmt:
-		fmt.Fprintf(sb, "%scontinue;\n", ind)
-	case *PrintfStmt:
-		parts := []string{quoteString(x.Format)}
-		for _, a := range x.Args {
-			parts = append(parts, ExprString(a))
-		}
-		fmt.Fprintf(sb, "%sprintf(%s);\n", ind, strings.Join(parts, ", "))
-	case *ScanfStmt:
-		fmt.Fprintf(sb, "%sscanf(%s, &%s);\n", ind, quoteString(x.Format), x.Var)
-	default:
-		fmt.Fprintf(sb, "%s/* unknown statement %T */\n", ind, s)
-	}
-}
-
-func quoteString(s string) string {
-	var sb strings.Builder
-	sb.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\n':
-			sb.WriteString(`\n`)
-		case '\t':
-			sb.WriteString(`\t`)
-		case '"':
-			sb.WriteString(`\"`)
-		case '\\':
-			sb.WriteString(`\\`)
-		default:
-			sb.WriteByte(c)
-		}
-	}
-	sb.WriteByte('"')
-	return sb.String()
+	return p.sb.String()
 }
 
 // ExprString renders an expression with minimal parentheses.
 func ExprString(e Expr) string {
-	return exprString(e, 0)
+	var p printer
+	p.expr(e, 0)
+	return p.sb.String()
 }
 
-func exprString(e Expr, parentPrec int) string {
+// printer appends MicroC source text to one builder.
+type printer struct{ sb strings.Builder }
+
+func (p *printer) typ(fnptr bool) {
+	if fnptr {
+		p.sb.WriteString("fnptr")
+	} else {
+		p.sb.WriteString("int")
+	}
+}
+
+func (p *printer) fn(f *FuncDecl) {
+	if f.ReturnsValue {
+		p.sb.WriteString("int ")
+	} else {
+		p.sb.WriteString("void ")
+	}
+	p.sb.WriteString(f.Name)
+	p.sb.WriteByte('(')
+	for i, pm := range f.Params {
+		if i > 0 {
+			p.sb.WriteString(", ")
+		}
+		p.typ(pm.IsFnPtr)
+		p.sb.WriteByte(' ')
+		p.sb.WriteString(pm.Name)
+	}
+	p.sb.WriteString(") {\n")
+	p.block(f.Body, 1)
+	p.sb.WriteString("}\n")
+}
+
+func (p *printer) block(b *Block, depth int) {
+	if b == nil {
+		return
+	}
+	for _, s := range b.Stmts {
+		p.stmt(s, depth)
+	}
+}
+
+// indent is enough spaces for 32 levels of nesting; deeper code writes it
+// in pieces.
+const indent = "                                                                "
+
+func (p *printer) indent(depth int) {
+	for n := 2 * depth; n > 0; n -= len(indent) {
+		p.sb.WriteString(indent[:min(n, len(indent))])
+	}
+}
+
+// stmt renders s at the given nesting depth. The Stmt interface is sealed
+// (stmtNode is unexported), so the switch covers every statement.
+func (p *printer) stmt(s Stmt, depth int) {
+	p.indent(depth)
+	switch x := s.(type) {
+	case *DeclStmt:
+		p.typ(x.IsFnPtr)
+		p.sb.WriteByte(' ')
+		p.sb.WriteString(x.Name)
+		if x.Init != nil {
+			p.sb.WriteString(" = ")
+			p.expr(x.Init, 0)
+		}
+	case *AssignStmt:
+		p.sb.WriteString(x.LHS)
+		p.sb.WriteString(" = ")
+		p.expr(x.RHS, 0)
+	case *CallStmt:
+		if x.Target != "" {
+			p.sb.WriteString(x.Target)
+			p.sb.WriteString(" = ")
+		}
+		p.call(x.Callee, x.Args)
+	case *IfStmt:
+		p.sb.WriteString("if (")
+		p.expr(x.Cond, 0)
+		p.sb.WriteString(") {\n")
+		p.block(x.Then, depth+1)
+		if x.Else != nil {
+			p.indent(depth)
+			p.sb.WriteString("} else {\n")
+			p.block(x.Else, depth+1)
+		}
+		p.indent(depth)
+		p.sb.WriteString("}\n")
+		return
+	case *WhileStmt:
+		p.sb.WriteString("while (")
+		p.expr(x.Cond, 0)
+		p.sb.WriteString(") {\n")
+		p.block(x.Body, depth+1)
+		p.indent(depth)
+		p.sb.WriteString("}\n")
+		return
+	case *ReturnStmt:
+		p.sb.WriteString("return")
+		if x.Value != nil {
+			p.sb.WriteByte(' ')
+			p.expr(x.Value, 0)
+		}
+	case *BreakStmt:
+		p.sb.WriteString("break")
+	case *ContinueStmt:
+		p.sb.WriteString("continue")
+	case *PrintfStmt:
+		p.sb.WriteString("printf(")
+		p.quote(x.Format)
+		for _, a := range x.Args {
+			p.sb.WriteString(", ")
+			p.expr(a, 0)
+		}
+		p.sb.WriteByte(')')
+	case *ScanfStmt:
+		p.sb.WriteString("scanf(")
+		p.quote(x.Format)
+		p.sb.WriteString(", &")
+		p.sb.WriteString(x.Var)
+		p.sb.WriteByte(')')
+	}
+	p.sb.WriteString(";\n")
+}
+
+func (p *printer) call(callee string, args []Expr) {
+	p.sb.WriteString(callee)
+	p.sb.WriteByte('(')
+	for i, a := range args {
+		if i > 0 {
+			p.sb.WriteString(", ")
+		}
+		p.expr(a, 0)
+	}
+	p.sb.WriteByte(')')
+}
+
+func (p *printer) quote(s string) {
+	p.sb.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\n':
+			p.sb.WriteString(`\n`)
+		case '\t':
+			p.sb.WriteString(`\t`)
+		case '"':
+			p.sb.WriteString(`\"`)
+		case '\\':
+			p.sb.WriteString(`\\`)
+		default:
+			p.sb.WriteByte(c)
+		}
+	}
+	p.sb.WriteByte('"')
+}
+
+// expr renders e, parenthesized when its operator binds looser than the
+// context's parentPrec. Like Stmt, the Expr interface is sealed; a nil
+// expression renders as nothing.
+func (p *printer) expr(e Expr, parentPrec int) {
 	switch x := e.(type) {
-	case nil:
-		return ""
 	case *IntLit:
-		return fmt.Sprintf("%d", x.Value)
+		var buf [20]byte
+		p.sb.Write(strconv.AppendInt(buf[:0], x.Value, 10))
 	case *VarRef:
-		return x.Name
+		p.sb.WriteString(x.Name)
 	case *FuncRef:
-		return "&" + x.Name
+		p.sb.WriteByte('&')
+		p.sb.WriteString(x.Name)
 	case *Unary:
-		return x.Op + exprString(x.X, 7)
+		p.sb.WriteString(x.Op)
+		p.expr(x.X, 7)
 	case *Binary:
 		prec := binaryPrec[x.Op]
-		s := exprString(x.X, prec) + " " + x.Op + " " + exprString(x.Y, prec+1)
 		if prec < parentPrec {
-			return "(" + s + ")"
+			p.sb.WriteByte('(')
 		}
-		return s
+		p.expr(x.X, prec)
+		p.sb.WriteByte(' ')
+		p.sb.WriteString(x.Op)
+		p.sb.WriteByte(' ')
+		p.expr(x.Y, prec+1)
+		if prec < parentPrec {
+			p.sb.WriteByte(')')
+		}
 	case *CallExpr:
-		var args []string
-		for _, a := range x.Args {
-			args = append(args, exprString(a, 0))
-		}
-		return fmt.Sprintf("%s(%s)", x.Callee, strings.Join(args, ", "))
+		p.call(x.Callee, x.Args)
 	}
-	return fmt.Sprintf("<%T>", e)
 }

@@ -104,27 +104,40 @@ func actualFor(g *sdg.Graph, site *sdg.Site, fiID sdg.VertexID) (sdg.VertexID, b
 }
 
 // Variants packages the monovariant slice for program emission: one variant
-// per procedure intersecting the slice, keeping original names.
+// per procedure intersecting the slice, keeping original names, in the
+// list form core.Result.Variants builds.
 func (r *Result) Variants() []core.ProcVariant {
+	g := r.Source
+	nc := 0
+	for _, site := range g.Sites {
+		if !site.Lib && r.Slice[site.CallVertex] {
+			nc++
+		}
+	}
+	verts := make([]sdg.VertexID, 0, len(r.Slice))
+	calls := make([]core.CallTarget, 0, nc)
 	var out []core.ProcVariant
-	for _, p := range r.Source.Procs {
-		vs := map[sdg.VertexID]bool{}
+	for _, p := range g.Procs {
+		v0, c0 := len(verts), len(calls)
 		for _, v := range p.Vertices {
 			if r.Slice[v] {
-				vs[v] = true
+				verts = append(verts, v)
 			}
 		}
-		if len(vs) == 0 {
+		if len(verts) == v0 {
 			continue
 		}
-		ct := map[sdg.SiteID]string{}
 		for _, sid := range p.Sites {
-			site := r.Source.Sites[sid]
-			if !site.Lib && r.Slice[site.CallVertex] {
-				ct[sid] = site.Callee
+			if site := g.Sites[sid]; !site.Lib && r.Slice[site.CallVertex] {
+				calls = append(calls, core.CallTarget{Site: sid, Callee: site.Callee})
 			}
 		}
-		out = append(out, core.ProcVariant{Orig: p, Name: p.Name, Vertices: vs, CallTarget: ct})
+		out = append(out, core.ProcVariant{
+			Orig:     p,
+			Name:     p.Name,
+			Vertices: verts[v0:len(verts):len(verts)],
+			Calls:    calls[c0:len(calls):len(calls)],
+		})
 	}
 	return out
 }

@@ -10,6 +10,7 @@ package sdg
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"specslice/internal/dataflow"
@@ -342,6 +343,9 @@ type Graph struct {
 	// buildStats records the phase timings of the Build that produced the
 	// graph (zero when not built by Build).
 	buildStats BuildStats
+	// stmts is the statement index, built once on first use (StmtIndex).
+	stmtsOnce sync.Once
+	stmts     *StmtIndex
 }
 
 // SummariesComputed reports whether MarkSummariesComputed has been called.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -275,6 +276,29 @@ type SliceRequest struct {
 	NoSource bool `json:"no_source,omitempty"`
 }
 
+// DecodeSliceRequest reads exactly one SliceRequest JSON object from r,
+// the body of POST /v1/slice at a worker and at the router: unknown fields
+// are errors, and so is anything but whitespace after the object — a
+// second object, a stray brace or trailing garbage. Read errors, such as
+// an *http.MaxBytesError from a capped body, are returned as they are.
+func DecodeSliceRequest(r io.Reader) (SliceRequest, error) {
+	var req SliceRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	_, err := dec.Token()
+	var syntax *json.SyntaxError
+	switch {
+	case err == io.EOF:
+		return req, nil
+	case err == nil || errors.As(err, &syntax):
+		return req, errors.New("data after the request's JSON object")
+	}
+	return req, err
+}
+
 // CriterionRequest selects one slice of the program.
 type CriterionRequest struct {
 	// Kind is "printf" (arguments of every printf, optionally restricted
@@ -455,10 +479,8 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	// sized from both plus fixed slack; validate() stays the authoritative
 	// program-size and batch-size check.
 	r.Body = http.MaxBytesReader(w, r.Body, 2*s.cfg.MaxProgramBytes+int64(s.cfg.MaxCriteria)*maxCriterionWireBytes+1<<16)
-	var req SliceRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := DecodeSliceRequest(r.Body)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", tooLarge.Limit)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -291,6 +292,44 @@ func TestSliceValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status %d, want 400", resp.StatusCode)
+		}
+	})
+	// Exactly one JSON object per request: anything after it but
+	// whitespace is a 400, however valid the object itself is.
+	valid, err := json.Marshal(SliceRequest{Program: workload.Fig1Source, Criteria: crit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, trailer string
+		status        int
+	}{
+		{"trailing garbage", " garbage", http.StatusBadRequest},
+		{"second object", string(valid), http.StatusBadRequest},
+		{"stray brace", "}", http.StatusBadRequest},
+		{"trailing newline", "\n", http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/slice", "application/json", strings.NewReader(string(valid)+tc.trailer))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Errorf("status %d, want %d: %s", resp.StatusCode, tc.status, raw)
+			}
+		})
+	}
+	t.Run("trailing whitespace over the cap", func(t *testing.T) {
+		body := string(valid) + strings.Repeat(" ", 3<<20) // past the 2 MiB + envelope cap
+		resp, err := http.Post(ts.URL+"/v1/slice", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("status %d, want 413", resp.StatusCode)
 		}
 	})
 	t.Run("oversized body", func(t *testing.T) {

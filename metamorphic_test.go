@@ -97,13 +97,13 @@ func TestMetamorphicMonoContainsPoly(t *testing.T) {
 			}
 			poly := map[sdg.VertexID]bool{}
 			for _, v := range res.Variants() {
-				for id := range v.Vertices {
+				for _, id := range v.Vertices {
 					poly[id] = true
 				}
 			}
 			mono := map[sdg.VertexID]bool{}
 			for _, v := range eng.Binkley(c.mono).Variants() {
-				for id := range v.Vertices {
+				for _, id := range v.Vertices {
 					mono[id] = true
 				}
 			}
