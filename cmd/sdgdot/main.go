@@ -51,7 +51,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		g = res.R
+		g = res.BuildR().R
 	}
 	fmt.Print(dot(g))
 }

@@ -110,7 +110,6 @@ func writeSlice(h hash.Hash, sl *specslice.Slice, err error) int {
 		fmt.Fprintf(h, "error %v\n", err)
 		return 0
 	}
-	defer sl.Release()
 	src, err := sl.Source()
 	if err != nil {
 		src = "emit error " + err.Error()

@@ -185,14 +185,3 @@ func (g *Graph) buildPreds() {
 		}
 	}
 }
-
-// ExecutableSuccs returns the non-pseudo successors of node id.
-func (g *Graph) ExecutableSuccs(id int) []int {
-	var out []int
-	for _, e := range g.Succs[id] {
-		if !e.Pseudo {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}

@@ -80,32 +80,12 @@ func StartLocal(n int, scfg server.Config, rcfg Config) (*Local, error) {
 // URL returns the router's base URL.
 func (lc *Local) URL() string { return "http://" + lc.routerLn.Addr().String() }
 
-// WorkerURL returns worker i's base URL (tests hit workers directly).
-func (lc *Local) WorkerURL(i int) string { return "http://" + lc.workers[i].ln.Addr().String() }
-
 // KillWorker abruptly stops worker i's HTTP server — no drain, as if the
 // process died. The router discovers it via a failed forward or probe.
 func (lc *Local) KillWorker(i int) {
 	lw := lc.workers[i]
 	lw.hs.Close()
 	lw.ln.Close()
-}
-
-// DrainAndStopWorker gracefully removes worker i: the router stops
-// routing to it and waits for its in-flight forwards, then the worker's
-// HTTP server shuts down (draining anything the router no longer sees)
-// and the worker closes its engine store cleanly.
-func (lc *Local) DrainAndStopWorker(i int, timeout time.Duration) error {
-	lw := lc.workers[i]
-	if err := lc.Router.DrainWorker(lw.id, timeout); err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	if err := lw.hs.Shutdown(ctx); err != nil {
-		return err
-	}
-	return lw.srv.Close()
 }
 
 // Close shuts the cluster down: router first (so nothing routes into a

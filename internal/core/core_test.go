@@ -75,7 +75,7 @@ func configsFor(g *sdg.Graph, vs []sdg.VertexID) []Config {
 // TestFig1TwoSpecializations reproduces the paper's headline example: p is
 // specialized into p_1 (one parameter, b) and p_2 (two parameters).
 func TestFig1TwoSpecializations(t *testing.T) {
-	res := specializeSrc(t, fig1Src)
+	res := specializeSrc(t, fig1Src).BuildR()
 	if got := len(res.VariantsOf["p"]); got != 2 {
 		t.Fatalf("variants of p = %d, want 2", got)
 	}
@@ -140,7 +140,7 @@ func TestFig1TwoSpecializations(t *testing.T) {
 // into two 1-parameter variants, r splits into two variants that become
 // mutually recursive.
 func TestFig2MutualRecursion(t *testing.T) {
-	res := specializeSrc(t, fig2Src)
+	res := specializeSrc(t, fig2Src).BuildR()
 	if got := len(res.VariantsOf["s"]); got != 2 {
 		t.Fatalf("variants of s = %d, want 2", got)
 	}
@@ -285,11 +285,11 @@ func TestCriterionWithStack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Specialize: %v", err)
 	}
-	if err := CheckNoMismatches(res.R); err != nil {
+	if err := CheckNoMismatches(res.BuildR().R); err != nil {
 		t.Errorf("mismatch: %v", err)
 	}
-	if len(res.VariantsOf["main"]) != 1 {
-		t.Errorf("main variants = %d, want 1", len(res.VariantsOf["main"]))
+	if n := res.VariantCounts()["main"]; n != 1 {
+		t.Errorf("main variants = %d, want 1", n)
 	}
 }
 
@@ -312,10 +312,10 @@ int main() {
 	if err != nil {
 		t.Fatalf("Specialize: %v", err)
 	}
-	if err := CheckNoMismatches(res.R); err != nil {
+	if err := CheckNoMismatches(res.BuildR().R); err != nil {
 		t.Errorf("mismatch: %v", err)
 	}
-	if len(res.VariantsOf["leaf"]) < 1 {
+	if res.VariantCounts()["leaf"] < 1 {
 		t.Error("leaf missing from slice")
 	}
 }
@@ -324,7 +324,7 @@ int main() {
 // same procedure must have different Elems sets (minimality).
 func TestVariantVertexSetsAreDistinct(t *testing.T) {
 	for _, src := range []string{fig1Src, fig2Src} {
-		res := specializeSrc(t, src)
+		res := specializeSrc(t, src).BuildR()
 		for name, idxs := range res.VariantsOf {
 			seen := map[string]bool{}
 			for _, idx := range idxs {

@@ -41,7 +41,7 @@ type Encoding struct {
 	// nameMu guards names, the cache of numbered variant names ("p_3")
 	// the readout assigns when a procedure specializes into several
 	// copies. Warm requests against a shared encoding re-derive the same
-	// names, so caching them keeps the readout allocation-free.
+	// names, so caching them spares the readout re-formatting them.
 	nameMu sync.Mutex
 	names  map[uint64]string
 }

@@ -90,10 +90,10 @@ func TestPkExponential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if got, want := len(res.VariantsOf["Pk"]), (1<<k)-1; got != want {
+		if got, want := res.VariantCounts()["Pk"], (1<<k)-1; got != want {
 			t.Errorf("k=%d: %d specializations of Pk, want 2^%d−1 = %d", k, got, k, want)
 		}
-		if err := CheckNoMismatches(res.R); err != nil {
+		if err := CheckNoMismatches(res.BuildR().R); err != nil {
 			t.Errorf("k=%d: %v", k, err)
 		}
 	}
@@ -155,36 +155,11 @@ func TestReachableConfigs(t *testing.T) {
 	}
 }
 
-// TestVariantsViewMatchesR: the emission view agrees with R's structure.
-func TestVariantsViewMatchesR(t *testing.T) {
-	res := specializeSrc(t, fig1Src)
-	vars := res.Variants()
-	if len(vars) != len(res.R.Procs) {
-		t.Fatalf("variants = %d, procs = %d", len(vars), len(res.R.Procs))
-	}
-	for i, v := range vars {
-		if len(v.Vertices) != len(res.R.Procs[i].Vertices) {
-			t.Errorf("variant %d: %d vertices vs %d", i, len(v.Vertices), len(res.R.Procs[i].Vertices))
-		}
-		if v.Name != res.R.Procs[i].Name {
-			t.Errorf("variant %d: name %q vs %q", i, v.Name, res.R.Procs[i].Name)
-		}
-		for _, c := range v.Calls {
-			if c.Site < 0 || int(c.Site) >= len(res.Source.Sites) {
-				t.Errorf("variant %d: call target site %d out of source range", i, c.Site)
-			}
-			if c.Callee == "" {
-				t.Errorf("variant %d: empty call target", i)
-			}
-		}
-	}
-}
-
 // TestSpecializeIsDeterministic: two runs produce identical specialized
 // programs (naming and structure).
 func TestSpecializeIsDeterministic(t *testing.T) {
-	a := specializeSrc(t, fig2Src)
-	b := specializeSrc(t, fig2Src)
+	a := specializeSrc(t, fig2Src).BuildR()
+	b := specializeSrc(t, fig2Src).BuildR()
 	if len(a.R.Procs) != len(b.R.Procs) {
 		t.Fatalf("proc counts differ")
 	}

@@ -9,31 +9,30 @@ import (
 	"specslice/internal/sdg"
 )
 
-// This file implements Alg. 1 lines 9–24 — constructing the specialized
-// SDG R from the MRD automaton A6 — on dense, arena-backed structures.
-// The readout is the largest warm phase once Prestar and the automaton
-// chain are served from caches, so it follows the same discipline as the
-// fsa pipeline and the pds Prestar engine:
+// This file implements Alg. 1 lines 9–24: reading the specialized program
+// off the MRD automaton A6. Every slice the service returns needs only the
+// procedure variants — each A6 state's Elems set and the callee of each
+// call transition — so the readout ends there, on dense structures:
 //
 //   - A6 is consumed through its state-indexed adjacency (Out lists), and
-//     the per-state Elems sets live in one CSR over A6 states instead of a
-//     map of slices;
-//   - variant identity and ordering use integer-indexed tables (stamped
-//     membership marks over source vertices, permutation sort over packed
-//     (proc, vertex-list) keys) in place of the former stateInfo maps and
-//     "%d,%d,…" string keys;
-//   - actual-to-formal matching is a merge walk over the shared formal
-//     ordering invariant (positional params ascending, then globals sorted;
-//     see sdg.Proc.MatchFormalIn) — the linear matchFormalIn/matchFormalOut
-//     scans survive only as the differential reference in reference_test.go;
-//   - all scratch comes from a pooled arena, and the result graph itself is
-//     carved out of a pooled sdg.Arena that Result.Release returns, so a
-//     warm slicing service re-runs the whole phase with near-zero
-//     allocation.
+//     the per-state Elems sets live in one CSR over A6 states;
+//   - variant ordering is a permutation sort over packed (proc,
+//     vertex-list) keys, and membership in a variant is a binary search
+//     over its sorted vertex list;
+//   - the parameter check of every call transition is a merge walk over
+//     the source formal and actual lists restricted to the two variants,
+//     under the shared formal ordering invariant (positional params
+//     ascending, then globals sorted; see sdg.Proc.MatchFormalIn);
+//   - all scratch comes from a pooled arena, so a warm readout allocates
+//     only the variant list it returns.
+//
+// The specialized SDG R itself — vertex copies, formal and actual lists,
+// induced and interprocedural edges — is built by BuildR, only when called:
+// by the §8.3 reslicing check, cmd/sdgdot and the tests.
 
 // roScratch is the pooled per-readout scratch: bump-allocated int32 and
-// VertexID buffers, the stamped membership tables, and the growable edge
-// and call-edge lists. Nothing in it survives into the Result.
+// VertexID buffers and the growable call-edge, name and call-target
+// lists. Nothing in it survives into the Result.
 type roScratch struct {
 	i32buf []int32
 	i32off int
@@ -41,12 +40,8 @@ type roScratch struct {
 	vidoff int
 
 	callEdges []roCallEdge
-	edges     []sdg.Edge
 	names     []string
-
-	mark  []int32 // per source vertex: epoch of the variant containing it
-	newID []sdg.VertexID
-	epoch int32
+	calls     []CallTarget
 
 	order variantOrder
 }
@@ -102,18 +97,9 @@ func (sc *roScratch) vids(n int) []sdg.VertexID {
 	return s
 }
 
-// marks ensures the stamped membership tables cover n source vertices.
-func (sc *roScratch) marks(n int) {
-	if len(sc.mark) < n {
-		sc.mark = make([]int32, n)
-		sc.newID = make([]sdg.VertexID, n)
-	}
-}
-
 // variantOrder sorts a permutation of variant indexes by (source proc,
-// lexicographic vertex list) — the canonical variant order. It replaces
-// the stateInfo string keys; sorting through a pointer receiver keeps the
-// sort.Sort call allocation-free.
+// lexicographic vertex list) — the canonical variant order. Sorting
+// through a pointer receiver keeps the sort.Sort call allocation-free.
 type variantOrder struct {
 	idx    []int32 // the permutation being sorted
 	proc   []int32 // per variant: source proc index
@@ -138,37 +124,10 @@ func (o *variantOrder) Less(i, j int) bool {
 	return len(va) < len(vb)
 }
 
-// resultSpace owns a Result's pooled storage: the sdg.Arena carrying R and
-// the VariantsOf map with its value backing. Result.Release returns it.
-type resultSpace struct {
-	arena      *sdg.Arena
-	variantsOf map[string][]int
-	ints       []int
-}
-
-var spacePool = sync.Pool{New: func() any {
-	return &resultSpace{arena: sdg.NewArena(), variantsOf: map[string][]int{}}
-}}
-
-// Release returns the Result's graph storage — R, OriginVertex/OriginSite,
-// VariantsOf, and everything reachable from them — to the internal pool,
-// after which the Result and those structures must not be used. Callers
-// that materialize what they need (Variants, VariantCounts, emitted
-// source) and drop the Result, like the HTTP service, release to make warm
-// readouts allocation-free; callers that retain the Result simply skip the
-// call and let the garbage collector reclaim it.
-func (r *Result) Release() {
-	sp := r.space
-	if sp == nil {
-		return
-	}
-	r.space = nil
-	r.R = nil
-	r.OriginVertex, r.OriginSite, r.VariantsOf = nil, nil, nil
-	clear(sp.variantsOf)
-	sp.ints = sp.ints[:0]
-	spacePool.Put(sp)
-}
+// Release is a no-op, kept for callers written when a Result's graph
+// storage was pooled. A Result now holds no pooled storage: the readout
+// allocates only its variant list, and BuildR allocates R plainly.
+func (r *Result) Release() {}
 
 // ReadoutOnly re-runs the readout phase (Alg. 1 lines 9–24) of a completed
 // result against its existing A6 into a fresh Result — the isolation hook
@@ -221,8 +180,37 @@ func formalOutMatches(f, a *sdg.Vertex) bool {
 	return !f.IsReturn && f.Var == a.Var
 }
 
-// readout implements Alg. 1 lines 9–24: construct the specialized SDG R
-// from the MRD automaton A6. See the file comment for the representation.
+// keeps reports whether the variant includes source vertex v.
+func (pv *ProcVariant) keeps(v sdg.VertexID) bool {
+	_, ok := slices.BinarySearch(pv.Vertices, v)
+	return ok
+}
+
+// unmatchedActual pairs the actuals the caller variant keeps with the
+// formals the callee variant keeps, by one merge walk over both lists in
+// their shared order (less), and returns the first kept actual with no
+// matching kept formal.
+func unmatchedActual(g *sdg.Graph, actuals, formals []sdg.VertexID, caller, callee *ProcVariant,
+	less, matches func(f, a *sdg.Vertex) bool) (sdg.VertexID, bool) {
+	j := 0
+	for _, a := range actuals {
+		if !caller.keeps(a) {
+			continue
+		}
+		av := g.Vertices[a]
+		for j < len(formals) && (!callee.keeps(formals[j]) || less(g.Vertices[formals[j]], av)) {
+			j++
+		}
+		if j == len(formals) || !matches(g.Vertices[formals[j]], av) {
+			return a, true
+		}
+		j++
+	}
+	return 0, false
+}
+
+// readout implements Alg. 1 lines 9–24 up to the procedure variants of the
+// specialized SDG. See the file comment for the representation.
 func (r *Result) readout() error {
 	a6 := r.A6
 	g := r.Source
@@ -244,7 +232,7 @@ func (r *Result) readout() error {
 	// q0, bucketed by target state) and the call-site transitions among
 	// non-initial states.
 	vstart := sc.i32(n + 1)
-	totalV, nCall := 0, 0
+	totalV := 0
 	for s := 0; s < n; s++ {
 		for _, t := range a6.Out(s) {
 			if s == q0 {
@@ -256,11 +244,8 @@ func (r *Result) readout() error {
 				}
 				vstart[t.To+1]++
 				totalV++
-			} else {
-				if !enc.IsSiteSym(t.Sym) {
-					return fmt.Errorf("core: internal error: vertex symbol %d on a non-initial transition", t.Sym)
-				}
-				nCall++
+			} else if !enc.IsSiteSym(t.Sym) {
+				return fmt.Errorf("core: internal error: vertex symbol %d on a non-initial transition", t.Sym)
 			}
 		}
 	}
@@ -359,257 +344,197 @@ func (r *Result) readout() error {
 		gi = ge
 	}
 
-	// Pass A: per-variant membership counts to size the result arena
-	// exactly — kept formals, kept sites with their kept actuals.
-	sc.marks(g.NumVertices())
-	totalSites, totalFormals, totalActuals := 0, 0, 0
-	for vi := 0; vi < nv; vi++ {
-		sc.epoch++
-		vs := vdata[infoLo[vi]:infoHi[vi]]
-		for _, v := range vs {
-			sc.mark[v] = sc.epoch
-		}
+	// The variants in canonical order. Each keeps its sorted Elems set and
+	// one call target per retained non-library site, in site order, naming
+	// the source callee until a call transition names its variant. One
+	// vertex array and one call array back the whole list.
+	variantOf := make([]int32, n) // per A6 state: variant index + 1
+	out := make([]ProcVariant, nv)
+	verts := make([]sdg.VertexID, 0, totalV)
+	calls := sc.calls[:0]
+	callLo := sc.i32(nv + 1)
+	for oi := range out {
+		vi := order[oi]
 		orig := g.Procs[infoProc[vi]]
+		vs := vdata[infoLo[vi]:infoHi[vi]]
 		if vs[0] != orig.Entry {
 			return fmt.Errorf("core: internal error: variant of %s lacks its entry vertex", orig.Name)
 		}
-		for _, fi := range orig.FormalIns {
-			if sc.mark[fi] == sc.epoch {
-				totalFormals++
-			}
-		}
-		for _, fo := range orig.FormalOuts {
-			if sc.mark[fo] == sc.epoch {
-				totalFormals++
-			}
-		}
+		variantOf[infoState[vi]] = int32(oi) + 1
+		v0 := len(verts)
+		verts = append(verts, vs...)
+		pv := &out[oi]
+		*pv = ProcVariant{Orig: orig, Name: names[vi], Vertices: verts[v0:len(verts):len(verts)]}
+		callLo[oi] = int32(len(calls))
 		for _, sid := range orig.Sites {
-			src := g.Sites[sid]
-			if sc.mark[src.CallVertex] != sc.epoch {
-				continue
-			}
-			totalSites++
-			for _, ai := range src.ActualIns {
-				if sc.mark[ai] == sc.epoch {
-					totalActuals++
-				}
-			}
-			for _, ao := range src.ActualOuts {
-				if sc.mark[ao] == sc.epoch {
-					totalActuals++
-				}
+			if src := g.Sites[sid]; !src.Lib && pv.keeps(src.CallVertex) {
+				calls = append(calls, CallTarget{Site: sid, Callee: src.Callee})
 			}
 		}
 	}
-
-	// Acquire the pooled result space and size it: every per-proc and
-	// per-site ID list, plus OriginVertex/OriginSite, carves from two
-	// typed arenas.
-	sp := spacePool.Get().(*resultSpace)
-	fail := func(err error) error {
-		clear(sp.variantsOf)
-		sp.ints = sp.ints[:0]
-		spacePool.Put(sp)
-		return err
-	}
-	nVIDs := 2*totalV + totalFormals + totalActuals // proc lists + origins + formals + actuals
-	nSIDs := 2 * totalSites                         // proc site lists + origins
-	arena := sp.arena
-	R := arena.Prepare(g.Prog, totalV, nv, totalSites, nVIDs, nSIDs)
-
-	r.OriginVertex = arena.VIDs(totalV)
-	r.OriginSite = arena.SIDs(totalSites)
-	stateToR := sc.i32(n)
-
-	// Pass B: build the variants in canonical order — vertices (in source
-	// ID order), formal lists, site skeletons, induced intraprocedural
-	// edges (Defn. 3.13). Edges accumulate in scratch and are installed as
-	// one packed adjacency at the end.
-	edges := sc.edges[:0]
-	for oi := 0; oi < nv; oi++ {
-		vi := int(order[oi])
-		orig := g.Procs[infoProc[vi]]
-		rp := arena.AddProc(sdg.Proc{Name: names[vi], Fn: orig.Fn})
-		stateToR[infoState[vi]] = int32(rp.Index) + 1
-		vs := vdata[infoLo[vi]:infoHi[vi]]
-
-		sc.epoch++
-		rpVerts := arena.VIDs(len(vs))
-		for _, v := range vs {
-			id, nvx := arena.AddVertex(*g.Vertices[v])
-			nvx.Proc = rp.Index
-			nvx.Site = -1 // re-linked below
-			sc.mark[v] = sc.epoch
-			sc.newID[v] = id
-			rpVerts = append(rpVerts, id)
-			r.OriginVertex = append(r.OriginVertex, v)
-		}
-		rp.Vertices = rpVerts
-		rp.Entry = sc.newID[orig.Entry]
-
-		kept := 0
-		for _, fi := range orig.FormalIns {
-			if sc.mark[fi] == sc.epoch {
-				kept++
-			}
-		}
-		rp.FormalIns = arena.VIDs(kept)
-		for _, fi := range orig.FormalIns {
-			if sc.mark[fi] == sc.epoch {
-				rp.FormalIns = append(rp.FormalIns, sc.newID[fi])
-			}
-		}
-		kept = 0
-		for _, fo := range orig.FormalOuts {
-			if sc.mark[fo] == sc.epoch {
-				kept++
-			}
-		}
-		rp.FormalOuts = arena.VIDs(kept)
-		for _, fo := range orig.FormalOuts {
-			if sc.mark[fo] == sc.epoch {
-				rp.FormalOuts = append(rp.FormalOuts, sc.newID[fo])
-			}
-		}
-
-		kept = 0
-		for _, sid := range orig.Sites {
-			if sc.mark[g.Sites[sid].CallVertex] == sc.epoch {
-				kept++
-			}
-		}
-		rp.Sites = arena.SIDs(kept)
-		for _, sid := range orig.Sites {
-			src := g.Sites[sid]
-			if sc.mark[src.CallVertex] != sc.epoch {
-				continue
-			}
-			rs := arena.AddSite(sdg.Site{
-				CallerProc: rp.Index,
-				Callee:     src.Callee, Lib: src.Lib, Stmt: src.Stmt,
-				CallVertex: sc.newID[src.CallVertex],
-			})
-			nai, nao := 0, 0
-			for _, ai := range src.ActualIns {
-				if sc.mark[ai] == sc.epoch {
-					nai++
-				}
-			}
-			for _, ao := range src.ActualOuts {
-				if sc.mark[ao] == sc.epoch {
-					nao++
-				}
-			}
-			rs.ActualIns = arena.VIDs(nai)
-			for _, ai := range src.ActualIns {
-				if sc.mark[ai] == sc.epoch {
-					rs.ActualIns = append(rs.ActualIns, sc.newID[ai])
-				}
-			}
-			rs.ActualOuts = arena.VIDs(nao)
-			for _, ao := range src.ActualOuts {
-				if sc.mark[ao] == sc.epoch {
-					rs.ActualOuts = append(rs.ActualOuts, sc.newID[ao])
-				}
-			}
-			rp.Sites = append(rp.Sites, rs.ID)
-			r.OriginSite = append(r.OriginSite, sid)
-			R.Vertices[rs.CallVertex].Site = rs.ID
-			for _, vid := range rs.ActualIns {
-				R.Vertices[vid].Site = rs.ID
-			}
-			for _, vid := range rs.ActualOuts {
-				R.Vertices[vid].Site = rs.ID
-			}
-		}
-
-		// Induced intraprocedural edges (Defn. 3.13).
-		for _, v := range vs {
-			from := sc.newID[v]
-			for _, e := range g.Out(v) {
-				if (e.Kind == sdg.EdgeControl || e.Kind == sdg.EdgeFlow) && sc.mark[e.To] == sc.epoch {
-					edges = append(edges, sdg.Edge{From: from, To: sc.newID[e.To], Kind: e.Kind})
-				}
-			}
-		}
+	callLo[nv] = int32(len(calls))
+	targets := slices.Clone(calls)
+	sc.calls = calls[:0]
+	for oi := range out {
+		out[oi].Calls = targets[callLo[oi]:callLo[oi+1]:callLo[oi+1]]
 	}
 
-	// Wire the interprocedural edges from A6's call-site transitions
-	// (Alg. 1 lines 19–24): q1 --C--> q2 means q2's PDG calls q1's PDG at
-	// (the copy of) site C. Actuals pair with formals by a single merge
-	// walk over the shared ordering invariant.
+	// Wire the call transitions (Alg. 1 lines 19–24): q1 --C--> q2 means
+	// q2's variant calls q1's at site C. Every actual the caller keeps at C
+	// must pair with a formal the callee keeps.
 	for _, ce := range callEdges {
-		if stateToR[ce.callee] == 0 || stateToR[ce.caller] == 0 {
-			sc.edges = edges[:0]
-			return fail(fmt.Errorf("core: internal error: state %d has call transitions but no vertices", ce.callee))
+		ki, ci := variantOf[ce.callee], variantOf[ce.caller]
+		if ki == 0 || ci == 0 {
+			return fmt.Errorf("core: internal error: state %d has call transitions but no vertices", ce.callee)
 		}
-		callerIdx := int(stateToR[ce.caller]) - 1
-		calleeIdx := int(stateToR[ce.callee]) - 1
-		caller := R.Procs[callerIdx]
-		callee := R.Procs[calleeIdx]
-		var rs *sdg.Site
-		for _, sid := range caller.Sites {
-			if r.OriginSite[sid] == ce.site {
-				rs = R.Sites[sid]
-			}
+		caller, callee := &out[ci-1], &out[ki-1]
+		k := 0
+		for k < len(caller.Calls) && caller.Calls[k].Site != ce.site {
+			k++
 		}
-		if rs == nil {
-			sc.edges = edges[:0]
-			return fail(fmt.Errorf("core: internal error: caller variant %s lacks site %d", caller.Name, ce.site))
+		if k == len(caller.Calls) {
+			return fmt.Errorf("core: internal error: caller variant %s lacks site %d", caller.Name, ce.site)
 		}
-		rs.Callee = callee.Name
-		edges = append(edges, sdg.Edge{From: rs.CallVertex, To: callee.Entry, Kind: sdg.EdgeCall})
-		j := 0
-		for _, aiID := range rs.ActualIns {
-			ai := R.Vertices[aiID]
-			for j < len(callee.FormalIns) && formalInLess(R.Vertices[callee.FormalIns[j]], ai) {
-				j++
-			}
-			if j == len(callee.FormalIns) || !formalInMatches(R.Vertices[callee.FormalIns[j]], ai) {
-				sc.edges = edges[:0]
-				return fail(fmt.Errorf("core: parameter mismatch: %s has no formal for %s", callee.Name, R.VertexString(aiID)))
-			}
-			edges = append(edges, sdg.Edge{From: aiID, To: callee.FormalIns[j], Kind: sdg.EdgeParamIn})
-			j++
+		caller.Calls[k].Callee = callee.Name
+		src := g.Sites[ce.site]
+		if a, bad := unmatchedActual(g, src.ActualIns, callee.Orig.FormalIns, caller, callee, formalInLess, formalInMatches); bad {
+			return fmt.Errorf("core: parameter mismatch: %s has no formal for %s", callee.Name, g.VertexString(a))
 		}
-		j = 0
-		for _, aoID := range rs.ActualOuts {
-			ao := R.Vertices[aoID]
-			for j < len(callee.FormalOuts) && formalOutLess(R.Vertices[callee.FormalOuts[j]], ao) {
-				j++
-			}
-			if j == len(callee.FormalOuts) || !formalOutMatches(R.Vertices[callee.FormalOuts[j]], ao) {
-				sc.edges = edges[:0]
-				return fail(fmt.Errorf("core: parameter mismatch: %s has no formal-out for %s", callee.Name, R.VertexString(aoID)))
-			}
-			edges = append(edges, sdg.Edge{From: callee.FormalOuts[j], To: aoID, Kind: sdg.EdgeParamOut})
-			j++
+		if a, bad := unmatchedActual(g, src.ActualOuts, callee.Orig.FormalOuts, caller, callee, formalOutLess, formalOutMatches); bad {
+			return fmt.Errorf("core: parameter mismatch: %s has no formal-out for %s", callee.Name, g.VertexString(a))
 		}
 	}
-
-	arena.InstallEdges(edges)
-	sc.edges = edges[:0]
-
-	// VariantsOf: R proc indexes per source name — consecutive runs of the
-	// canonical order, with value backing carved from the space.
-	if cap(sp.ints) < nv {
-		sp.ints = make([]int, 0, nv)
-	}
-	for gi := 0; gi < nv; {
-		ge := gi
-		for ge < nv && infoProc[order[ge]] == infoProc[order[gi]] {
-			ge++
-		}
-		lo := len(sp.ints)
-		for k := gi; k < ge; k++ {
-			sp.ints = append(sp.ints, k)
-		}
-		sp.variantsOf[g.Procs[infoProc[order[gi]]].Name] = sp.ints[lo:len(sp.ints):len(sp.ints)]
-		gi = ge
-	}
-
-	r.R = R
-	r.VariantsOf = sp.variantsOf
-	r.space = sp
+	r.variants, r.variantOf = out, variantOf
 	return nil
+}
+
+// Specialized is the specialized SDG R (Alg. 1's output) with the mapping
+// M_C back to the source graph.
+type Specialized struct {
+	R *sdg.Graph
+	// OriginVertex and OriginSite form M_C, indexed by R's dense vertex
+	// and site IDs.
+	OriginVertex []sdg.VertexID
+	OriginSite   []sdg.SiteID
+	// VariantsOf maps each source procedure name to the R-proc indices of
+	// its specializations (consecutive in R's canonical variant order).
+	VariantsOf map[string][]int
+}
+
+// BuildR builds the specialized SDG R from the readout's variants and A6,
+// with plain allocation, each time it is called. Slicing never needs R:
+// emission reads the variants.
+//
+// R's procedures are the variants, in order. Each copies its source
+// vertices in source ID order, keeps the formals, call sites and actuals
+// among them, and gets the induced intraprocedural edges (Defn. 3.13).
+// Each call transition of A6 then names the callee variant of its site and
+// adds the call, parameter-in and parameter-out edges; the readout has
+// already checked that every kept actual has its kept formal.
+func (r *Result) BuildR() *Specialized {
+	g, vars := r.Source, r.variants
+	R := &sdg.Graph{Prog: g.Prog, ProcByName: make(map[string]int, len(vars))}
+	sp := &Specialized{R: R, VariantsOf: map[string][]int{}}
+	base := make([]sdg.VertexID, len(vars))
+	// rid maps source vertex v of variant k to its copy in R.
+	rid := func(k int, v sdg.VertexID) sdg.VertexID {
+		i, _ := slices.BinarySearch(vars[k].Vertices, v)
+		return base[k] + sdg.VertexID(i)
+	}
+	var edges []sdg.Edge
+	for k := range vars {
+		pv := &vars[k]
+		orig := pv.Orig
+		rp := &sdg.Proc{Index: k, Name: pv.Name, Fn: orig.Fn}
+		R.Procs = append(R.Procs, rp)
+		R.ProcByName[rp.Name] = k
+		sp.VariantsOf[orig.Name] = append(sp.VariantsOf[orig.Name], k)
+		base[k] = sdg.VertexID(len(R.Vertices))
+		for _, v := range pv.Vertices {
+			cp := *g.Vertices[v]
+			cp.Proc, cp.Site = k, -1
+			R.AddVertex(&cp)
+		}
+		sp.OriginVertex = append(sp.OriginVertex, pv.Vertices...)
+		rp.Entry = rid(k, orig.Entry)
+		for _, fi := range orig.FormalIns {
+			if pv.keeps(fi) {
+				rp.FormalIns = append(rp.FormalIns, rid(k, fi))
+			}
+		}
+		for _, fo := range orig.FormalOuts {
+			if pv.keeps(fo) {
+				rp.FormalOuts = append(rp.FormalOuts, rid(k, fo))
+			}
+		}
+		for _, sid := range orig.Sites {
+			src := g.Sites[sid]
+			if !pv.keeps(src.CallVertex) {
+				continue
+			}
+			rs := &sdg.Site{
+				ID: sdg.SiteID(len(R.Sites)), CallerProc: k,
+				Callee: src.Callee, Lib: src.Lib, Stmt: src.Stmt,
+				CallVertex: rid(k, src.CallVertex),
+			}
+			R.Vertices[rs.CallVertex].Site = rs.ID
+			for _, a := range src.ActualIns {
+				if pv.keeps(a) {
+					rs.ActualIns = append(rs.ActualIns, rid(k, a))
+					R.Vertices[rid(k, a)].Site = rs.ID
+				}
+			}
+			for _, a := range src.ActualOuts {
+				if pv.keeps(a) {
+					rs.ActualOuts = append(rs.ActualOuts, rid(k, a))
+					R.Vertices[rid(k, a)].Site = rs.ID
+				}
+			}
+			R.Sites = append(R.Sites, rs)
+			rp.Sites = append(rp.Sites, rs.ID)
+			sp.OriginSite = append(sp.OriginSite, sid)
+		}
+		for _, v := range pv.Vertices {
+			for _, e := range g.Out(v) {
+				if (e.Kind == sdg.EdgeControl || e.Kind == sdg.EdgeFlow) && pv.keeps(e.To) {
+					edges = append(edges, sdg.Edge{From: rid(k, v), To: rid(k, e.To), Kind: e.Kind})
+				}
+			}
+		}
+	}
+
+	// Interprocedural edges (Alg. 1 lines 19–24), from A6's call
+	// transitions rather than the variants' call targets: a site with no
+	// transition, as when the criterion holds only its call vertex, keeps
+	// its source callee and gets no edges.
+	a6 := r.A6
+	q0 := a6.Starts()[0]
+	for s := 0; s < a6.NumStates(); s++ {
+		if s == q0 {
+			continue
+		}
+		for _, t := range a6.Out(s) {
+			ki, ci := int(r.variantOf[s])-1, int(r.variantOf[t.To])-1
+			site := r.Enc.SymSite(t.Sym)
+			var rs *sdg.Site
+			for _, sid := range R.Procs[ci].Sites {
+				if sp.OriginSite[sid] == site {
+					rs = R.Sites[sid]
+				}
+			}
+			callee := vars[ki].Orig
+			rs.Callee = vars[ki].Name
+			edges = append(edges, sdg.Edge{From: rs.CallVertex, To: R.Procs[ki].Entry, Kind: sdg.EdgeCall})
+			for _, a := range rs.ActualIns {
+				f, _ := callee.MatchFormalIn(g, R.Vertices[a])
+				edges = append(edges, sdg.Edge{From: a, To: rid(ki, f), Kind: sdg.EdgeParamIn})
+			}
+			for _, a := range rs.ActualOuts {
+				f, _ := callee.MatchFormalOut(g, R.Vertices[a])
+				edges = append(edges, sdg.Edge{From: rid(ki, f), To: a, Kind: sdg.EdgeParamOut})
+			}
+		}
+	}
+	R.InstallEdges(edges)
+	return sp
 }

@@ -7,32 +7,33 @@ import (
 	"specslice/internal/sdg"
 )
 
-// MCSymbolMap builds the mapping M_C from the output SDG R's symbols (under
-// encR, the encoding of R) to the source SDG's symbols (under r.Enc): each
-// specialized vertex or call-site maps to the source element it copies.
-func (r *Result) MCSymbolMap(encR *Encoding) map[fsa.Symbol]fsa.Symbol {
+// mcSymbolMap builds the mapping M_C from R's symbols (under encR, the
+// encoding of R) to the source SDG's symbols (under enc): each specialized
+// vertex or call-site maps to the source element it copies.
+func (sp *Specialized) mcSymbolMap(enc, encR *Encoding) map[fsa.Symbol]fsa.Symbol {
 	m := map[fsa.Symbol]fsa.Symbol{}
-	for rv, sv := range r.OriginVertex {
-		m[encR.VertexSym(sdg.VertexID(rv))] = r.Enc.VertexSym(sv)
+	for rv, sv := range sp.OriginVertex {
+		m[encR.VertexSym(sdg.VertexID(rv))] = enc.VertexSym(sv)
 	}
-	for rs, ss := range r.OriginSite {
-		m[encR.SiteSym(sdg.SiteID(rs))] = r.Enc.SiteSym(ss)
+	for rs, ss := range sp.OriginSite {
+		m[encR.SiteSym(sdg.SiteID(rs))] = enc.SiteSym(ss)
 	}
 	return m
 }
 
-// ReslicingCheck implements the paper's §8.3 self-check: slice the output
-// SDG R again, with the criterion carried over through M_C⁻¹ (intersected
-// with R's reachable configurations), and verify that the two slices accept
-// the same configuration language after mapping R's alphabet back to the
-// source's:
+// ReslicingCheck implements the paper's §8.3 self-check: build the output
+// SDG R, slice it again with the criterion carried over through M_C⁻¹
+// (intersected with R's reachable configurations), and verify that the two
+// slices accept the same configuration language after mapping R's
+// alphabet back to the source's:
 //
 //	L(A6_S) == L(T_C(A6_R))
 //
 // A non-nil error means the implementation miscomputed one of the slices.
 func (r *Result) ReslicingCheck(spec CriterionSpec) error {
-	encR := Encode(r.R)
-	mc := r.MCSymbolMap(encR)
+	sp := r.BuildR()
+	encR := Encode(sp.R)
+	mc := sp.mcSymbolMap(r.Enc, encR)
 
 	// Criterion automaton C over the source alphabet.
 	a0, err := spec.buildQuery(r.Enc)
@@ -41,9 +42,9 @@ func (r *Result) ReslicingCheck(spec CriterionSpec) error {
 	}
 	c := PAutomatonToFSA(a0)
 
-	// C' = T_C⁻¹(C) ∩ Poststar[P_R](entry_main-of-R).
+	// C' = T_C⁻¹(C) ∩ (R's reachable configurations).
 	cInv := c.InverseRelabel(mc)
-	reachR, err := reachableConfigsOf(encR, r.R.Procs[0].Name, r)
+	reachR, err := encR.Reachable()
 	if err != nil {
 		return err
 	}
@@ -63,27 +64,4 @@ func (r *Result) ReslicingCheck(spec CriterionSpec) error {
 		return fmt.Errorf("core: reslicing check failed: configuration languages differ")
 	}
 	return nil
-}
-
-// reachableConfigsOf computes Poststar from R's main entry. R's main is the
-// variant holding the source main's entry; we locate it via VariantsOf.
-func reachableConfigsOf(encR *Encoding, _ string, r *Result) (*fsa.FSA, error) {
-	mains := r.VariantsOf["main"]
-	if len(mains) == 0 {
-		return nil, fmt.Errorf("core: specialized SDG has no main variant")
-	}
-	// Prefer the variant literally named "main".
-	idx := mains[0]
-	for _, i := range mains {
-		if r.R.Procs[i].Name == "main" {
-			idx = i
-		}
-	}
-	entry := r.R.Procs[idx].Entry
-	q := fsa.New(encR.PDS.NumLocs)
-	f := q.AddState()
-	q.SetFinal(f)
-	q.Add(0, encR.VertexSym(entry), f)
-	post := encR.PDS.Poststar(q)
-	return PAutomatonToFSA(post), nil
 }

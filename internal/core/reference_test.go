@@ -1,12 +1,15 @@
 package core_test
 
-// Layer 1 reference oracle for the dense readout, mirroring the
+// Layer 1 reference oracle for the readout, mirroring the
 // fsa/reference_test.go pattern: the original map-driven Alg. 1 readout
 // (stateInfo maps, map[VertexID]bool membership sets, linear formal
 // matching) is relocated here as a differential reference and compared
 // for structural identity — vertex, site, and procedure numbering, names,
-// formal lists, origin maps, and edge sets — against the arena-backed
-// dense readout on hundreds of random program/criterion pairs.
+// formal lists, origin maps, and edge sets — against the specialized SDG
+// that Result.BuildR builds on request, on hundreds of random
+// program/criterion pairs. The readout's own output, the procedure
+// variants, must equal the projection of that R which Result.Variants
+// computed when the readout still built R (projectVariants).
 //
 // One deliberate canonicalization: the historical implementation ordered
 // variants by a "%d,%d,…" *string* key, under which vertex list [12] sorts
@@ -14,9 +17,9 @@ package core_test
 // dense readout defines. Everything else is the old algorithm verbatim.
 //
 // The relocated matchFormalIn/matchFormalOut linear scans double as the
-// reference for sdg.Proc.MatchFormalIn/MatchFormalOut (the precomputed
-// index on built graphs, the ordering-invariant binary search on readout
-// graphs), checked across every source graph and specialized result.
+// reference for sdg.Proc.MatchFormalIn/MatchFormalOut (the binary search
+// over the formal ordering invariant), checked across every source graph
+// and specialized result.
 
 import (
 	"errors"
@@ -58,7 +61,7 @@ type refStateInfo struct {
 }
 
 // referenceReadout is the relocated map-based readout, run against the
-// dense result's own A6/encoding/source graph.
+// result's own A6/encoding/source graph.
 func referenceReadout(res *core.Result) (*refResult, error) {
 	a6 := res.A6
 	g := res.Source
@@ -319,9 +322,9 @@ func refMatchFormalOut(g *sdg.Graph, p *sdg.Proc, aoID sdg.VertexID) (sdg.Vertex
 	return 0, false
 }
 
-// compareReadout requires full structural identity between the dense
-// result and the reference construction.
-func compareReadout(t *testing.T, tag string, res *core.Result, ref *refResult) {
+// compareReadout requires full structural identity between the
+// on-request R and the reference construction.
+func compareReadout(t *testing.T, tag string, res *core.Specialized, ref *refResult) {
 	t.Helper()
 	R, Q := res.R, ref.R
 	if len(R.Vertices) != len(Q.Vertices) || len(R.Sites) != len(Q.Sites) || len(R.Procs) != len(Q.Procs) {
@@ -374,7 +377,7 @@ func compareReadout(t *testing.T, tag string, res *core.Result, ref *refResult) 
 	}
 	for e := range re {
 		if !qe[e] {
-			t.Fatalf("%s: dense edge %+v missing from reference", tag, e)
+			t.Fatalf("%s: edge %+v missing from reference", tag, e)
 		}
 	}
 	if len(res.VariantsOf) != len(ref.VariantsOf) {
@@ -385,8 +388,8 @@ func compareReadout(t *testing.T, tag string, res *core.Result, ref *refResult) 
 			t.Fatalf("%s: VariantsOf[%s] = %v vs %v", tag, name, res.VariantsOf[name], vs)
 		}
 	}
-	// Call targets: the dense result records the specialized callee on
-	// each R site; it must name exactly the proc the reference wired.
+	// Call targets: R records the specialized callee on each site; it must
+	// name exactly the proc the reference wired.
 	for pi, targets := range ref.CallTargets {
 		for srcSite, calleeIdx := range targets {
 			found := false
@@ -402,6 +405,50 @@ func compareReadout(t *testing.T, tag string, res *core.Result, ref *refResult) 
 			if !found {
 				t.Fatalf("%s: proc %d lost site %d", tag, pi, srcSite)
 			}
+		}
+	}
+}
+
+// projectVariants is the emission view of R as Result.Variants computed it
+// when the readout still built R: R's per-procedure vertex and site lists
+// mapped back to the source graph through OriginVertex and OriginSite.
+// Every non-library R site names the one specialized callee variant its
+// call transition wired.
+func projectVariants(src *sdg.Graph, sp *core.Specialized) []core.ProcVariant {
+	out := make([]core.ProcVariant, len(sp.R.Procs))
+	for i, rp := range sp.R.Procs {
+		var verts []sdg.VertexID
+		for _, rv := range rp.Vertices {
+			verts = append(verts, sp.OriginVertex[rv])
+		}
+		var calls []core.CallTarget
+		for _, sid := range rp.Sites {
+			if rs := sp.R.Sites[sid]; !rs.Lib {
+				calls = append(calls, core.CallTarget{Site: sp.OriginSite[sid], Callee: rs.Callee})
+			}
+		}
+		out[i] = core.ProcVariant{
+			Orig:     src.Procs[src.ProcByName[rp.Fn.Name]],
+			Name:     rp.Name,
+			Vertices: verts,
+			Calls:    calls,
+		}
+	}
+	return out
+}
+
+// compareVariants requires the readout's variants to equal want element by
+// element.
+func compareVariants(t *testing.T, tag string, got, want []core.ProcVariant) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d variants, R has %d procedures", tag, len(got), len(want))
+	}
+	for i := range want {
+		a, b := got[i], want[i]
+		if a.Orig != b.Orig || a.Name != b.Name ||
+			!slices.Equal(a.Vertices, b.Vertices) || !slices.Equal(a.Calls, b.Calls) {
+			t.Fatalf("%s: variant %d differs: %+v vs %+v", tag, i, a, b)
 		}
 	}
 }
@@ -425,42 +472,26 @@ func referenceConfigs(n int) []workload.BenchConfig {
 	return out
 }
 
-// TestReferenceReadoutDifferential checks the dense readout against the
-// relocated map-based reference on ≥200 random program/criterion pairs
-// (the PR acceptance bar; a reduced budget under -short), and — every
-// fourth program — that the monovariant slicer's emission over the shared
-// source graph is byte-identical before and after the dense readouts ran
-// and released their pooled storage (the source graph must never be
-// touched by a readout).
-func TestReferenceReadoutDifferential(t *testing.T) {
+// readoutProgram is one program of the readout corpus with its criteria:
+// the all-printfs criterion plus six random statement and predicate
+// vertices, each in all calling contexts.
+type readoutProgram struct {
+	g     *sdg.Graph
+	enc   *core.Encoding
+	specs []core.CriterionSpec
+}
+
+// readoutCorpus builds the readout corpus: 40 programs, 10 under -short.
+func readoutCorpus() []readoutProgram {
 	programs := 40
 	if testing.Short() {
 		programs = 10
 	}
-	pairs := 0
-	for pi, cfg := range referenceConfigs(programs) {
-		prog := workload.Generate(cfg)
-		g := sdg.MustBuild(prog)
+	var out []readoutProgram
+	for _, cfg := range referenceConfigs(programs) {
+		g := sdg.MustBuild(workload.Generate(cfg))
 		sliceg.ComputeSummaryEdges(g)
-		enc := core.Encode(g)
 		rng := rand.New(rand.NewSource(cfg.Seed * 31))
-
-		var monoBefore string
-		var monoCrit []sdg.VertexID
-		checkMono := pi%4 == 0
-		if checkMono {
-			monoCrit = core.PrintfCriterion(g, "")
-			if len(monoCrit) > 0 {
-				src, err := emit.Source(g, mono.Binkley(g, monoCrit).Variants())
-				if err != nil {
-					t.Fatalf("cfg %d: mono emit: %v", pi, err)
-				}
-				monoBefore = src
-			}
-		}
-
-		// Criteria: the all-printfs criterion plus random statement and
-		// predicate vertices in all calling contexts.
 		var specs []core.CriterionSpec
 		if vs := core.PrintfCriterion(g, ""); len(vs) > 0 {
 			specs = append(specs, core.Vertices(vs))
@@ -474,29 +505,26 @@ func TestReferenceReadoutDifferential(t *testing.T) {
 		for k := 0; k < 6 && len(stmtVerts) > 0; k++ {
 			specs = append(specs, core.Vertices([]sdg.VertexID{stmtVerts[rng.Intn(len(stmtVerts))]}))
 		}
+		out = append(out, readoutProgram{g: g, enc: core.Encode(g), specs: specs})
+	}
+	return out
+}
 
-		for si, spec := range specs {
-			res, err := core.SpecializeWithEncoding(enc, spec)
+// eachReadoutPair runs check on every program/criterion pair of the corpus
+// that specializes (empty slices are not readout material) and requires
+// at least 200 pairs, 40 under -short — the acceptance bar of the readout
+// oracles.
+func eachReadoutPair(t *testing.T, corpus []readoutProgram, check func(tag string, res *core.Result)) {
+	t.Helper()
+	pairs := 0
+	for pi, p := range corpus {
+		for si, spec := range p.specs {
+			res, err := core.SpecializeWithEncoding(p.enc, spec)
 			if err != nil {
-				continue // empty slices etc. are not readout material
+				continue
 			}
-			ref, err := referenceReadout(res)
-			if err != nil {
-				t.Fatalf("cfg %d spec %d: reference readout failed where dense succeeded: %v", pi, si, err)
-			}
-			compareReadout(t, fmt.Sprintf("cfg %d spec %d", pi, si), res, ref)
+			check(fmt.Sprintf("cfg %d spec %d", pi, si), res)
 			pairs++
-			res.Release()
-		}
-
-		if checkMono && monoBefore != "" {
-			src, err := emit.Source(g, mono.Binkley(g, monoCrit).Variants())
-			if err != nil {
-				t.Fatalf("cfg %d: mono emit after readouts: %v", pi, err)
-			}
-			if src != monoBefore {
-				t.Fatalf("cfg %d: monovariant emission changed after dense readouts released their storage", pi)
-			}
 		}
 	}
 	min := 200
@@ -506,13 +534,86 @@ func TestReferenceReadoutDifferential(t *testing.T) {
 	if pairs < min {
 		t.Fatalf("only %d program/criterion pairs exercised the readout oracle (want >= %d)", pairs, min)
 	}
-	t.Logf("readout differential oracle: %d pairs", pairs)
+	t.Logf("readout oracle: %d pairs", pairs)
 }
 
-// TestFormalMatchDifferential checks the indexed/binary-search formal
-// matching against the retired linear scans on every call site of both
-// source graphs (precomputed index path) and specialized results
-// (ordering-invariant binary-search path).
+// TestReferenceReadoutDifferential checks the on-request R against the
+// relocated map-based reference on every readout pair, and — every fourth
+// program — that the monovariant slicer's emission over the shared source
+// graph is byte-identical before and after the readouts and R builds ran
+// (neither may touch the source graph).
+func TestReferenceReadoutDifferential(t *testing.T) {
+	corpus := readoutCorpus()
+	monoCrit := make([][]sdg.VertexID, len(corpus))
+	monoBefore := make([]string, len(corpus))
+	for pi, p := range corpus {
+		if pi%4 != 0 {
+			continue
+		}
+		monoCrit[pi] = core.PrintfCriterion(p.g, "")
+		if len(monoCrit[pi]) > 0 {
+			src, err := emit.Source(p.g, mono.Binkley(p.g, monoCrit[pi]).Variants())
+			if err != nil {
+				t.Fatalf("cfg %d: mono emit: %v", pi, err)
+			}
+			monoBefore[pi] = src
+		}
+	}
+	eachReadoutPair(t, corpus, func(tag string, res *core.Result) {
+		ref, err := referenceReadout(res)
+		if err != nil {
+			t.Fatalf("%s: reference readout failed where the readout succeeded: %v", tag, err)
+		}
+		compareReadout(t, tag, res.BuildR(), ref)
+	})
+	for pi, p := range corpus {
+		if monoBefore[pi] == "" {
+			continue
+		}
+		src, err := emit.Source(p.g, mono.Binkley(p.g, monoCrit[pi]).Variants())
+		if err != nil {
+			t.Fatalf("cfg %d: mono emit after readouts: %v", pi, err)
+		}
+		if src != monoBefore[pi] {
+			t.Fatalf("cfg %d: monovariant emission changed after the readouts and R builds", pi)
+		}
+	}
+}
+
+// TestVariantsViewMatchesR: on every readout pair, the variants the
+// readout returns equal the projection of the on-request R
+// (projectVariants), which is what Result.Variants returned when the
+// readout built R on every request.
+func TestVariantsViewMatchesR(t *testing.T) {
+	eachReadoutPair(t, readoutCorpus(), func(tag string, res *core.Result) {
+		compareVariants(t, tag, res.Variants(), projectVariants(res.Source, res.BuildR()))
+	})
+}
+
+// TestReslicedReachableDifferential: on the on-request R of every readout
+// pair, the reachable configurations the reslicing check reads from the
+// live call graph (Encode(R).Reachable) accept exactly the Poststar
+// language.
+func TestReslicedReachableDifferential(t *testing.T) {
+	eachReadoutPair(t, readoutCorpus(), func(tag string, res *core.Result) {
+		encR := core.Encode(res.BuildR().R)
+		got, err := encR.Reachable()
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		want, err := referenceReachable(encR)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tag, err)
+		}
+		if !fsa.Equal(got, want) {
+			t.Fatalf("%s: R's reachable configurations differ from Poststar's", tag)
+		}
+	})
+}
+
+// TestFormalMatchDifferential checks the binary-search formal matching
+// against the retired linear scans on every call site of both source
+// graphs and specialized results.
 func TestFormalMatchDifferential(t *testing.T) {
 	check := func(tag string, g *sdg.Graph) {
 		t.Helper()
@@ -552,7 +653,7 @@ func TestFormalMatchDifferential(t *testing.T) {
 		enc := core.Encode(g)
 		if vs := core.PrintfCriterion(g, ""); len(vs) > 0 {
 			if res, err := core.SpecializeWithEncoding(enc, core.Vertices(vs)); err == nil {
-				check(fmt.Sprintf("cfg %d R", pi), res.R)
+				check(fmt.Sprintf("cfg %d R", pi), res.BuildR().R)
 			}
 		}
 	}
@@ -952,7 +1053,6 @@ func TestMRDSliceAutomataDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %v: %v", name, vs, err)
 		}
-		defer res.Release()
 		// The reversed slice automata determinize to minimal DFAs, so MRD
 		// also runs on A1 with twinned states, where it must merge states.
 		twinned, st := fsa.MRD(twinStates(res.A1))

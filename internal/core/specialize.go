@@ -45,18 +45,6 @@ type Result struct {
 	// reverse-deterministic form.
 	A1, A6 *fsa.FSA
 
-	// R is the specialized SDG (paper Alg. 1's output). Its storage is
-	// pooled: Release returns it for reuse once the caller has
-	// materialized what it needs (see Result.Release).
-	R *sdg.Graph
-	// OriginVertex and OriginSite form the mapping M_C from R back to the
-	// source alphabet, indexed by R's dense vertex and site IDs.
-	OriginVertex []sdg.VertexID
-	OriginSite   []sdg.SiteID
-	// VariantsOf maps each source procedure name to the R-proc indices of
-	// its specializations (consecutive in R's canonical variant order).
-	VariantsOf map[string][]int
-
 	// StatesBeforeDeterminize / StatesAfterDeterminize support the paper's
 	// §4.2 observation that determinize shrinks in practice.
 	StatesBeforeDeterminize int
@@ -64,8 +52,11 @@ type Result struct {
 
 	Timings Timings
 
-	// space is the pooled backing of R and the origin tables.
-	space *resultSpace
+	// variants is the readout's output, in R's canonical procedure order
+	// (Variants); variantOf maps each A6 state to its variant's index + 1,
+	// 0 for the initial state, for BuildR.
+	variants  []ProcVariant
+	variantOf []int32
 }
 
 // ClosureSlice computes only the stack-configuration slice (Alg. 1 lines
@@ -212,24 +203,12 @@ func CheckNoMismatches(g *sdg.Graph) error {
 	return nil
 }
 
-// SliceElems projects the stack-configuration slice onto PDG vertices:
-// Elems(L(A1)).
-func (r *Result) SliceElems() map[sdg.VertexID]bool {
-	out := map[sdg.VertexID]bool{}
-	r.A1.Each(func(t fsa.Transition) {
-		if r.A1.IsStart(t.From) && !r.Enc.IsSiteSym(t.Sym) {
-			out[r.Enc.SymVertex(t.Sym)] = true
-		}
-	})
-	return out
-}
-
 // VariantCounts returns, per source procedure in the slice, how many
 // specialized versions were created (paper Fig. 18).
 func (r *Result) VariantCounts() map[string]int {
 	out := map[string]int{}
-	for name, vs := range r.VariantsOf {
-		out[name] = len(vs)
+	for _, v := range r.variants {
+		out[v.Orig.Name]++
 	}
 	return out
 }
@@ -257,47 +236,8 @@ type CallTarget struct {
 	Callee string
 }
 
-// Variants returns the emission view of the result, ordered as R.Procs:
-// R's per-procedure vertex and site lists mapped back to the source graph
-// through OriginVertex and OriginSite. The view owns its storage (one
-// vertex array and one call array per call), so it stays valid after
-// Release.
-func (r *Result) Variants() []ProcVariant {
-	nv, nc := 0, 0
-	for _, rp := range r.R.Procs {
-		nv += len(rp.Vertices)
-		for _, sid := range rp.Sites {
-			if !r.R.Sites[sid].Lib {
-				nc++
-			}
-		}
-	}
-	verts := make([]sdg.VertexID, 0, nv)
-	calls := make([]CallTarget, 0, nc)
-	out := make([]ProcVariant, len(r.R.Procs))
-	for i, rp := range r.R.Procs {
-		v0, c0 := len(verts), len(calls)
-		for _, rv := range rp.Vertices {
-			verts = append(verts, r.OriginVertex[rv])
-		}
-		// Every non-library R site is wired to exactly one specialized
-		// callee variant (reverse determinism: one call transition per
-		// site symbol into the caller's state), recorded in its Callee.
-		for _, sid := range rp.Sites {
-			if rs := r.R.Sites[sid]; !rs.Lib {
-				calls = append(calls, CallTarget{Site: r.OriginSite[sid], Callee: rs.Callee})
-			}
-		}
-		out[i] = ProcVariant{
-			Orig:     findOrigProc(r.Source, rp.Fn.Name),
-			Name:     rp.Name,
-			Vertices: verts[v0:len(verts):len(verts)],
-			Calls:    calls[c0:len(calls):len(calls)],
-		}
-	}
-	return out
-}
-
-func findOrigProc(g *sdg.Graph, name string) *sdg.Proc {
-	return g.Procs[g.ProcByName[name]]
-}
+// Variants returns the emission view of the result: the procedure
+// variants of the specialized SDG in R's canonical order (source procedure,
+// then lexicographic vertex list), as the readout built them. Callers must
+// not modify the list.
+func (r *Result) Variants() []ProcVariant { return r.variants }

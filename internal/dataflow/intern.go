@@ -55,10 +55,6 @@ func (in *Interner) Len() int { return len(in.names) }
 // interned variables.
 func (in *Interner) Words() int { return (len(in.names) + 63) / 64 }
 
-// Names returns the interned variables in ID (= ascending name) order. The
-// slice is shared; callers must not mutate it.
-func (in *Interner) Names() []string { return in.names }
-
 // rowEqual reports word-wise equality of two rows.
 func rowEqual(a, b []uint64) bool {
 	for w := range a {

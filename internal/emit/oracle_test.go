@@ -70,7 +70,6 @@ func TestEmitMatchesReference(t *testing.T) {
 				}
 				if res, err := eng.RemoveFeature(crit); err == nil {
 					n += compareEmit(t, fmt.Sprintf("%s remove line:%d", cfg.Name, line), g, res.Variants())
-					res.Release()
 				}
 			}
 		}
@@ -120,7 +119,6 @@ func comparePoly(t *testing.T, name string, g *sdg.Graph, eng *engine.Engine, sp
 	if err != nil {
 		return 0
 	}
-	defer res.Release()
 	return compareEmit(t, name, g, res.Variants())
 }
 
@@ -194,7 +192,6 @@ func emitAll(t *testing.T, g *sdg.Graph, eng *engine.Engine) []string {
 		}
 		if res, err := eng.Specialize(specFor(g, crit)); err == nil {
 			text, err := Source(g, res.Variants())
-			res.Release()
 			out = append(out, text, fmt.Sprint(err))
 		}
 		text, err := Source(g, eng.Binkley(crit).Variants())

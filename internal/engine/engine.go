@@ -10,7 +10,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -18,6 +17,7 @@ import (
 	"specslice/internal/feature"
 	"specslice/internal/lang"
 	"specslice/internal/mono"
+	"specslice/internal/par"
 	"specslice/internal/sdg"
 	"specslice/internal/slice"
 )
@@ -255,17 +255,13 @@ type BatchStats struct {
 	Phases core.Timings `json:"phases"`
 }
 
-// SliceAll serves every request, fanning them out across a worker pool, and
-// returns responses in request order plus aggregate timings. Individual
-// request failures land in their Response; the batch always completes.
+// SliceAll serves every request, fanning them out across a worker pool
+// (par.For; a one-request batch runs inline on the caller's goroutine),
+// and returns responses in request order plus aggregate timings.
+// Individual request failures land in their Response; the batch always
+// completes.
 func (e *Engine) SliceAll(reqs []Request, opts BatchOptions) ([]Response, BatchStats) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
+	workers := min(par.Workers(opts.Workers), len(reqs))
 	stats := BatchStats{Requests: len(reqs), Workers: workers}
 	if len(reqs) == 0 {
 		return nil, stats
@@ -277,22 +273,7 @@ func (e *Engine) SliceAll(reqs []Request, opts BatchOptions) ([]Response, BatchS
 
 	t0 := time.Now()
 	out := make([]Response, len(reqs))
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i] = e.serve(i, reqs[i])
-			}
-		}()
-	}
-	for i := range reqs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	par.For(workers, len(reqs), func(i int) { out[i] = e.serve(i, reqs[i]) })
 
 	stats.Wall = time.Since(t0)
 	for _, r := range out {

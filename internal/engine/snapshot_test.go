@@ -48,8 +48,6 @@ func TestSnapshotServesIdenticalSlices(t *testing.T) {
 		}
 		if wantErr == nil {
 			compareEmit(t, "poly", v, cold, warm, wantRes.Variants(), gotRes.Variants())
-			wantRes.Release()
-			gotRes.Release()
 		}
 
 		wantMono := cold.Binkley([]sdg.VertexID{v})

@@ -75,9 +75,8 @@ type EngineBench struct {
 	AdvanceSpeedup     float64 `json:"advance_speedup"`
 
 	// Readout isolation: the Alg. 1 lines 9–24 phase re-run alone against
-	// a warm engine's A6, with results released back to the pool each
-	// iteration — the serving configuration. The alloc rate is the PR gate
-	// (<= 8/op) for the arena-backed readout.
+	// a warm engine's A6, the serving configuration. The readout ends at
+	// the procedure variants; the alloc rate is the PR gate (<= 8/op).
 	ReadoutNsPerOp     float64 `json:"readout_ns_per_op"`
 	ReadoutAllocsPerOp float64 `json:"readout_allocs_per_op"`
 
@@ -186,10 +185,9 @@ func RunEngineBench(iters, workers int) (*EngineBench, error) {
 	}
 	eb.ColdNsPerOp = float64(time.Since(t0).Nanoseconds()) / float64(iters)
 
-	// Warm: one engine serves every request from its caches, releasing
-	// each result's pooled graph storage the way the HTTP service does.
-	// The loop also collects the Fig. 21 per-phase breakdown and the
-	// allocation rate.
+	// Warm: one engine serves every request from its caches. The loop
+	// also collects the Fig. 21 per-phase breakdown and the allocation
+	// rate.
 	g := sdg.MustBuild(prog)
 	eng := engine.New(g)
 	if err := eng.Warm(); err != nil {
@@ -210,7 +208,6 @@ func RunEngineBench(iters, workers int) (*EngineBench, error) {
 			return nil, err
 		}
 		phases.Add(res.Timings)
-		res.Release()
 	}
 	warm := time.Since(t0)
 	runtime.ReadMemStats(&ms1)
@@ -230,29 +227,24 @@ func RunEngineBench(iters, workers int) (*EngineBench, error) {
 	}
 
 	// Readout isolation: re-run only Alg. 1 lines 9–24 against the warm
-	// result's A6, releasing each rebuilt result — the steady state a
-	// slicing service reaches once the arenas are pooled.
+	// result's A6 — the steady state of a slicing service, once the
+	// readout's pooled scratch has grown to the program.
 	roIters := 4 * iters
-	for i := 0; i < 8; i++ { // pool warm-up
-		r2, err := core.ReadoutOnly(warmup)
-		if err != nil {
+	for i := 0; i < 8; i++ { // scratch pool warm-up
+		if _, err := core.ReadoutOnly(warmup); err != nil {
 			return nil, err
 		}
-		r2.Release()
 	}
 	runtime.ReadMemStats(&ms0)
 	t0 = time.Now()
 	for i := 0; i < roIters; i++ {
-		r2, err := core.ReadoutOnly(warmup)
-		if err != nil {
+		if _, err := core.ReadoutOnly(warmup); err != nil {
 			return nil, err
 		}
-		r2.Release()
 	}
 	eb.ReadoutNsPerOp = float64(time.Since(t0).Nanoseconds()) / float64(roIters)
 	runtime.ReadMemStats(&ms1)
 	eb.ReadoutAllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(roIters)
-	warmup.Release()
 
 	// Batch: ≥16 criteria over one Siemens-sized suite, sequential one-shot
 	// vs. SliceAll through the shared engine.

@@ -160,7 +160,7 @@ func TestRunEngineBenchSmoke(t *testing.T) {
 	// detector, not the readout. Plain `go test` and the bench job's gate
 	// enforce the bound.
 	if !raceEnabled && eb.ReadoutAllocsPerOp > 8 {
-		t.Errorf("readout allocs per op = %v, want <= 8 (arena-backed readout regressed)", eb.ReadoutAllocsPerOp)
+		t.Errorf("readout allocs per op = %v, want <= 8 (the readout regressed)", eb.ReadoutAllocsPerOp)
 	}
 	for _, w := range []string{"1", "2", "4"} {
 		if eb.BatchNsByWorkers[w].Ns <= 0 || eb.ColdBuildNsByWorkers[w].Ns <= 0 {

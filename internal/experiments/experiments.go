@@ -140,18 +140,21 @@ func runSlice(prog *lang.Program, critTemplate []sdg.VertexID, name string) (*Sl
 	sr.PolyTime = time.Since(t1)
 	sr.PolyAllocBytes = allocated() - a1
 	sr.AutomatonOps = pres.Timings.AutomatonOps + pres.Timings.Prestar
-	sr.PolyVertices = len(pres.R.Vertices)
+	variants := pres.Variants()
+	for _, v := range variants {
+		sr.PolyVertices += len(v.Vertices)
+	}
 	sr.VariantCounts = pres.VariantCounts()
 	sr.StatesBeforeDeterminize = pres.StatesBeforeDeterminize
 	sr.StatesAfterDeterminize = pres.StatesAfterDeterminize
 
 	seen := map[string]int{}
-	for _, rp := range pres.R.Procs {
-		orig := rp.Fn.Name
+	for _, v := range variants {
+		orig := v.Orig.Name
 		seen[orig]++
 		sr.PerProcPoly = append(sr.PerProcPoly, ProcPoint{
 			Proc:    orig,
-			PolyPct: 100 * float64(len(rp.Vertices)) / float64(origSizes[orig]),
+			PolyPct: 100 * float64(len(v.Vertices)) / float64(origSizes[orig]),
 			MonoPct: sr.PerProcMono[orig],
 			IsExtra: seen[orig] > 1,
 		})
@@ -399,7 +402,7 @@ func Fig13Table(maxK int) string {
 			continue
 		}
 		fmt.Fprintf(&sb, "%2d %12d %14d %10s\n",
-			k, len(res.VariantsOf["Pk"]), (1<<k)-1, time.Since(t0).Round(time.Millisecond))
+			k, res.VariantCounts()["Pk"], (1<<k)-1, time.Since(t0).Round(time.Millisecond))
 	}
 	return sb.String()
 }

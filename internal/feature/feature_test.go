@@ -167,7 +167,7 @@ func TestFeatureRemovalSpecializesInterfaces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if err := core.CheckNoMismatches(res.R); err != nil {
+	if err := core.CheckNoMismatches(res.BuildR().R); err != nil {
 		t.Errorf("mismatch in feature-removal result: %v", err)
 	}
 }

@@ -92,9 +92,6 @@ func (a *FSA) Finals() []int { return a.finals.members() }
 // NumStarts returns the start-state count.
 func (a *FSA) NumStarts() int { return a.starts.count() }
 
-// NumFinals returns the accepting-state count.
-func (a *FSA) NumFinals() int { return a.finals.count() }
-
 // Add inserts a transition (deduplicated). It reports whether the
 // transition was new.
 func (a *FSA) Add(from int, sym Symbol, to int) bool {

@@ -103,7 +103,7 @@ func TestFig15EndToEndSpecialization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Specialize: %v", err)
 	}
-	if err := core.CheckNoMismatches(res.R); err != nil {
+	if err := core.CheckNoMismatches(res.BuildR().R); err != nil {
 		t.Errorf("mismatch: %v", err)
 	}
 	out, err := emit.Program(g, res.Variants())

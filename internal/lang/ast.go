@@ -44,9 +44,6 @@ func (p *Program) NewID() NodeID {
 	return p.nextID
 }
 
-// MaxID returns the largest NodeID allocated so far.
-func (p *Program) MaxID() NodeID { return p.nextID }
-
 // Func returns the function with the given name, or nil.
 func (p *Program) Func(name string) *FuncDecl {
 	for _, f := range p.Funcs {

@@ -52,8 +52,7 @@ type parser struct {
 	prog *Program
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) peek() token { return p.toks[min(p.i+1, len(p.toks)-1)] }
+func (p *parser) cur() token { return p.toks[p.i] }
 
 func (p *parser) advance() token {
 	t := p.toks[p.i]

@@ -52,7 +52,6 @@ func TestPrintMatchesReference(t *testing.T) {
 					check(cfg.Name+" poly", out)
 					emitted++
 				}
-				res.Release()
 			}
 			if out, err := emit.Program(g, eng.Binkley(crit).Variants()); err == nil {
 				check(cfg.Name+" mono", out)

@@ -241,20 +241,6 @@ func fetchStats(client *http.Client, baseURL string) (*server.StatsResponse, err
 	return &st, nil
 }
 
-// RunScenario builds the named scenario's schedule and runs it against
-// baseURL. rate <= 0 takes the scenario default.
-func RunScenario(name, baseURL string, rate float64, duration time.Duration, seed int64, opts Options) (*Report, error) {
-	sc, err := ScenarioByName(name)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := BuildSchedule(sc, rate, duration, seed)
-	if err != nil {
-		return nil, err
-	}
-	return Run(baseURL, sched, opts)
-}
-
 // RunInProcess starts a fresh slicing server on a loopback listener (cache
 // sized by the scenario), runs the schedule against it over real HTTP, and
 // drains the server before returning — the standalone configuration

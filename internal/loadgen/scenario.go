@@ -321,13 +321,3 @@ func dedupInts(xs []int) []int {
 	}
 	return out
 }
-
-// sortedScenarioNames returns the registry names, for usage messages.
-func sortedScenarioNames() []string {
-	var names []string
-	for _, sc := range Scenarios() {
-		names = append(names, sc.Name)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -372,17 +372,11 @@ func seedSummaries(g *Graph, old *Graph, reuse []bool, vmap []VertexID, st *Delt
 	st.SummarySeeded = true
 }
 
-// computeBuildSigs derives each procedure's build signature from the
-// normalized program and its mod/ref analysis; see the file comment.
-func computeBuildSigs(prog *lang.Program, mr *dataflow.ModRef) map[string]uint64 {
-	sigs, _ := computeBuildSigsWorkers(prog, mr, 1)
-	return sigs
-}
-
-// computeBuildSigsWorkers is computeBuildSigs over a worker pool: the
-// per-procedure hashes (dominated by printing each body) are independent.
-// It also returns the raw per-procedure content hashes so the graph can
-// retain them for later diffing.
+// computeBuildSigsWorkers derives each procedure's build signature from
+// the normalized program and its mod/ref analysis (see the file comment)
+// over a worker pool: the per-procedure hashes (dominated by printing each
+// body) are independent. It also returns the raw per-procedure content
+// hashes so the graph can retain them for later diffing.
 func computeBuildSigsWorkers(prog *lang.Program, mr *dataflow.ModRef, workers int) (sigs, hashes map[string]uint64) {
 	hashSlots := make([]uint64, len(prog.Funcs))
 	par.For(workers, len(prog.Funcs), func(i int) {

@@ -27,8 +27,8 @@ func Build(prog *lang.Program) (*Graph, error) { return BuildWorkers(prog, 0) }
 // into per-procedure buffers and merged in procedure order, so the
 // resulting graph — vertex and site numbering included — is byte-identical
 // for every worker count; the sequential-vs-parallel identity test and the
-// incremental oracle (which crosses this path against Advance's direct
-// one) hold it there.
+// incremental oracle (Advance merges each rebuilt body as soon as it is
+// built) hold it there.
 func BuildWorkers(prog *lang.Program, workers int) (*Graph, error) {
 	for _, fn := range prog.Funcs {
 		for _, s := range fn.Stmts() {
@@ -122,47 +122,11 @@ type builder struct {
 	mr *dataflow.ModRef
 }
 
-// bodyEmitter receives one procedure body's vertices, call sites, and
-// edges in creation order. The direct implementation writes straight into
-// the graph (the Advance rebuild path); bodyBuf records locally for the
-// parallel build's deterministic merge.
-type bodyEmitter interface {
-	addVertex(v Vertex) VertexID
-	// addSite appends a call site with CallerProc/Callee/Lib/Stmt set and
-	// assigns its ID (global or buffer-local); the caller fills CallVertex
-	// and the actual lists through the returned pointer.
-	addSite(s Site) *Site
-	addEdge(from, to VertexID, kind EdgeKind)
-}
-
-// directEmit writes body elements straight into the graph, in creation
-// order — the classic sequential construction.
-type directEmit struct {
-	b *builder
-	p *Proc
-}
-
-func (d directEmit) addVertex(v Vertex) VertexID {
-	cp := v
-	return d.b.g.AddVertex(&cp)
-}
-
-func (d directEmit) addSite(s Site) *Site {
-	cp := s
-	cp.ID = SiteID(len(d.b.g.Sites))
-	d.b.g.Sites = append(d.b.g.Sites, &cp)
-	d.p.Sites = append(d.p.Sites, cp.ID)
-	return &cp
-}
-
-func (d directEmit) addEdge(from, to VertexID, kind EdgeKind) {
-	d.b.g.AddEdge(from, to, kind)
-}
-
-// bodyBuf collects one procedure body locally. Vertex references at or
-// above skelBase denote the buffer's own vertices (skelBase + local
-// index); references below it are global skeleton vertices, which are
-// already numbered. Site IDs and vertex Site fields are buffer-local.
+// bodyBuf collects one procedure body's vertices, call sites, and edges
+// locally, in creation order, for mergeBody to replay into the graph.
+// Vertex references at or above skelBase denote the buffer's own vertices
+// (skelBase + local index); references below it are global vertices, which
+// are already numbered. Site IDs and vertex Site fields are buffer-local.
 type bodyBuf struct {
 	skelBase VertexID
 	verts    []Vertex
@@ -190,7 +154,8 @@ func (bb *bodyBuf) addEdge(from, to VertexID, kind EdgeKind) {
 // mergeBody replays a buffered body into the graph: sites first (their
 // global IDs are contiguous per procedure), then vertices (renumbered from
 // the buffer-local range), then edges in recorded order through the
-// deduplicating AddEdge — exactly the sequence the direct emitter produces.
+// deduplicating AddEdge — the numbering and edge order of a fully
+// sequential build.
 func (b *builder) mergeBody(p *Proc, buf *bodyBuf) {
 	siteBase := SiteID(len(b.g.Sites))
 	vertBase := VertexID(len(b.g.Vertices))
@@ -267,7 +232,6 @@ func (b *builder) buildProcSkeleton(p *Proc) {
 	for _, v := range p.FormalOuts {
 		b.g.AddEdge(p.Entry, v, EdgeControl)
 	}
-	p.IndexFormals(b.g)
 }
 
 // defEvent / useEvent attribute a variable definition or use to a vertex.
@@ -289,13 +253,20 @@ type nodeInfo struct {
 	uses   []useEvent
 }
 
-// buildProcBody builds p's body directly into the graph — the Advance
-// rebuild path, which runs procedures strictly in order.
+// buildProcBody builds p's body into a buffer and merges it at once — the
+// Advance rebuild path, which runs procedures strictly in order.
 func (b *builder) buildProcBody(p *Proc) error {
-	return b.buildBody(p, directEmit{b: b, p: p})
+	buf := bodyBuf{skelBase: VertexID(len(b.g.Vertices))}
+	if err := b.buildBody(p, &buf); err != nil {
+		return err
+	}
+	b.mergeBody(p, &buf)
+	return nil
 }
 
-func (b *builder) buildBody(p *Proc, em bodyEmitter) error {
+// buildBody builds p's body — CFG, statement and call-site vertices,
+// control and flow dependences — into em.
+func (b *builder) buildBody(p *Proc, em *bodyBuf) error {
 	fn := p.Fn
 	graph := cfg.Build(fn)
 	info := make([]nodeInfo, len(graph.Nodes))
@@ -429,7 +400,7 @@ func (b *builder) addExprUses(ni *nodeInfo, v VertexID, e lang.Expr) {
 	}
 }
 
-func (b *builder) buildCallSite(p *Proc, ni *nodeInfo, x *lang.CallStmt, em bodyEmitter) {
+func (b *builder) buildCallSite(p *Proc, ni *nodeInfo, x *lang.CallStmt, em *bodyBuf) {
 	calleeIdx := b.g.ProcByName[x.Callee]
 	calleeFn := b.g.Procs[calleeIdx].Fn
 	site := em.addSite(Site{CallerProc: p.Index, Callee: x.Callee, Stmt: x})
@@ -469,7 +440,7 @@ func (b *builder) buildCallSite(p *Proc, ni *nodeInfo, x *lang.CallStmt, em body
 
 // flowEdges solves reaching definitions over the executable CFG and adds
 // flow-dependence edges from reaching defs to uses.
-func (b *builder) flowEdges(graph *cfg.Graph, info []nodeInfo, em bodyEmitter) {
+func (b *builder) flowEdges(graph *cfg.Graph, info []nodeInfo, em *bodyBuf) {
 	// Index all definitions.
 	type def struct {
 		vertex VertexID
@@ -572,7 +543,7 @@ func (b *builder) flowEdges(graph *cfg.Graph, info []nodeInfo, em bodyEmitter) {
 }
 
 // connectProcs adds call, parameter-in, and parameter-out edges, matching
-// actuals to formals through the procedures' precomputed formal indexes.
+// actuals to formals by binary search over the formal ordering invariant.
 func (b *builder) connectProcs() {
 	for _, site := range b.g.Sites {
 		if site.Lib {

@@ -9,7 +9,6 @@ package sdg
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -85,7 +84,10 @@ type Edge struct {
 	Kind     EdgeKind
 }
 
-// Proc is the PDG of one procedure.
+// Proc is the PDG of one procedure. Its formal lookups (FormalInFor,
+// MatchFormalIn, MatchFormalOut) binary-search the formal ordering
+// invariant the FormalIns and FormalOuts comments state, which Build
+// establishes and every specialized variant preserves.
 type Proc struct {
 	Index      int
 	Name       string
@@ -95,66 +97,10 @@ type Proc struct {
 	FormalOuts []VertexID // return value first (if any), then globals sorted by name
 	Vertices   []VertexID
 	Sites      []SiteID
-
-	// formals is the O(1) formal-parameter lookup index, precomputed by
-	// IndexFormals at build time. Graphs produced by bulk construction
-	// (the core readout's specialized graphs) leave it nil and the lookup
-	// methods fall back to binary search over the formal ordering
-	// invariant — positional parameters first in ascending Param order,
-	// then globals sorted by Var (and for formal-outs, the return value
-	// first) — which Build establishes and every variant preserves.
-	formals *formalIndex
-}
-
-// formalIndex caches formal-vertex lookups for one procedure.
-type formalIndex struct {
-	inByParam []VertexID // positional param -> formal-in + 1 (0 = none)
-	inByVar   map[string]VertexID
-	ret       VertexID // return formal-out, or -1
-	outByVar  map[string]VertexID
-}
-
-// IndexFormals precomputes p's formal lookup index from its FormalIns and
-// FormalOuts. Build calls it once per procedure after the skeleton phase;
-// it must be re-run if the formal lists change.
-func (p *Proc) IndexFormals(g *Graph) {
-	idx := &formalIndex{ret: -1}
-	for _, fiID := range p.FormalIns {
-		fi := g.Vertices[fiID]
-		if fi.Param != NoParam {
-			for len(idx.inByParam) <= fi.Param {
-				idx.inByParam = append(idx.inByParam, 0)
-			}
-			idx.inByParam[fi.Param] = fiID + 1
-		} else {
-			if idx.inByVar == nil {
-				idx.inByVar = make(map[string]VertexID)
-			}
-			idx.inByVar[fi.Var] = fiID + 1
-		}
-	}
-	for _, foID := range p.FormalOuts {
-		fo := g.Vertices[foID]
-		if fo.IsReturn {
-			idx.ret = foID
-		} else {
-			if idx.outByVar == nil {
-				idx.outByVar = make(map[string]VertexID)
-			}
-			idx.outByVar[fo.Var] = foID + 1
-		}
-	}
-	p.formals = idx
 }
 
 // FormalInFor returns the formal-in vertex for positional parameter i.
 func (p *Proc) FormalInFor(g *Graph, i int) (VertexID, bool) {
-	if idx := p.formals; idx != nil {
-		if i >= 0 && i < len(idx.inByParam) && idx.inByParam[i] != 0 {
-			return idx.inByParam[i] - 1, true
-		}
-		return 0, false
-	}
 	// Binary search over the positional prefix (ascending Param).
 	lo, hi := 0, len(p.FormalIns)
 	for lo < hi {
@@ -173,12 +119,6 @@ func (p *Proc) FormalInFor(g *Graph, i int) (VertexID, bool) {
 
 // formalInGlobal returns the formal-in vertex for global name.
 func (p *Proc) formalInGlobal(g *Graph, name string) (VertexID, bool) {
-	if idx := p.formals; idx != nil {
-		if v, ok := idx.inByVar[name]; ok {
-			return v - 1, true
-		}
-		return 0, false
-	}
 	// Binary search over the globals suffix (Param == NoParam, sorted by
 	// Var); positional formals order before every global.
 	lo, hi := 0, len(p.FormalIns)
@@ -211,18 +151,6 @@ func (p *Proc) MatchFormalIn(g *Graph, a *Vertex) (VertexID, bool) {
 // MatchFormalOut returns p's formal-out vertex matching actual-out a: the
 // return formal-out for return actuals, otherwise the matching global.
 func (p *Proc) MatchFormalOut(g *Graph, a *Vertex) (VertexID, bool) {
-	if idx := p.formals; idx != nil {
-		if a.IsReturn {
-			if idx.ret >= 0 {
-				return idx.ret, true
-			}
-			return 0, false
-		}
-		if v, ok := idx.outByVar[a.Var]; ok {
-			return v - 1, true
-		}
-		return 0, false
-	}
 	if a.IsReturn {
 		if len(p.FormalOuts) > 0 && g.Vertices[p.FormalOuts[0]].IsReturn {
 			return p.FormalOuts[0], true
@@ -419,22 +347,15 @@ func (g *Graph) HasEdge(from, to VertexID, kind EdgeKind) bool {
 
 // InstallEdges replaces the graph's adjacency with the given edge list,
 // which must already be duplicate-free, packing the per-vertex out/in
-// lists into the two provided backings (grown if short, and returned so
-// bulk builders can recycle them): one [][]Edge of length 2·vertices
-// holding both directions' headers and one []Edge of length 2·edges
-// holding both copies. The dedup index is not built; a later AddEdge or
-// HasEdge reconstructs it lazily.
-func (g *Graph) InstallEdges(edges []Edge, adj [][]Edge, backing []Edge) ([][]Edge, []Edge) {
+// lists into two backings: one [][]Edge of length 2·vertices holding both
+// directions' headers and one []Edge of length 2·edges holding both
+// copies. The dedup index is not built; a later AddEdge or HasEdge
+// reconstructs it lazily.
+func (g *Graph) InstallEdges(edges []Edge) {
 	n := len(g.Vertices)
 	m := len(edges)
-	if cap(adj) < 2*n {
-		adj = make([][]Edge, 2*n)
-	}
-	adj = adj[:2*n]
-	if cap(backing) < 2*m {
-		backing = make([]Edge, 2*m)
-	}
-	backing = backing[:2*m]
+	adj := make([][]Edge, 2*n)
+	backing := make([]Edge, 2*m)
 	g.out, g.in = adj[:n:n], adj[n:]
 	// Counting pass, then prefix offsets into the shared backing: out
 	// lists occupy [0, m), in lists [m, 2m).
@@ -460,7 +381,6 @@ func (g *Graph) InstallEdges(edges []Edge, adj [][]Edge, backing []Edge) ([][]Ed
 		g.in[e.To] = append(g.in[e.To], e)
 	}
 	g.edgeSet = nil
-	return adj, backing
 }
 
 // Out returns the outgoing edges of v.
@@ -487,9 +407,6 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// ProcOf returns the PDG containing v.
-func (g *Graph) ProcOf(v VertexID) *Proc { return g.Procs[g.Vertices[v].Proc] }
-
 // SiteCalls returns the call-sites calling procedure name.
 func (g *Graph) SiteCalls(name string) []*Site {
 	var out []*Site
@@ -509,18 +426,6 @@ func (g *Graph) VertexString(v VertexID) string {
 		proc = g.Procs[vx.Proc].Name
 	}
 	return fmt.Sprintf("v%d[%s %s %s]", v, proc, vx.Kind, vx.Label)
-}
-
-// SortedGlobals returns the program's non-fnptr global names, sorted.
-func SortedGlobals(prog *lang.Program) []string {
-	var out []string
-	for _, g := range prog.Globals {
-		if !g.IsFnPtr {
-			out = append(out, g.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // BuildStats records where a Build spent its time and how wide its worker

@@ -38,9 +38,6 @@ import (
 // format version. Any incompatible layout change must bump it.
 const snapshotMagic = "SSNAP\x00\x00\x01"
 
-// SnapshotVersion is the current snapshot format version.
-const SnapshotVersion = 1
-
 const (
 	snapFlagSummaries     = 1 << 0 // summary edges are included and complete
 	snapFlagModRefRebuilt = 1 << 1 // mod/ref is a rebuild marker, not stored rows
@@ -505,13 +502,12 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("sdg: snapshot: %d trailing bytes", r.remaining())
 	}
-	g.InstallEdges(edges, nil, nil)
+	g.InstallEdges(edges)
 
 	for _, p := range g.Procs {
 		if len(p.Vertices) == 0 || g.Vertices[p.Vertices[0]].Kind != KindEntry {
 			return nil, fmt.Errorf("sdg: snapshot: procedure %s has no entry vertex", p.Name)
 		}
-		p.IndexFormals(g)
 	}
 
 	// Rebuild-marker structures: mod/ref, build signatures, and procedure

@@ -175,21 +175,9 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// ListenAndServe runs the server on addr until ctx is cancelled, then
-// drains in-flight requests for up to ShutdownGrace, flushes the persist
-// queue, and closes the store before returning.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
-// Serve runs the server on an existing listener until ctx is cancelled
-// (callers that need the bound address — e.g. addr ":0" — create the
-// listener themselves). Shutdown drains in-flight requests for up to
-// ShutdownGrace, then closes the persistent tier cleanly.
+// Serve runs the server on ln until ctx is cancelled. Shutdown drains
+// in-flight requests for up to ShutdownGrace, flushes the persist queue,
+// then closes the persistent tier cleanly.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
@@ -630,12 +618,6 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Results = append(resp.Results, out)
-		if res.Slice != nil {
-			// The response is fully materialized (variant counts, vertex
-			// totals, emitted source are copies); return the slice's pooled
-			// graph storage so warm readouts stay allocation-free.
-			res.Slice.Release()
-		}
 	}
 
 	// Failures are counted over the final results, so emit errors (which

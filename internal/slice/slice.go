@@ -14,15 +14,6 @@ import (
 // VSet is a set of SDG vertices.
 type VSet map[sdg.VertexID]bool
 
-// NewVSet builds a set from vertices.
-func NewVSet(vs ...sdg.VertexID) VSet {
-	s := VSet{}
-	for _, v := range vs {
-		s[v] = true
-	}
-	return s
-}
-
 // Sorted returns the members in ascending order.
 func (s VSet) Sorted() []sdg.VertexID {
 	out := make([]sdg.VertexID, 0, len(s))

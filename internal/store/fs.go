@@ -293,9 +293,6 @@ func (f *FaultFS) SetFailSyncAfter(n int) { f.mu.Lock(); f.failSyncLeft = n; f.m
 // SetShortReads toggles one-byte-short ReadAt results.
 func (f *FaultFS) SetShortReads(v bool) { f.mu.Lock(); f.shortReads = v; f.mu.Unlock() }
 
-// Crashed reports whether a fault has fired and latched.
-func (f *FaultFS) Crashed() bool { f.mu.Lock(); defer f.mu.Unlock(); return f.crashed }
-
 func (f *FaultFS) gate() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()

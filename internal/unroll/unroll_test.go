@@ -78,11 +78,11 @@ func TestGroundTruthFig2Bounded(t *testing.T) {
 
 func gotSpecializations(res *core.Result) map[string]map[string]bool {
 	got := map[string]map[string]bool{}
-	for _, rp := range res.R.Procs {
-		name := rp.Fn.Name
+	for _, pv := range res.Variants() {
+		name := pv.Orig.Name
 		var vs []int
-		for _, rv := range rp.Vertices {
-			vs = append(vs, int(res.OriginVertex[rv]))
+		for _, v := range pv.Vertices {
+			vs = append(vs, int(v))
 		}
 		sortInts(vs)
 		key := ""
@@ -186,11 +186,11 @@ func checkGroundTruth(t *testing.T, g *sdg.Graph, depth int) {
 func compareSpecializations(t *testing.T, want map[string]map[string][]sdg.VertexID, res *core.Result) {
 	t.Helper()
 	got := map[string]map[string]bool{}
-	for i, rp := range res.R.Procs {
-		name := rp.Fn.Name
+	for i, pv := range res.Variants() {
+		name := pv.Orig.Name
 		var vs []int
-		for _, rv := range rp.Vertices {
-			vs = append(vs, int(res.OriginVertex[rv]))
+		for _, v := range pv.Vertices {
+			vs = append(vs, int(v))
 		}
 		sortInts(vs)
 		key := ""
@@ -201,7 +201,7 @@ func compareSpecializations(t *testing.T, want map[string]map[string][]sdg.Verte
 			got[name] = map[string]bool{}
 		}
 		if got[name][key] {
-			t.Errorf("R proc %d duplicates an element set of %s", i, name)
+			t.Errorf("variant %d duplicates an element set of %s", i, name)
 		}
 		got[name][key] = true
 	}

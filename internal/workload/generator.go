@@ -353,28 +353,10 @@ func (g *generator) emitCallInto(sb *strings.Builder, from int, p genProc, depth
 	}
 }
 
-// emitCall emits a call from proc index from (callees have a higher index,
-// keeping the call graph a DAG, except optional self-recursion; main passes
-// from = -1 and may call anything). Callee choice is biased toward
-// higher-index (leafward) procedures, which keeps transitive GMOD sets —
-// and hence call-site interfaces — small, like real programs. When the
-// budget is exhausted it degrades to an assignment.
-func (g *generator) emitCall(sb *strings.Builder, from int, p genProc, depth int) {
-	callee, args, ok := g.pickCall(from, p)
-	if !ok {
-		fmt.Fprintf(sb, "%s%s = %s;\n", indent(depth), g.globals[g.rng.Intn(len(g.globals))], g.operand(p))
-		return
-	}
-	call := fmt.Sprintf("%s(%s)", callee.name, strings.Join(args, ", "))
-	if callee.returns && g.rng.Intn(2) == 0 {
-		fmt.Fprintf(sb, "%s%s = %s;\n", indent(depth), p.params[g.rng.Intn(len(p.params))], call)
-	} else {
-		fmt.Fprintf(sb, "%s%s;\n", indent(depth), call)
-	}
-}
-
 // pickCall chooses a callee and argument expressions, honoring the budget.
-// Non-main callers call only pure procedures: global side effects are
+// Callees have a higher index than from, keeping the call graph a DAG
+// except for optional self-recursion; main passes from = -1 and may call
+// anything. Non-main callers call only pure procedures: global side effects are
 // orchestrated from main, so a procedure's call-sites carry no
 // context-varying actual-out patterns — the usage uniformity behind the
 // paper's 90.6%-single-version distribution.

@@ -218,7 +218,7 @@ func TestPipelineCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("site %d: Specialize: %v", siteIdx, err)
 				}
-				if err := core.CheckNoMismatches(res.R); err != nil {
+				if err := core.CheckNoMismatches(res.BuildR().R); err != nil {
 					t.Errorf("site %d: mismatch: %v", siteIdx, err)
 				}
 				if err := res.ReslicingCheck(cfgs); err != nil {
@@ -316,7 +316,7 @@ func TestPipelineGeneratedSuites(t *testing.T) {
 				if err != nil {
 					t.Fatalf("site %d: %v", i, err)
 				}
-				if err := core.CheckNoMismatches(res.R); err != nil {
+				if err := core.CheckNoMismatches(res.BuildR().R); err != nil {
 					t.Errorf("site %d: %v", i, err)
 				}
 				if !res.A6.IsReverseDeterministic() {

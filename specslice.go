@@ -365,21 +365,11 @@ func (sl *Slice) SelfCheck() error {
 	return sl.res.ReslicingCheck(sl.spec)
 }
 
-// Release returns the slice's pooled analysis storage (the specialized
-// SDG behind a polyvariant slice) for reuse. The variant view, counts,
-// and any already-emitted source remain valid — they are materialized
-// copies — but SelfCheck is no longer available. Monovariant slices hold
-// no pooled storage; Release is a no-op for them. Long-running services
-// release each slice once its response is rendered, which makes warm
-// readouts run allocation-free; callers that keep the Slice may simply
-// skip the call.
-func (sl *Slice) Release() {
-	if sl.res != nil {
-		sl.res.Release()
-		sl.res = nil
-		sl.spec = nil
-	}
-}
+// Release is a no-op, kept for callers written when a polyvariant slice
+// held pooled graph storage. A Slice now holds none: it keeps the
+// variants it emits from, and SelfCheck builds the specialized SDG on
+// request.
+func (sl *Slice) Release() {}
 
 // Engine is the reusable batch-slicing surface over one SDG: the expensive
 // per-program analysis state (PDS encoding and Prestar rule indexes,
