@@ -81,7 +81,6 @@ func dot(g *sdg.Graph) string {
 		sdg.EdgeCall:     "[color=red, style=dashed]",
 		sdg.EdgeParamIn:  "[color=darkgreen, style=dashed]",
 		sdg.EdgeParamOut: "[color=purple, style=dashed]",
-		sdg.EdgeSummary:  "[color=gray, style=dotted]",
 	}
 	for _, e := range g.Edges() {
 		out += fmt.Sprintf("  v%d -> v%d %s;\n", e.From, e.To, style[e.Kind])

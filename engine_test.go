@@ -77,9 +77,9 @@ func TestEngineConcurrentSlicing(t *testing.T) {
 
 // TestEngineColdMonoPolyRace targets the worst-case interleaving on a
 // fresh (cold, unwarmed) engine: the very first monovariant request runs
-// the summary-edge fixpoint — the engine's only graph mutation — while a
-// polyvariant request reads the graph. Run under -race; every request path
-// must join the fixpoint before touching the graph.
+// the summary-edge fixpoint while a polyvariant request builds the
+// encoding from the same graph. Run under -race: both only read the graph,
+// and each fills its own once-guarded cache.
 func TestEngineColdMonoPolyRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		eng, err := specslice.MustParse(workload.Fig16Source).Engine()

@@ -5,20 +5,16 @@ import (
 
 	"specslice/internal/fsa"
 	"specslice/internal/sdg"
-	"specslice/internal/slice"
 	"specslice/internal/workload"
 )
 
 var benchFSA *fsa.FSA
 
-// gzipGraph builds the gzip suite's SDG with its summary edges, the graph
-// an engine encodes.
+// gzipGraph builds the gzip suite's SDG, the graph an engine encodes.
 func gzipGraph(b *testing.B) *sdg.Graph {
 	for _, cfg := range workload.Benchmarks() {
 		if cfg.Name == "gzip" {
-			g := sdg.MustBuild(workload.Generate(cfg))
-			slice.ComputeSummaryEdges(g)
-			return g
+			return sdg.MustBuild(workload.Generate(cfg))
 		}
 	}
 	b.Fatal("no gzip suite")

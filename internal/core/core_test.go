@@ -204,8 +204,7 @@ func TestElemsMatchesHRBClosure(t *testing.T) {
 			t.Fatalf("ClosureSlice: %v", err)
 		}
 
-		slice.ComputeSummaryEdges(g)
-		hrb := slice.Backward(g, crit)
+		hrb := slice.Backward(g, slice.ComputeSummaries(g), crit)
 
 		for v := range hrb {
 			if !elems[v] {

@@ -143,8 +143,6 @@ func (e *Encoding) Alphabet() []fsa.Symbol {
 //	call edge c→e at site C:    <p, c> ↪ <p, e C>
 //	param-in edge a→f at C:     <p, a> ↪ <p, f C>
 //	param-out edge f→a at C:    <p, f> ↪ <p_f, ε> and <p_f, C> ↪ <p, a>
-//
-// Summary edges are not encoded (the algorithm does not need them).
 func Encode(g *sdg.Graph) *Encoding {
 	e := &Encoding{G: g, LocOfFO: map[sdg.VertexID]int{}}
 	p := &pds.PDS{NumLocs: 1} // location 0 is p
@@ -180,8 +178,6 @@ func Encode(g *sdg.Graph) *Encoding {
 				P: l, G: e.SiteSym(site), P2: 0,
 				W: []fsa.Symbol{e.VertexSym(edge.To)},
 			})
-		case sdg.EdgeSummary:
-			// Not encoded.
 		default:
 			panic(fmt.Sprintf("core: unknown edge kind %v", edge.Kind))
 		}

@@ -490,7 +490,6 @@ func readoutCorpus() []readoutProgram {
 	var out []readoutProgram
 	for _, cfg := range referenceConfigs(programs) {
 		g := sdg.MustBuild(workload.Generate(cfg))
-		sliceg.ComputeSummaryEdges(g)
 		rng := rand.New(rand.NewSource(cfg.Seed * 31))
 		var specs []core.CriterionSpec
 		if vs := core.PrintfCriterion(g, ""); len(vs) > 0 {
@@ -552,7 +551,7 @@ func TestReferenceReadoutDifferential(t *testing.T) {
 		}
 		monoCrit[pi] = core.PrintfCriterion(p.g, "")
 		if len(monoCrit[pi]) > 0 {
-			src, err := emit.Source(p.g, mono.Binkley(p.g, monoCrit[pi]).Variants())
+			src, err := emit.Source(p.g, mono.Binkley(p.g, sliceg.ComputeSummaries(p.g), monoCrit[pi]).Variants())
 			if err != nil {
 				t.Fatalf("cfg %d: mono emit: %v", pi, err)
 			}
@@ -570,7 +569,7 @@ func TestReferenceReadoutDifferential(t *testing.T) {
 		if monoBefore[pi] == "" {
 			continue
 		}
-		src, err := emit.Source(p.g, mono.Binkley(p.g, monoCrit[pi]).Variants())
+		src, err := emit.Source(p.g, mono.Binkley(p.g, sliceg.ComputeSummaries(p.g), monoCrit[pi]).Variants())
 		if err != nil {
 			t.Fatalf("cfg %d: mono emit after readouts: %v", pi, err)
 		}
@@ -648,7 +647,6 @@ func TestFormalMatchDifferential(t *testing.T) {
 	}
 	for pi, cfg := range referenceConfigs(n) {
 		g := sdg.MustBuild(workload.Generate(cfg))
-		sliceg.ComputeSummaryEdges(g)
 		check(fmt.Sprintf("cfg %d source", pi), g)
 		enc := core.Encode(g)
 		if vs := core.PrintfCriterion(g, ""); len(vs) > 0 {
@@ -858,7 +856,6 @@ func reachCorpus(t *testing.T, generated int) []reachCase {
 	var out []reachCase
 	for i, cfg := range workload.Benchmarks() {
 		g := sdg.MustBuild(workload.Generate(cfg))
-		sliceg.ComputeSummaryEdges(g)
 		q := 16
 		if i >= 8 {
 			q = 0
@@ -1075,7 +1072,6 @@ func TestMRDSliceAutomataDifferential(t *testing.T) {
 	for _, cfg := range workload.SmallBenchmarks() {
 		// Parsing the printed program numbers its lines.
 		g := sdg.MustBuild(lang.MustParse(lang.Print(workload.Generate(cfg))))
-		sliceg.ComputeSummaryEdges(g)
 		enc := core.Encode(g)
 		for _, p := range g.Procs {
 			if vs := core.PrintfCriterion(g, p.Name); len(vs) > 0 {
@@ -1101,7 +1097,6 @@ func TestMRDSliceAutomataDifferential(t *testing.T) {
 	for _, cfg := range workload.Benchmarks() {
 		if cfg.Name == "gzip" {
 			g := sdg.MustBuild(workload.Generate(cfg))
-			sliceg.ComputeSummaryEdges(g)
 			check("gzip printf", core.Encode(g), core.PrintfCriterion(g, ""))
 		}
 	}

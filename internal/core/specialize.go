@@ -66,12 +66,7 @@ type Result struct {
 // such as arbitrary-stack SDGVertices — whose partition would not satisfy
 // Defn. 2.10's one-procedure-per-element property.
 func ClosureSlice(g *sdg.Graph, spec CriterionSpec) (*fsa.FSA, map[sdg.VertexID]bool, error) {
-	return ClosureSliceWithEncoding(Encode(g), spec)
-}
-
-// ClosureSliceWithEncoding is ClosureSlice against a prebuilt (typically
-// cached) encoding.
-func ClosureSliceWithEncoding(enc *Encoding, spec CriterionSpec) (*fsa.FSA, map[sdg.VertexID]bool, error) {
+	enc := Encode(g)
 	a0, err := spec.buildQuery(enc)
 	if err != nil {
 		return nil, nil, err

@@ -45,9 +45,6 @@ func (in *Interner) ID(name string) (int, bool) {
 	return id, ok
 }
 
-// Name returns the variable with the given ID.
-func (in *Interner) Name(id int) string { return in.names[id] }
-
 // Len returns the number of interned variables.
 func (in *Interner) Len() int { return len(in.names) }
 

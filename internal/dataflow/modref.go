@@ -206,9 +206,6 @@ func (mr *ModRef) MustModHas(fn, v string) bool {
 	return mr.row(mr.mustmod, i)[id/64]&(1<<(uint(id)%64)) != 0
 }
 
-// Interner returns the global-variable interner the rows are encoded over.
-func (mr *ModRef) Interner() *Interner { return mr.in }
-
 // Stats reports the phase timings of the computation that produced mr.
 func (mr *ModRef) Stats() ModRefStats { return mr.stats }
 

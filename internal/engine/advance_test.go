@@ -7,7 +7,6 @@ import (
 
 	"specslice/internal/emit"
 	"specslice/internal/lang"
-	"specslice/internal/sdg"
 	"specslice/internal/workload"
 )
 
@@ -23,66 +22,6 @@ func polySource(t *testing.T, eng *Engine) string {
 		t.Fatalf("emit: %v", err)
 	}
 	return src
-}
-
-// summarySet collects a graph's summary edges keyed by structural identity
-// (caller name, site index within the caller, actual labels), so two
-// independently built graphs can be compared.
-func summarySet(g *sdg.Graph) map[string]bool {
-	out := map[string]bool{}
-	for _, e := range g.Edges() {
-		if e.Kind != sdg.EdgeSummary {
-			continue
-		}
-		from, to := g.Vertices[e.From], g.Vertices[e.To]
-		out[g.Procs[from.Proc].Name+"|"+from.Label+"|"+to.Label+"|"+g.Sites[from.Site].Callee] = true
-	}
-	return out
-}
-
-func TestAdvancePartialSummaryMatchesFull(t *testing.T) {
-	base := workload.GenerateSource(workload.BenchConfig{
-		Name: "adv", Procs: 10, TargetVertices: 400, CallSites: 30, Slices: 6, Seed: 31,
-	})
-	old := buildEngine(t, base)
-	if err := old.Warm(); err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-
-	// Edit one procedure's body (p7 exists in every generated program of
-	// this size); the dirty region is p7 plus its transitive callers.
-	edited := strings.Replace(base, "int acc = a0 + a1;", "int acc = a0 + a1 + 3;", 1)
-	if edited == base {
-		t.Fatal("edit did not apply; generator output changed shape")
-	}
-	adv, delta, err := old.Advance(lang.MustParse(edited))
-	if err != nil {
-		t.Fatalf("advance: %v", err)
-	}
-	if !delta.SummarySeeded {
-		t.Fatalf("summary fixpoint not seeded: %+v", *delta)
-	}
-	if delta.ProcsReused == 0 {
-		t.Fatalf("nothing reused: %+v", *delta)
-	}
-	adv.EnsureSummaryEdges()
-
-	scratch := buildEngine(t, edited)
-	scratch.EnsureSummaryEdges()
-	gotSum, wantSum := summarySet(adv.Graph()), summarySet(scratch.Graph())
-	for k := range wantSum {
-		if !gotSum[k] {
-			t.Errorf("advanced graph missing summary edge %s", k)
-		}
-	}
-	for k := range gotSum {
-		if !wantSum[k] {
-			t.Errorf("advanced graph has extra summary edge %s", k)
-		}
-	}
-	if got, want := polySource(t, adv), polySource(t, scratch); got != want {
-		t.Errorf("advanced slice differs from scratch slice:\n--- advanced\n%s\n--- scratch\n%s", got, want)
-	}
 }
 
 func TestAdvanceChainAcrossEdits(t *testing.T) {

@@ -1,11 +1,11 @@
 // Package engine turns the one-shot slicing pipeline into a reusable,
 // concurrency-safe service over a single program: the SDG encoding (PDS
 // rules + Prestar indexes), the reachable-configuration automaton, and the
-// HRB summary edges are each computed once and cached, after which any
-// number of goroutines may issue slice requests — polyvariant, monovariant,
-// Weiser, feature removal, or closure — against the shared state. SliceAll
-// fans a batch of criteria out across a worker pool and reports per-request
-// results plus aggregate timings.
+// HRB summary edges are each computed once, on first use, and cached, after
+// which any number of goroutines may issue slice requests — polyvariant,
+// monovariant, Weiser, feature removal, or closure — against the shared
+// state. SliceAll fans a batch of criteria out across a worker pool and
+// reports per-request results plus aggregate timings.
 package engine
 
 import (
@@ -32,40 +32,26 @@ type Engine struct {
 	enc     *core.Encoding
 
 	sumOnce sync.Once
-	// partialSummary marks an engine created by Advance over a graph whose
-	// summary edges were partially inherited: EnsureSummaryEdges then runs
-	// the seeded fixpoint over dirtyProcs instead of the full computation.
-	partialSummary bool
-	dirtyProcs     []int
+	sums    *slice.Summaries
 }
 
 // New returns an engine serving slice requests against g. The graph must
-// not be mutated externally afterwards.
+// not be mutated afterwards; the engine only reads it.
 func New(g *sdg.Graph) *Engine { return &Engine{g: g} }
 
 // Advance returns a new engine for newProg that reuses every untouched
-// part of e's analysis state: procedure dependence graphs of unchanged
-// procedures are copied instead of recomputed (sdg.Advance), and summary
-// edges of call sites whose callee subtree is unchanged are inherited, so
-// only the edit's dirty region pays the summary fixpoint. The advanced
-// engine is indistinguishable from one built from scratch on newProg —
-// the incremental equivalence oracle holds poly and mono slices to
+// part of e's graph: procedure dependence graphs of unchanged procedures
+// are copied instead of recomputed (sdg.Advance). The advanced engine is
+// indistinguishable from one built from scratch on newProg — the
+// incremental equivalence oracle holds poly and mono slices to
 // byte-identical outputs. e itself is untouched and keeps serving its own
 // program version; Advance may run while other goroutines slice through e.
 func (e *Engine) Advance(newProg *lang.Program) (*Engine, *sdg.DeltaStats, error) {
-	// Freeze e's graph (the summary fixpoint is its only mutation) before
-	// reading it, exactly like every slice request does.
-	e.EnsureSummaryEdges()
 	g2, delta, err := sdg.Advance(e.g, newProg)
 	if err != nil {
 		return nil, nil, err
 	}
-	ne := &Engine{g: g2}
-	if delta.SummarySeeded {
-		ne.partialSummary = true
-		ne.dirtyProcs = delta.DirtyProcs
-	}
-	return ne, delta, nil
+	return New(g2), delta, nil
 }
 
 // Graph returns the underlying SDG.
@@ -76,35 +62,28 @@ func (e *Engine) Graph() *sdg.Graph { return e.g }
 // whose graphs were not built from scratch).
 func (e *Engine) BuildStats() sdg.BuildStats { return e.g.BuildStats() }
 
-// Encoding returns the cached PDS encoding, building it on first use. The
-// summary-edge fixpoint runs first: it is the only graph mutation, so
-// sequencing every encoding (and hence every slice request) behind it
-// freezes the graph before any reader touches it.
+// Encoding returns the cached PDS encoding, building it on first use.
 func (e *Engine) Encoding() *core.Encoding {
-	e.EnsureSummaryEdges()
 	e.encOnce.Do(func() { e.enc = core.Encode(e.g) })
 	return e.enc
 }
 
-// Warm eagerly builds every cache (summary edges, encoding, reachable
-// configurations) so that subsequent requests pay only per-query costs.
+// Warm eagerly builds the encoding and the reachable configurations so
+// that polyvariant and feature-removal requests pay only per-query costs.
+// The summary edges are not part of it: the first monovariant or closure
+// request pays their fixpoint (EnsureSummaryEdges).
 func (e *Engine) Warm() error {
 	_, err := e.Encoding().Reachable()
 	return err
 }
 
-// EnsureSummaryEdges computes the graph's HRB summary edges exactly once —
-// the engine's only graph mutation. Every request path joins this
-// sync.Once before reading the graph, which is what makes the shared
-// engine safe for concurrent use.
-func (e *Engine) EnsureSummaryEdges() {
-	e.sumOnce.Do(func() {
-		if e.partialSummary {
-			slice.ComputeSummaryEdgesPartial(e.g, e.dirtyProcs)
-		} else {
-			slice.ComputeSummaryEdges(e.g)
-		}
-	})
+// EnsureSummaryEdges returns the graph's HRB summary edges, computing them
+// exactly once, on the first request that needs them (Binkley, Backward).
+// The computation only reads the graph, so it runs alongside any other
+// request.
+func (e *Engine) EnsureSummaryEdges() *slice.Summaries {
+	e.sumOnce.Do(func() { e.sums = slice.ComputeSummaries(e.g) })
+	return e.sums
 }
 
 // Specialize runs the polyvariant specialization slicer (paper Alg. 1)
@@ -113,27 +92,18 @@ func (e *Engine) Specialize(spec core.CriterionSpec) (*core.Result, error) {
 	return core.SpecializeWithEncoding(e.Encoding(), spec)
 }
 
-// ClosureSlice computes the PDS-based stack-configuration closure slice.
-func (e *Engine) ClosureSlice(spec core.CriterionSpec) (map[sdg.VertexID]bool, error) {
-	_, elems, err := core.ClosureSliceWithEncoding(e.Encoding(), spec)
-	return elems, err
-}
-
 // Backward computes the HRB two-phase backward closure slice.
 func (e *Engine) Backward(criterion []sdg.VertexID) slice.VSet {
-	e.EnsureSummaryEdges()
-	return slice.Backward(e.g, criterion)
+	return slice.Backward(e.g, e.EnsureSummaryEdges(), criterion)
 }
 
 // Binkley computes the monovariant executable slice baseline.
 func (e *Engine) Binkley(criterion []sdg.VertexID) *mono.Result {
-	e.EnsureSummaryEdges()
-	return mono.Binkley(e.g, criterion)
+	return mono.Binkley(e.g, e.EnsureSummaryEdges(), criterion)
 }
 
 // Weiser computes the Weiser-style executable slice baseline.
 func (e *Engine) Weiser(criterion []sdg.VertexID) *mono.Result {
-	e.EnsureSummaryEdges()
 	return mono.Weiser(e.g, criterion)
 }
 
@@ -153,9 +123,12 @@ func (e *Engine) RemoveFeature(criterion []sdg.VertexID) (*core.Result, error) {
 // not for profiling.
 func (e *Engine) Footprint() int64 {
 	_ = e.Warm()
+	// edgeBytes still charges a dedup-index key per edge although Build
+	// and Advance release that index: the key's share covers the summary
+	// edges an engine computes after a cache has charged it.
 	const (
 		vertexBytes = 176 // *Vertex + struct + out/in adjacency headers
-		edgeBytes   = 72  // out copy + in copy + dedup-set key
+		edgeBytes   = 72  // out copy + in copy + (released) dedup-set key
 		siteBytes   = 176 // *Site + struct
 		procBytes   = 176 // *Proc + struct
 		idBytes     = 8   // one VertexID/SiteID slot in a slice
@@ -267,8 +240,8 @@ func (e *Engine) SliceAll(reqs []Request, opts BatchOptions) ([]Response, BatchS
 		return nil, stats
 	}
 
-	// Pay the shared setup (summary edges, then encoding) once, outside
-	// the pool, so worker timings are pure per-request cost.
+	// Pay the shared setup (the encoding) once, outside the pool, so
+	// worker timings are pure per-request cost.
 	e.Encoding()
 
 	t0 := time.Now()

@@ -60,11 +60,13 @@ func TestParallelBuildEncodeIdentity(t *testing.T) {
 		if !reflect.DeepEqual(enc1.LocOfFO, enc4.LocOfFO) {
 			t.Fatalf("%s: formal-out control locations differ", cfg.Name)
 		}
+		if !reflect.DeepEqual(e1.EnsureSummaryEdges(), e4.EnsureSummaryEdges()) {
+			t.Fatalf("%s: summary edges differ: %d vs %d", cfg.Name, numSummaries(e1), numSummaries(e4))
+		}
 	}
 }
 
-// sameGraph requires identical numbering and structure, including the
-// summary edges the engines computed.
+// sameGraph requires identical numbering and structure.
 func sameGraph(a, b *sdg.Graph) error {
 	if a.NumVertices() != b.NumVertices() || len(a.Sites) != len(b.Sites) || len(a.Procs) != len(b.Procs) {
 		return fmt.Errorf("element counts differ")

@@ -2,13 +2,11 @@ package engine
 
 import "specslice/internal/sdg"
 
-// Snapshot serializes the engine's analysis state for the persistent
-// store. The summary-edge fixpoint runs first so the snapshot carries the
-// complete edge set; the automaton and Prestar indexes are deliberately
-// not stored — they rebuild from the graph in microseconds on the first
-// request and would dominate the snapshot's size.
+// Snapshot serializes the engine's graph for the persistent store. The
+// summary edges, automaton and Prestar indexes are deliberately not
+// stored — they rebuild from the graph on the first request that needs
+// them and would dominate the snapshot's size.
 func (e *Engine) Snapshot() ([]byte, error) {
-	e.EnsureSummaryEdges()
 	return sdg.EncodeSnapshot(e.g)
 }
 

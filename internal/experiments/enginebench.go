@@ -399,9 +399,9 @@ func RunEngineBench(iters, workers int) (*EngineBench, error) {
 	// 9-procedure tcas the per-version fixed costs dominate both paths
 	// and the ratio mostly measures noise). Each version is analyzed
 	// twice — advanced from the previous version's warmed engine, and
-	// cold-built from scratch — and both paths are warmed (summary edges,
-	// encoding, reachable automaton), so the ratio is end-to-end
-	// time-to-first-slice.
+	// cold-built from scratch — and both paths are warmed (encoding,
+	// reachable automaton), so the ratio is end-to-end time to the first
+	// polyvariant slice.
 	tc := benchConfig("gzip")
 	eb.AdvanceSuite = tc.Name
 	baseSrc := workload.GenerateSource(tc)

@@ -19,6 +19,7 @@ import (
 	"specslice/internal/lang"
 	"specslice/internal/mono"
 	"specslice/internal/sdg"
+	"specslice/internal/slice"
 	"specslice/internal/workload"
 )
 
@@ -94,18 +95,18 @@ func RunSuite(cfg workload.BenchConfig) (*SuiteResult, error) {
 	return res, nil
 }
 
-// runSlice measures one criterion with both algorithms. The graph is
-// rebuilt per algorithm so summary edges and timings don't leak between
-// measurements.
+// runSlice measures one criterion with both algorithms on one graph. The
+// monovariant measurement includes the summary-edge fixpoint Binkley's
+// algorithm needs; the polyvariant one needs none.
 func runSlice(prog *lang.Program, critTemplate []sdg.VertexID, name string) (*SliceResult, error) {
 	sr := &SliceResult{Criterion: name, VariantCounts: map[string]int{}, PerProcMono: map[string]float64{}}
+	g := sdg.MustBuild(prog)
 
 	// Monovariant measurement.
-	gm := sdg.MustBuild(prog)
 	a0 := allocated()
 	t0 := time.Now()
-	mres := mono.Binkley(gm, critTemplate)
-	if _, err := emit.Program(gm, mres.Variants()); err != nil {
+	mres := mono.Binkley(g, slice.ComputeSummaries(g), critTemplate)
+	if _, err := emit.Program(g, mres.Variants()); err != nil {
 		return nil, fmt.Errorf("mono emit: %w", err)
 	}
 	sr.MonoTime = time.Since(t0)
@@ -114,7 +115,7 @@ func runSlice(prog *lang.Program, critTemplate []sdg.VertexID, name string) (*Sl
 	sr.MonoVertices = len(mres.Slice)
 
 	origSizes := map[string]int{}
-	for _, p := range gm.Procs {
+	for _, p := range g.Procs {
 		origSizes[p.Name] = len(p.Vertices)
 	}
 	monoSizes := mres.PerProcSizes()
@@ -122,19 +123,18 @@ func runSlice(prog *lang.Program, critTemplate []sdg.VertexID, name string) (*Sl
 		sr.PerProcMono[proc] = 100 * float64(n) / float64(origSizes[proc])
 	}
 
-	// Polyvariant measurement (fresh graph: no summary edges).
-	gp := sdg.MustBuild(prog)
+	// Polyvariant measurement.
 	var cfgs core.Configs
 	for _, v := range critTemplate {
 		cfgs = append(cfgs, core.Config{Vertex: v})
 	}
 	a1 := allocated()
 	t1 := time.Now()
-	pres, err := core.Specialize(gp, cfgs)
+	pres, err := core.Specialize(g, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := emit.Program(gp, pres.Variants()); err != nil {
+	if _, err := emit.Program(g, pres.Variants()); err != nil {
 		return nil, fmt.Errorf("poly emit: %w", err)
 	}
 	sr.PolyTime = time.Since(t1)

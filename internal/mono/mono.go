@@ -18,10 +18,12 @@ type Result struct {
 	Source *sdg.Graph
 	// Slice is the final executable vertex set.
 	Slice slice.VSet
-	// Closure is the HRB closure slice the algorithm started from.
+	// Closure is the HRB closure slice Binkley's algorithm started from
+	// (nil for Weiser).
 	Closure slice.VSet
-	// Extras is Slice − Closure: elements added back to repair parameter
-	// mismatches (the paper's "7.1% worth of extraneous elements").
+	// Extras is Slice − Closure: elements Binkley's algorithm added back to
+	// repair parameter mismatches (the paper's "7.1% worth of extraneous
+	// elements"); nil for Weiser.
 	Extras slice.VSet
 	// Rounds is the number of mismatch-repair iterations Binkley's
 	// algorithm performed (1 means no mismatches existed).
@@ -32,10 +34,9 @@ type Result struct {
 // compute the closure slice; while some call-site in the slice calls a
 // procedure whose in-slice formal has no in-slice actual at that site, add
 // the missing actual and everything in its backward slice; repeat.
-// Summary edges are computed on g as a side effect.
-func Binkley(g *sdg.Graph, criterion []sdg.VertexID) *Result {
-	slice.ComputeSummaryEdges(g)
-	w := slice.Backward(g, criterion)
+// sums must be g's summary edges (slice.ComputeSummaries).
+func Binkley(g *sdg.Graph, sums *slice.Summaries, criterion []sdg.VertexID) *Result {
+	w := slice.Backward(g, sums, criterion)
 	res := &Result{Source: g, Closure: w.Clone()}
 
 	for {
@@ -59,7 +60,7 @@ func Binkley(g *sdg.Graph, criterion []sdg.VertexID) *Result {
 		if len(missing) == 0 {
 			break
 		}
-		add := slice.Backward(g, missing)
+		add := slice.Backward(g, sums, missing)
 		for v := range add {
 			w[v] = true
 		}
@@ -74,18 +75,10 @@ func Binkley(g *sdg.Graph, criterion []sdg.VertexID) *Result {
 	return res
 }
 
-// Weiser computes the Weiser-style executable slice baseline.
+// Weiser computes the Weiser-style executable slice baseline. It needs no
+// summary edges and leaves Closure and Extras nil.
 func Weiser(g *sdg.Graph, criterion []sdg.VertexID) *Result {
-	slice.ComputeSummaryEdges(g)
-	w := slice.Weiser(g, criterion)
-	closure := slice.Backward(g, criterion)
-	extras := slice.VSet{}
-	for v := range w {
-		if !closure[v] {
-			extras[v] = true
-		}
-	}
-	return &Result{Source: g, Slice: w, Closure: closure, Extras: extras, Rounds: 1}
+	return &Result{Source: g, Slice: slice.Weiser(g, criterion), Rounds: 1}
 }
 
 func actualFor(g *sdg.Graph, site *sdg.Site, fiID sdg.VertexID) (sdg.VertexID, bool) {

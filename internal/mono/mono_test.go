@@ -10,6 +10,7 @@ import (
 	"specslice/internal/interp"
 	"specslice/internal/lang"
 	"specslice/internal/sdg"
+	"specslice/internal/slice"
 )
 
 const fig14Src = `
@@ -43,7 +44,7 @@ func build(t *testing.T) (*lang.Program, *sdg.Graph, []sdg.VertexID) {
 // and re-includes g2 = 100 (needed to initialize the added-back actual).
 func TestBinkleyFig14(t *testing.T) {
 	_, g, crit := build(t)
-	res := Binkley(g, crit)
+	res := Binkley(g, slice.ComputeSummaries(g), crit)
 
 	if res.Rounds < 2 {
 		t.Errorf("rounds = %d; fig14 has mismatches, so at least one repair round is expected", res.Rounds)
@@ -87,7 +88,7 @@ func TestBinkleyFig14(t *testing.T) {
 
 func TestBinkleyEmitAndRun(t *testing.T) {
 	prog, g, crit := build(t)
-	res := Binkley(g, crit)
+	res := Binkley(g, slice.ComputeSummaries(g), crit)
 	out, err := emit.Program(g, res.Variants())
 	if err != nil {
 		t.Fatalf("emit: %v", err)
@@ -121,7 +122,7 @@ func TestBinkleyEmitAndRun(t *testing.T) {
 
 func TestWeiserCoarserThanBinkley(t *testing.T) {
 	_, g, crit := build(t)
-	b := Binkley(g, crit)
+	b := Binkley(g, slice.ComputeSummaries(g), crit)
 	_, g2, crit2 := build(t)
 	w := Weiser(g2, crit2)
 	// Weiser is never smaller than Binkley (paper §5) — compare sizes since
@@ -170,7 +171,7 @@ int main() {
 `
 	prog := lang.MustParse(src)
 	g := sdg.MustBuild(prog)
-	res := Binkley(g, core.PrintfCriterion(g, "main"))
+	res := Binkley(g, slice.ComputeSummaries(g), core.PrintfCriterion(g, "main"))
 	out, err := emit.Program(g, res.Variants())
 	if err != nil {
 		t.Fatalf("emit: %v", err)

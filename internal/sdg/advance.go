@@ -44,32 +44,14 @@ type DeltaStats struct {
 	ProcsRebuilt int
 	// ProcsRemoved counts old procedures with no same-name successor.
 	ProcsRemoved int
-	// SummarySitesSeeded / SummaryEdgesSeeded count the call sites (and
-	// their summary edges) copied from the old graph because the callee's
-	// entire call subtree is unchanged.
-	SummarySitesSeeded int
-	SummaryEdgesSeeded int
-	// SummarySeeded reports that the old graph's summary fixpoint was
-	// reused: the new graph carries the seeded edges and only DirtyProcs
-	// need their formal-out pair propagation re-run
-	// (slice.ComputeSummaryEdgesPartial). When false the new graph needs
-	// the full summary computation.
-	SummarySeeded bool
-	// DirtyProcs lists the new-graph procedure indexes whose summary-edge
-	// pairs must be recomputed: procedures whose call subtree contains a
-	// rebuilt procedure, plus unchanged callees of rebuilt callers (their
-	// pairs are needed to populate the rebuilt callers' new sites).
-	DirtyProcs []int
 }
 
 // Advance constructs the SDG of newProg, reusing the PDGs of every
 // procedure whose build signature is unchanged from old. The result is
 // indistinguishable from Build(newProg) — same vertices, same numbering,
 // same edges — but unchanged procedures skip CFG construction, control
-// dependence, and the reaching-definitions dataflow, and (when old's
-// summary edges were computed) most of the summary fixpoint is inherited.
-// old is only read; it must be fully built (its engine frozen), and may be
-// in use by concurrent readers.
+// dependence, and the reaching-definitions dataflow. old is only read; it
+// may be in use by concurrent readers.
 func Advance(old *Graph, newProg *lang.Program) (*Graph, *DeltaStats, error) {
 	for _, fn := range newProg.Funcs {
 		for _, s := range fn.Stmts() {
@@ -162,8 +144,6 @@ func Advance(old *Graph, newProg *lang.Program) (*Graph, *DeltaStats, error) {
 		st.ProcsRebuilt++
 	}
 	b.connectProcs()
-
-	seedSummaries(b.g, old, reuse, vmap, st)
 	return b.g, st, nil
 }
 
@@ -271,8 +251,7 @@ func replayBody(b *builder, old *Graph, po, pn *Proc, vmap []VertexID, sitemap [
 
 	// Intraprocedural control and flow edges. Skeleton control edges were
 	// re-added by buildProcSkeleton; AddEdge dedups them. Call, param-in,
-	// and param-out edges are re-derived by connectProcs; summary edges
-	// are seeded separately.
+	// and param-out edges are re-derived by connectProcs.
 	for _, ovid := range po.Vertices {
 		for _, e := range old.Out(ovid) {
 			if e.Kind != EdgeControl && e.Kind != EdgeFlow {
@@ -285,91 +264,6 @@ func replayBody(b *builder, old *Graph, po, pn *Proc, vmap []VertexID, sitemap [
 		}
 	}
 	return true
-}
-
-// seedSummaries copies the old graph's summary edges wherever they are
-// guaranteed still valid, and records which procedures' pair propagation
-// the partial summary fixpoint must re-run.
-//
-// A summary edge at call site s (in caller P, calling Q) depends only on
-// Q's call subtree: the same-level realizable paths from Q's formal-ins to
-// its formal-outs. If every procedure reachable from Q (including Q) was
-// replayed, the old edges at s are exactly the edges a fresh fixpoint
-// would produce, so they are copied — provided P itself was replayed, so s
-// has an old counterpart to copy from. Every site that does not get
-// copies has its callee recorded in DirtyProcs, whose formal-outs seed
-// slice.ComputeSummaryEdgesPartial.
-func seedSummaries(g *Graph, old *Graph, reuse []bool, vmap []VertexID, st *DeltaStats) {
-	if !old.SummariesComputed() {
-		// Nothing to inherit: the engine will run the full fixpoint.
-		st.SummarySeeded = false
-		return
-	}
-	// deepDirty[i]: procedure i's call subtree contains a rebuilt
-	// procedure. Propagate dirtiness caller-ward to a fixpoint.
-	deepDirty := make([]bool, len(g.Procs))
-	for i := range g.Procs {
-		deepDirty[i] = !reuse[i]
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, s := range g.Sites {
-			if s.Lib {
-				continue
-			}
-			if deepDirty[g.ProcByName[s.Callee]] && !deepDirty[s.CallerProc] {
-				deepDirty[s.CallerProc] = true
-				changed = true
-			}
-		}
-	}
-
-	need := map[int]bool{}
-	for i := range g.Procs {
-		if deepDirty[i] {
-			need[i] = true
-		}
-	}
-	for i, p := range g.Procs {
-		if !reuse[i] {
-			// Rebuilt caller: its sites are new, so even deep-clean
-			// callees must have their pairs recomputed to populate them.
-			for _, sid := range p.Sites {
-				s := g.Sites[sid]
-				if !s.Lib {
-					need[g.ProcByName[s.Callee]] = true
-				}
-			}
-			continue
-		}
-		po := old.Procs[old.ProcByName[p.Name]]
-		for _, osid := range po.Sites {
-			so := old.Sites[osid]
-			if so.Lib || deepDirty[g.ProcByName[so.Callee]] {
-				continue
-			}
-			st.SummarySitesSeeded++
-			for _, ai := range so.ActualIns {
-				for _, e := range old.Out(ai) {
-					if e.Kind != EdgeSummary {
-						continue
-					}
-					if old.Vertices[e.To].Site != so.ID {
-						continue
-					}
-					if g.AddEdge(vmap[e.From], vmap[e.To], EdgeSummary) {
-						st.SummaryEdgesSeeded++
-					}
-				}
-			}
-		}
-	}
-	st.DirtyProcs = make([]int, 0, len(need))
-	for i := range need {
-		st.DirtyProcs = append(st.DirtyProcs, i)
-	}
-	sort.Ints(st.DirtyProcs)
-	st.SummarySeeded = true
 }
 
 // computeBuildSigsWorkers derives each procedure's build signature from

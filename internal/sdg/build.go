@@ -544,6 +544,8 @@ func (b *builder) flowEdges(graph *cfg.Graph, info []nodeInfo, em *bodyBuf) {
 
 // connectProcs adds call, parameter-in, and parameter-out edges, matching
 // actuals to formals by binary search over the formal ordering invariant.
+// They are the last edges Build and Advance add — the graph is never
+// written afterwards — so it then releases AddEdge's dedup index.
 func (b *builder) connectProcs() {
 	for _, site := range b.g.Sites {
 		if site.Lib {
@@ -563,4 +565,5 @@ func (b *builder) connectProcs() {
 			}
 		}
 	}
+	b.g.edgeSet = nil
 }

@@ -49,10 +49,9 @@ const (
 	EdgeCall
 	EdgeParamIn
 	EdgeParamOut
-	EdgeSummary // actual-in → actual-out; computed by the slice package
 )
 
-var edgeNames = [...]string{"control", "flow", "call", "param-in", "param-out", "summary"}
+var edgeNames = [...]string{"control", "flow", "call", "param-in", "param-out"}
 
 func (k EdgeKind) String() string { return edgeNames[k] }
 
@@ -248,9 +247,9 @@ type Graph struct {
 
 	out [][]Edge
 	in  [][]Edge
-	// edgeSet is the O(1) dedup/membership index over all edges, keyed on
-	// the packed (from, kind, to) int. It is nil until the first AddEdge
-	// call.
+	// edgeSet is AddEdge's O(1) dedup index over all edges, keyed on the
+	// packed (from, kind, to) int. It is nil until the first AddEdge call,
+	// and Build and Advance release it once the graph is complete.
 	edgeSet map[uint64]struct{}
 	// buildSigs maps each procedure name to its build signature: a hash of
 	// every input its PDG construction depends on (normalized source plus
@@ -265,9 +264,6 @@ type Graph struct {
 	// Advance can reuse the summaries of procedures whose call subtree an
 	// edit did not touch instead of re-running the fixpoints program-wide.
 	modref *dataflow.ModRef
-	// summariesDone records that the summary-edge fixpoint has been reached,
-	// so recomputation can be skipped (see slice.ComputeSummaryEdges).
-	summariesDone bool
 	// buildStats records the phase timings of the Build that produced the
 	// graph (zero when not built by Build).
 	buildStats BuildStats
@@ -275,14 +271,6 @@ type Graph struct {
 	stmtsOnce sync.Once
 	stmts     *StmtIndex
 }
-
-// SummariesComputed reports whether MarkSummariesComputed has been called.
-func (g *Graph) SummariesComputed() bool { return g.summariesDone }
-
-// MarkSummariesComputed records that the graph's summary edges are complete.
-// Adding non-summary edges afterwards invalidates the mark; callers that
-// mutate the graph further should not rely on it.
-func (g *Graph) MarkSummariesComputed() { g.summariesDone = true }
 
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int { return len(g.Vertices) }
@@ -307,9 +295,8 @@ func edgeKey(from, to VertexID, kind EdgeKind) uint64 {
 }
 
 // ensureEdgeIndex builds the packed dedup index from the adjacency lists.
-// Graphs assembled by InstallEdges skip the index (their edge list is
-// dedup-free by construction), so the first mutation or membership query
-// afterwards pays one linear pass here.
+// Graphs assembled by InstallEdges or returned by Build and Advance have no
+// index, so the first AddEdge afterwards pays one linear pass here.
 func (g *Graph) ensureEdgeIndex() {
 	if g.edgeSet != nil {
 		return
@@ -337,20 +324,12 @@ func (g *Graph) AddEdge(from, to VertexID, kind EdgeKind) bool {
 	return true
 }
 
-// HasEdge reports whether the exact edge exists, in O(1) after the index
-// is (lazily) built.
-func (g *Graph) HasEdge(from, to VertexID, kind EdgeKind) bool {
-	g.ensureEdgeIndex()
-	_, ok := g.edgeSet[edgeKey(from, to, kind)]
-	return ok
-}
-
 // InstallEdges replaces the graph's adjacency with the given edge list,
 // which must already be duplicate-free, packing the per-vertex out/in
 // lists into two backings: one [][]Edge of length 2·vertices holding both
 // directions' headers and one []Edge of length 2·edges holding both
-// copies. The dedup index is not built; a later AddEdge or HasEdge
-// reconstructs it lazily.
+// copies. The dedup index is not built; a later AddEdge reconstructs it
+// lazily.
 func (g *Graph) InstallEdges(edges []Edge) {
 	n := len(g.Vertices)
 	m := len(edges)

@@ -36,22 +36,17 @@ import (
 
 // snapshotMagic identifies engine snapshots; the trailing byte is the
 // format version. Any incompatible layout change must bump it.
-const snapshotMagic = "SSNAP\x00\x00\x01"
+const snapshotMagic = "SSNAP\x00\x00\x02"
 
-const (
-	snapFlagSummaries     = 1 << 0 // summary edges are included and complete
-	snapFlagModRefRebuilt = 1 << 1 // mod/ref is a rebuild marker, not stored rows
-)
+const snapFlagModRefRebuilt = 1 << 1 // mod/ref is a rebuild marker, not stored rows
 
 // maxSnapshotParam bounds the Param field of any snapshot vertex; it only
 // exists to keep a corrupt snapshot from sizing an allocation.
 const maxSnapshotParam = 1 << 20
 
 // EncodeSnapshot serializes a built graph. The graph must have been
-// produced by Build or Advance (one Proc per program function, in order)
-// and must be frozen: callers snapshot through engine.Engine.Snapshot,
-// which runs the summary fixpoint first, so the encoded edge set is the
-// complete analysis state and the decoded graph skips the fixpoint.
+// produced by Build, Advance or DecodeSnapshot (one Proc per program
+// function, in order).
 func EncodeSnapshot(g *Graph) ([]byte, error) {
 	if g == nil || g.Prog == nil {
 		return nil, fmt.Errorf("sdg: snapshot of nil graph")
@@ -89,9 +84,6 @@ func EncodeSnapshot(g *Graph) ([]byte, error) {
 	}
 
 	var flags byte = snapFlagModRefRebuilt
-	if g.summariesDone {
-		flags |= snapFlagSummaries
-	}
 
 	// String table for the names that repeat across vertices and sites.
 	strIdx := map[string]int{}
@@ -247,11 +239,10 @@ func (r *snapReader) readString(n int) (string, error) {
 
 // DecodeSnapshot reconstructs a graph from EncodeSnapshot bytes. The
 // result is interchangeable with building the snapshot's source from
-// scratch: identical vertex and site numbering, identical edge set
-// (summary edges included), and freshly recomputed mod/ref state, so
-// version chains can advance from it. Corrupt or truncated input returns
-// an error; the decoder never panics and never allocates more than a
-// small multiple of len(data).
+// scratch: identical vertex and site numbering, identical edge set, and
+// freshly recomputed mod/ref state, so version chains can advance from it.
+// Corrupt or truncated input returns an error; the decoder never panics
+// and never allocates more than a small multiple of len(data).
 func DecodeSnapshot(data []byte) (*Graph, error) {
 	r := &snapReader{b: data}
 	magic, err := r.readString(len(snapshotMagic))
@@ -489,7 +480,7 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 		if fromU >= uint64(nVerts) || toU >= uint64(nVerts) {
 			return nil, fmt.Errorf("sdg: snapshot: edge %d references vertex %d/%d of %d", i, fromU, toU, nVerts)
 		}
-		if EdgeKind(kind) > EdgeSummary {
+		if EdgeKind(kind) > EdgeParamOut {
 			return nil, fmt.Errorf("sdg: snapshot: edge %d has kind %d", i, kind)
 		}
 		k := edgeKey(VertexID(fromU), VertexID(toU), EdgeKind(kind))
@@ -518,9 +509,6 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 		mr := dataflow.ComputeModRefWorkers(prog, 1)
 		g.modref = mr
 		g.buildSigs, g.procHashes = computeBuildSigsWorkers(prog, mr, 1)
-	}
-	if flags&snapFlagSummaries != 0 {
-		g.summariesDone = true
 	}
 	return g, nil
 }

@@ -171,8 +171,8 @@ func (c *EngineCache) Get(key, family string, build func(ancestor *specslice.Eng
 	c.building[key] = call
 	c.stats.InFlight++
 	// Version-chain lookup: the family's most recent member, if still
-	// cached, becomes the ancestor. Using it concurrently is safe — an
-	// engine's analysis state is frozen once built, and Advance only
+	// cached, becomes the ancestor. Using it concurrently is safe — no
+	// one writes an engine's graph once it is built, and Advance only
 	// reads it.
 	var ancestor *specslice.Engine
 	if ak, ok := c.families[family]; ok {

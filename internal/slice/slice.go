@@ -1,11 +1,13 @@
 // Package slice implements closure slicing of SDGs: summary-edge
-// computation and the two-phase context-sensitive interprocedural
-// backward/forward slicing algorithm of Horwitz, Reps, and Binkley (1990),
-// plus a context-insensitive Weiser-style executable slice used as a
-// baseline in the paper's §5.
+// computation and the two-phase context-sensitive interprocedural backward
+// slicing algorithm of Horwitz, Reps, and Binkley (1990), plus a
+// context-insensitive Weiser-style executable slice used as a baseline in
+// the paper's §5. Summary edges are this package's own product: the SDG
+// never holds them.
 package slice
 
 import (
+	"slices"
 	"sort"
 
 	"specslice/internal/sdg"
@@ -46,44 +48,28 @@ func (s VSet) Clone() VSet {
 	return c
 }
 
-// ComputeSummaryEdges adds summary edges (actual-in → actual-out) to g for
-// every same-level realizable path from the matching formal-in to the
-// matching formal-out, using the HRB worklist algorithm. It is idempotent,
-// and a second call on the same graph returns immediately — which also
-// makes it safe for concurrent readers once the first call has completed.
-func ComputeSummaryEdges(g *sdg.Graph) {
-	if g.SummariesComputed() {
-		return
-	}
-	defer g.MarkSummariesComputed()
-	summaryFixpoint(g, g.Procs)
+// Summaries is the HRB summary-edge relation of one graph: an edge
+// actual-in → actual-out at a call site for every same-level realizable
+// path from the matching formal-in to the matching formal-out. It lives
+// outside the graph (Alg. 1's pushdown encoding has no rule for it; only
+// the closure slice walks it) and is immutable once computed, so any
+// number of goroutines may slice through it.
+type Summaries struct {
+	// into[start[v]:start[v+1]] lists, in ascending order, the actual-ins
+	// with a summary edge into vertex v.
+	start []int32
+	into  []sdg.VertexID
 }
 
-// ComputeSummaryEdgesPartial completes the summary edges of a graph built
-// by sdg.Advance: valid edges inherited from the previous version are
-// already present, and only the listed procedures (new-graph indexes,
-// sdg.DeltaStats.DirtyProcs) need their formal-out pair propagation
-// re-run. Seeding the worklist with just those procedures is sound because
-// every call site Advance did not seed has its callee in the dirty set,
-// and pair propagation within a clean procedure only ever traverses its
-// own PDG plus the (already seeded) summary edges at its sites. Like
-// ComputeSummaryEdges, it is idempotent through the graph's
-// summaries-computed mark.
-func ComputeSummaryEdgesPartial(g *sdg.Graph, procs []int) {
-	if g.SummariesComputed() {
-		return
-	}
-	defer g.MarkSummariesComputed()
-	seeds := make([]*sdg.Proc, len(procs))
-	for i, pi := range procs {
-		seeds[i] = g.Procs[pi]
-	}
-	summaryFixpoint(g, seeds)
+// Into returns the actual-ins with a summary edge into v, in ascending
+// order; it is empty unless v is an actual-out.
+func (s *Summaries) Into(v sdg.VertexID) []sdg.VertexID {
+	return s.into[s.start[v]:s.start[v+1]]
 }
 
-// summaryFixpoint runs the HRB summary worklist over g, seeding the
-// (vertex, formal-out) pairs from the formal-outs of seedProcs.
-func summaryFixpoint(g *sdg.Graph, seedProcs []*sdg.Proc) {
+// ComputeSummaries runs the HRB summary worklist over g, which it only
+// reads.
+func ComputeSummaries(g *sdg.Graph) *Summaries {
 	type pair struct {
 		v  sdg.VertexID
 		fo sdg.VertexID
@@ -101,80 +87,86 @@ func summaryFixpoint(g *sdg.Graph, seedProcs []*sdg.Proc) {
 		pairsFrom[v] = append(pairsFrom[v], fo)
 		work = append(work, p)
 	}
-
-	for _, p := range seedProcs {
+	callers := make([][]*sdg.Site, len(g.Procs))
+	for i, p := range g.Procs {
+		callers[i] = g.SiteCalls(p.Name)
 		for _, fo := range p.FormalOuts {
 			add(fo, fo)
 		}
 	}
+	// A (formal-in, formal-out) pair is processed once and maps to a
+	// distinct (actual-in, actual-out) pair at each site, so every summary
+	// edge is found exactly once.
+	into := make([][]sdg.VertexID, g.NumVertices())
+	n := 0
 	for len(work) > 0 {
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
-		vx := g.Vertices[it.v]
-		if vx.Kind == sdg.KindFormalIn {
-			fi := vx
+		if fi := g.Vertices[it.v]; fi.Kind == sdg.KindFormalIn {
 			fo := g.Vertices[it.fo]
 			// The site's matching actuals, by binary search over the
 			// shared actual/formal ordering invariant (sdg.Site docs).
-			for _, site := range g.SiteCalls(g.Procs[fi.Proc].Name) {
+			for _, site := range callers[fi.Proc] {
 				ai, ok1 := site.ActualInFor(g, fi)
 				ao, ok2 := site.ActualOutFor(g, fo)
 				if !ok1 || !ok2 {
 					continue
 				}
-				if g.AddEdge(ai, ao, sdg.EdgeSummary) {
-					for _, fo2 := range pairsFrom[ao] {
-						add(ai, fo2)
-					}
+				into[ao] = append(into[ao], ai)
+				n++
+				for _, fo2 := range pairsFrom[ao] {
+					add(ai, fo2)
 				}
 			}
 		}
 		for _, e := range g.In(it.v) {
-			switch e.Kind {
-			case sdg.EdgeControl, sdg.EdgeFlow, sdg.EdgeSummary:
+			if e.Kind == sdg.EdgeControl || e.Kind == sdg.EdgeFlow {
 				add(e.From, it.fo)
 			}
 		}
+		for _, ai := range into[it.v] {
+			add(ai, it.fo)
+		}
 	}
+	s := &Summaries{start: make([]int32, len(into)+1), into: make([]sdg.VertexID, 0, n)}
+	for v, ins := range into {
+		slices.Sort(ins)
+		s.into = append(s.into, ins...)
+		s.start[v+1] = int32(len(s.into))
+	}
+	return s
 }
 
 // Backward computes the context-sensitive backward closure slice of g with
-// respect to the criterion vertices, using the HRB two-phase algorithm.
-// Summary edges must have been computed (ComputeSummaryEdges).
-func Backward(g *sdg.Graph, criterion []sdg.VertexID) VSet {
+// respect to the criterion vertices, using the HRB two-phase algorithm
+// over g's edges plus its summary edges s.
+func Backward(g *sdg.Graph, s *Summaries, criterion []sdg.VertexID) VSet {
 	// Phase 1: ascend — follow all edges backward except parameter-out.
-	phase1 := reach(g, criterion, nil, func(k sdg.EdgeKind) bool {
+	phase1 := reach(g, s, criterion, nil, func(k sdg.EdgeKind) bool {
 		return k != sdg.EdgeParamOut
 	})
 	// Phase 2: descend — follow all edges backward except call and
 	// parameter-in.
-	phase2 := reach(g, phase1.Sorted(), phase1, func(k sdg.EdgeKind) bool {
+	phase2 := reach(g, s, phase1.Sorted(), phase1, func(k sdg.EdgeKind) bool {
 		return k != sdg.EdgeCall && k != sdg.EdgeParamIn
 	})
 	return phase2
 }
 
-// Forward computes the context-sensitive forward closure slice: the vertices
-// the criterion may affect. Summary edges must have been computed.
-func Forward(g *sdg.Graph, criterion []sdg.VertexID) VSet {
-	// Phase 1: follow all edges forward except call and parameter-in
-	// (do not descend; ascend via parameter-out).
-	phase1 := reachFwd(g, criterion, nil, func(k sdg.EdgeKind) bool {
-		return k != sdg.EdgeCall && k != sdg.EdgeParamIn
-	})
-	// Phase 2: follow all edges forward except parameter-out.
-	phase2 := reachFwd(g, phase1.Sorted(), phase1, func(k sdg.EdgeKind) bool {
-		return k != sdg.EdgeParamOut
-	})
-	return phase2
-}
-
-func reach(g *sdg.Graph, seeds []sdg.VertexID, init VSet, follow func(sdg.EdgeKind) bool) VSet {
+// reach closes seeds backward over the followed edge kinds and every
+// summary edge.
+func reach(g *sdg.Graph, s *Summaries, seeds []sdg.VertexID, init VSet, follow func(sdg.EdgeKind) bool) VSet {
 	out := VSet{}
 	if init != nil {
 		out = init.Clone()
 	}
 	var work []sdg.VertexID
+	visit := func(v sdg.VertexID) {
+		if !out[v] {
+			out[v] = true
+			work = append(work, v)
+		}
+	}
 	for _, v := range seeds {
 		out[v] = true
 		work = append(work, v)
@@ -183,35 +175,12 @@ func reach(g *sdg.Graph, seeds []sdg.VertexID, init VSet, follow func(sdg.EdgeKi
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, e := range g.In(v) {
-			if !follow(e.Kind) || out[e.From] {
-				continue
+			if follow(e.Kind) {
+				visit(e.From)
 			}
-			out[e.From] = true
-			work = append(work, e.From)
 		}
-	}
-	return out
-}
-
-func reachFwd(g *sdg.Graph, seeds []sdg.VertexID, init VSet, follow func(sdg.EdgeKind) bool) VSet {
-	out := VSet{}
-	if init != nil {
-		out = init.Clone()
-	}
-	var work []sdg.VertexID
-	for _, v := range seeds {
-		out[v] = true
-		work = append(work, v)
-	}
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, e := range g.Out(v) {
-			if !follow(e.Kind) || out[e.To] {
-				continue
-			}
-			out[e.To] = true
-			work = append(work, e.To)
+		for _, ai := range s.Into(v) {
+			visit(ai)
 		}
 	}
 	return out
@@ -237,9 +206,6 @@ func Weiser(g *sdg.Graph, criterion []sdg.VertexID) VSet {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, e := range g.In(v) {
-			if e.Kind == sdg.EdgeSummary {
-				continue // context-insensitive traversal uses real edges only
-			}
 			push(e.From)
 		}
 		// Atomicity: any vertex of a call site pulls in the call vertex and

@@ -52,8 +52,7 @@ func labelsIn(g *sdg.Graph, set VSet, proc string) map[string]bool {
 // excludes g3=g2 and the g3 formal-out; within main it excludes g2=100.
 func TestBackwardFig1(t *testing.T) {
 	g := sdg.MustBuild(lang.MustParse(fig1Src))
-	ComputeSummaryEdges(g)
-	res := Backward(g, printfCriterion(g))
+	res := Backward(g, ComputeSummaries(g), printfCriterion(g))
 
 	pl := labelsIn(g, res, "p")
 	for _, want := range []string{"entry:p", "formal-in:p: a", "formal-in:p: b", "stmt:g1 = a", "stmt:g2 = b", "formal-out:p: global g1 out", "formal-out:p: global g2 out"} {
@@ -84,17 +83,15 @@ func TestBackwardFig1(t *testing.T) {
 
 func TestSummaryEdgesFig1(t *testing.T) {
 	g := sdg.MustBuild(lang.MustParse(fig1Src))
-	ComputeSummaryEdges(g)
+	sums := ComputeSummaries(g)
 	// At each call to p there must be summary edges a→g1-out, b→g2-out,
 	// b→g3-out (g3 = g2 = b).
 	for _, site := range g.SiteCalls("p") {
 		type sk struct{ from, to string }
 		have := map[sk]bool{}
-		for _, ai := range site.ActualIns {
-			for _, e := range g.Out(ai) {
-				if e.Kind == sdg.EdgeSummary {
-					have[sk{pos(g, ai), g.Vertices[e.To].Var}] = true
-				}
+		for _, ao := range site.ActualOuts {
+			for _, ai := range sums.Into(ao) {
+				have[sk{pos(g, ai), g.Vertices[ao].Var}] = true
 			}
 		}
 		for _, want := range []sk{{"0", "g1"}, {"1", "g2"}, {"1", "g3"}} {
@@ -130,16 +127,14 @@ int main() {
 }
 `
 	g := sdg.MustBuild(lang.MustParse(src))
-	ComputeSummaryEdges(g)
+	sums := ComputeSummaries(g)
 	// rec's call-site on itself must have a summary from actual-in n-1 to
 	// the return actual-out.
 	for _, site := range g.SiteCalls("rec") {
 		found := false
-		for _, ai := range site.ActualIns {
-			for _, e := range g.Out(ai) {
-				if e.Kind == sdg.EdgeSummary && g.Vertices[e.To].IsReturn {
-					found = true
-				}
+		for _, ao := range site.ActualOuts {
+			if g.Vertices[ao].IsReturn && len(sums.Into(ao)) > 0 {
+				found = true
 			}
 		}
 		if !found {
@@ -163,8 +158,7 @@ int main() {
 }
 `
 	g := sdg.MustBuild(lang.MustParse(src))
-	ComputeSummaryEdges(g)
-	res := Backward(g, printfCriterion(g))
+	res := Backward(g, ComputeSummaries(g), printfCriterion(g))
 	ml := labelsIn(g, res, "main")
 	if ml["actual-in:1"] {
 		t.Errorf("context-insensitive leakage: literal 1 in slice: %v", ml)
@@ -174,51 +168,10 @@ int main() {
 	}
 }
 
-func TestForwardSlice(t *testing.T) {
-	src := `
-int g; int h;
-void both(int a) { g = a; h = a + 1; }
-int main() {
-  int seed = 7;
-  both(seed);
-  printf("%d", g);
-  printf("%d", h);
-  return 0;
-}
-`
-	g := sdg.MustBuild(lang.MustParse(src))
-	ComputeSummaryEdges(g)
-	var seedV sdg.VertexID = -1
-	for _, v := range g.Vertices {
-		if v.Label == "seed = 7" {
-			seedV = v.ID
-		}
-	}
-	if seedV < 0 {
-		t.Fatal("seed vertex not found")
-	}
-	fwd := Forward(g, []sdg.VertexID{seedV})
-	// Forward slice must reach both printf actual-ins.
-	hits := 0
-	for _, s := range g.Sites {
-		if s.Lib {
-			for _, ai := range s.ActualIns {
-				if fwd[ai] {
-					hits++
-				}
-			}
-		}
-	}
-	if hits != 2 {
-		t.Errorf("forward slice reaches %d printf actuals, want 2", hits)
-	}
-}
-
 func TestWeiserCoarserThanHRB(t *testing.T) {
 	g := sdg.MustBuild(lang.MustParse(fig1Src))
-	ComputeSummaryEdges(g)
 	crit := printfCriterion(g)
-	hrb := Backward(g, crit)
+	hrb := Backward(g, ComputeSummaries(g), crit)
 	w := Weiser(g, crit)
 	for v := range hrb {
 		if !w[v] {
@@ -241,11 +194,11 @@ func TestWeiserCoarserThanHRB(t *testing.T) {
 
 func TestBackwardMonotoneAndClosed(t *testing.T) {
 	g := sdg.MustBuild(lang.MustParse(fig1Src))
-	ComputeSummaryEdges(g)
+	sums := ComputeSummaries(g)
 	crit := printfCriterion(g)
-	s1 := Backward(g, crit)
+	s1 := Backward(g, sums, crit)
 	// Monotone: a smaller criterion yields a subset.
-	small := Backward(g, crit[:1])
+	small := Backward(g, sums, crit[:1])
 	for v := range small {
 		if !s1[v] {
 			t.Errorf("monotonicity violated at %s", g.VertexString(v))
@@ -256,10 +209,15 @@ func TestBackwardMonotoneAndClosed(t *testing.T) {
 	for v := range s1 {
 		for _, e := range g.In(v) {
 			switch e.Kind {
-			case sdg.EdgeControl, sdg.EdgeFlow, sdg.EdgeSummary, sdg.EdgeParamOut:
+			case sdg.EdgeControl, sdg.EdgeFlow, sdg.EdgeParamOut:
 				if !s1[e.From] {
 					t.Errorf("phase-2 closure violated: %s -> %s", g.VertexString(e.From), g.VertexString(v))
 				}
+			}
+		}
+		for _, ai := range sums.Into(v) {
+			if !s1[ai] {
+				t.Errorf("phase-2 closure violated: summary %s -> %s", g.VertexString(ai), g.VertexString(v))
 			}
 		}
 	}

@@ -44,7 +44,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("SSNAP\x00\x00\x01"))
+	f.Add([]byte("SSNAP\x00\x00\x02"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := engine.FromSnapshot(data)
@@ -52,9 +52,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 			return
 		}
 		// A decode that passes validation must yield a usable engine: the
-		// summary fixpoint and encoding must not crash either.
-		if eng.Graph().NumVertices() > 0 {
-			eng.EnsureSummaryEdges()
-		}
+		// encoding, the reachable configurations and the summary fixpoint
+		// must not crash either. Warm may report an error (a decoded
+		// program need not have main); it must not panic.
+		_ = eng.Warm()
+		eng.EnsureSummaryEdges()
 	})
 }

@@ -578,14 +578,6 @@ func readFullAt(f File, p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Has reports whether key is servable from disk.
-func (s *Store) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
-}
-
 // FamilyHead returns the newest stored key in a version-chain family, so
 // a cache miss can advance from a disk-resident ancestor.
 func (s *Store) FamilyHead(family string) (string, bool) {

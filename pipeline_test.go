@@ -200,6 +200,7 @@ func TestPipelineCorpus(t *testing.T) {
 			prog := lang.MustParse(src)
 			keyed := keyedInput(prog)
 			g := sdg.MustBuild(prog)
+			sums := slice.ComputeSummaries(g)
 
 			for siteIdx, site := range g.Sites {
 				if !site.Lib || site.Callee != "printf" {
@@ -246,12 +247,9 @@ func TestPipelineCorpus(t *testing.T) {
 					t.Errorf("site %d: slice executes %d steps, original %d", siteIdx, sliceRun.Steps, origRun.Steps)
 				}
 
-				// Monovariant baseline: fresh graph (summary edges mutate).
-				gm := sdg.MustBuild(prog)
-				mcrit := make([]sdg.VertexID, len(crit))
-				copy(mcrit, crit)
-				mres := mono.Binkley(gm, mcrit)
-				mout, err := emit.Program(gm, mres.Variants())
+				// Monovariant baseline on the same graph.
+				mres := mono.Binkley(g, sums, crit)
+				mout, err := emit.Program(g, mres.Variants())
 				if err != nil {
 					t.Fatalf("site %d: mono emit: %v", siteIdx, err)
 				}
@@ -278,15 +276,13 @@ func TestPipelineElemsEqualsHRB(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		g2 := sdg.MustBuild(prog)
-		slice.ComputeSummaryEdges(g2)
-		hrb := slice.Backward(g2, crit)
+		hrb := slice.Backward(g, slice.ComputeSummaries(g), crit)
 		if len(elems) != len(hrb) {
 			t.Errorf("%s: PDS slice %d elements, HRB %d", name, len(elems), len(hrb))
 		}
 		for v := range hrb {
 			if !elems[v] {
-				t.Errorf("%s: HRB element %s missing from PDS slice", name, g2.VertexString(v))
+				t.Errorf("%s: HRB element %s missing from PDS slice", name, g.VertexString(v))
 			}
 		}
 	}

@@ -22,8 +22,9 @@
 //	fmt.Println(out.Source())
 //
 // For many slices of one program, use the engine, which builds the SDG
-// encoding, Prestar indexes, reachable-configuration automaton, and
-// summary edges once and serves requests concurrently:
+// encoding, Prestar indexes, reachable-configuration automaton, and (on
+// the first monovariant request) summary edges once and serves requests
+// concurrently:
 //
 //	eng, _ := prog.Engine()
 //	results, stats := eng.SliceAll(reqs, specslice.BatchOptions{})
@@ -391,17 +392,13 @@ type AdvanceStats struct {
 	// version instead of recomputed.
 	ProcsReused  int `json:"procs_reused"`
 	ProcsRebuilt int `json:"procs_rebuilt"`
-	// SummaryEdgesReused counts inherited summary edges (call sites whose
-	// callee subtree the edit did not touch).
-	SummaryEdgesReused int `json:"summary_edges_reused"`
 }
 
 // Advance returns a new engine for p — typically the previous program
 // after a small edit — reusing every untouched part of this engine's
-// analysis state: unchanged procedures' dependence graphs are copied, not
-// recomputed, and summary edges of call sites whose callee subtree is
-// unchanged are inherited, so only the edit's dirty region is reanalyzed.
-// The advanced engine is equivalent to p.Engine() built from scratch (the
+// graph: unchanged procedures' dependence graphs are copied, not
+// recomputed, so only the edit's dirty region is reanalyzed. The advanced
+// engine is equivalent to p.Engine() built from scratch (the
 // incremental oracle holds slices to byte-identical outputs); this engine
 // is untouched and keeps serving its own version, so Advance is safe to
 // call while other goroutines slice through it. Like Program.SDG, p must
@@ -412,14 +409,16 @@ func (e *Engine) Advance(p *Program) (*Engine, AdvanceStats, error) {
 		return nil, AdvanceStats{}, err
 	}
 	return &Engine{s: &SDG{g: neng.Graph(), eng: neng}}, AdvanceStats{
-		ProcsReused:        delta.ProcsReused,
-		ProcsRebuilt:       delta.ProcsRebuilt,
-		SummaryEdgesReused: delta.SummaryEdgesSeeded,
+		ProcsReused:  delta.ProcsReused,
+		ProcsRebuilt: delta.ProcsRebuilt,
 	}, nil
 }
 
-// Warm eagerly builds every cache so subsequent requests pay only
-// per-query costs. Calling it is optional; caches also fill lazily.
+// Warm eagerly builds the PDS encoding and the reachable-configuration
+// automaton, so subsequent polyvariant and feature-removal requests pay
+// only per-query costs. The HRB summary edges are left to the first
+// monovariant or ClosureSliceSize request, which pays their fixpoint once.
+// Calling Warm is optional; caches also fill lazily.
 func (e *Engine) Warm() error { return e.s.eng.Warm() }
 
 // BuildStats is the JSON-stable cold-build phase breakdown of an engine's
@@ -439,9 +438,9 @@ func (e *Engine) BuildStats() BuildStats { return e.s.eng.BuildStats() }
 // engine caches by total bytes.
 func (e *Engine) Footprint() int64 { return e.s.eng.Footprint() }
 
-// Snapshot serializes the engine's analysis state — the SDG with its
-// complete summary-edge set, as normalized source plus the graph structure
-// — into the versioned binary format the persistent store writes to disk.
+// Snapshot serializes the engine's SDG — normalized source plus the graph
+// structure, without summary edges — into the versioned binary format the
+// persistent store writes to disk.
 // LoadEngineSnapshot restores it; the restored engine serves slices
 // byte-identical to a cold build of the same program.
 func (e *Engine) Snapshot() ([]byte, error) { return e.s.eng.Snapshot() }
