@@ -268,7 +268,7 @@ func AdvanceModRefDiff(newProg, oldProg *lang.Program, old *ModRef, diff lang.Pr
 	// The caller-cutoff logic below tracks dependencies through direct
 	// calls only, so programs still containing indirect calls (callers
 	// invisible in the reverse call graph) get the full recomputation.
-	if hasIndirectCalls(newProg) || hasIndirectCalls(oldProg) {
+	if newProg.HasIndirectCall() || oldProg.HasIndirectCall() {
 		return ComputeModRef(newProg)
 	}
 	// Globals unchanged ⇒ the old interner covers the new program, so old
@@ -959,17 +959,6 @@ func (s *solver) mustDefOuts(k int, outs []uint64) {
 			}
 		}
 	}
-}
-
-func hasIndirectCalls(prog *lang.Program) bool {
-	for _, fn := range prog.Funcs {
-		for _, s := range fn.Stmts() {
-			if c, ok := s.(*lang.CallStmt); ok && c.Indirect {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func sameStrings(a, b []string) bool {

@@ -115,27 +115,14 @@ type emitter struct {
 
 	returnsValue bool // whether the variant being emitted returns a value
 
-	// The emitted AST's most frequent nodes come from chunked slabs.
-	vars    slab[lang.VarRef]
-	ints    slab[lang.IntLit]
-	binarys slab[lang.Binary]
-	assigns slab[lang.AssignStmt]
-	calls   slab[lang.CallStmt]
-	decls   slab[lang.DeclStmt]
-}
-
-// slab hands out nodes from chunks that grow from 8 to 256 elements, so
-// an emission allocates per chunk rather than per node. The chunks belong
-// to the emitted AST, not to the pooled scratch.
-type slab[T any] []T
-
-// put copies v into the slab and returns its address.
-func (s *slab[T]) put(v T) *T {
-	if len(*s) == cap(*s) {
-		*s = make([]T, 0, min(max(2*cap(*s), 8), 256))
-	}
-	*s = append(*s, v)
-	return &(*s)[len(*s)-1]
+	// The emitted AST's most frequent nodes come from chunked slabs; the
+	// chunks belong to the emitted AST, not to the pooled scratch.
+	vars    lang.Slab[lang.VarRef]
+	ints    lang.Slab[lang.IntLit]
+	binarys lang.Slab[lang.Binary]
+	assigns lang.Slab[lang.AssignStmt]
+	calls   lang.Slab[lang.CallStmt]
+	decls   lang.Slab[lang.DeclStmt]
 }
 
 // load stamps variant v's vertices and call targets under a fresh epoch.
@@ -199,16 +186,16 @@ func (e *emitter) expr(x lang.Expr) lang.Expr {
 	case nil:
 		return nil
 	case *lang.IntLit:
-		return e.ints.put(*x)
+		return e.ints.New(*x)
 	case *lang.VarRef:
 		e.need(x.Name, true)
-		return e.vars.put(*x)
+		return e.vars.New(*x)
 	case *lang.FuncRef:
 		return &lang.FuncRef{Name: x.Name}
 	case *lang.Unary:
 		return &lang.Unary{Op: x.Op, X: e.expr(x.X)}
 	case *lang.Binary:
-		return e.binarys.put(lang.Binary{Op: x.Op, X: e.expr(x.X), Y: e.expr(x.Y)})
+		return e.binarys.New(lang.Binary{Op: x.Op, X: e.expr(x.X), Y: e.expr(x.Y)})
 	case *lang.CallExpr:
 		return &lang.CallExpr{Callee: x.Callee, Args: e.exprs(x.Args), Indirect: x.Indirect}
 	}
@@ -261,7 +248,7 @@ func (e *emitter) emitFunc(v core.ProcVariant) (*lang.FuncDecl, error) {
 	var decls []lang.Stmt
 	for _, l := range e.idx.Locals(v.Orig.Index) {
 		if m := e.sc.names[l.Name]; m.needed == e.sc.epoch && m.declared != e.sc.epoch {
-			decls = append(decls, e.decls.put(lang.DeclStmt{
+			decls = append(decls, e.decls.New(lang.DeclStmt{
 				StmtBase: lang.StmtBase{ID: e.out.NewID(), Pos: orig.Pos},
 				Name:     l.Name, IsFnPtr: l.FnPtr,
 			}))
@@ -306,14 +293,14 @@ func (e *emitter) emitStmt(dst *lang.Block, s lang.Stmt) error {
 			return nil
 		}
 		e.declare(x.Name)
-		dst.Stmts = append(dst.Stmts, e.decls.put(lang.DeclStmt{StmtBase: e.base(s), Name: x.Name, IsFnPtr: x.IsFnPtr, Init: e.expr(x.Init)}))
+		dst.Stmts = append(dst.Stmts, e.decls.New(lang.DeclStmt{StmtBase: e.base(s), Name: x.Name, IsFnPtr: x.IsFnPtr, Init: e.expr(x.Init)}))
 
 	case *lang.AssignStmt:
 		if !e.included(s) {
 			return nil
 		}
 		e.need(x.LHS, true)
-		dst.Stmts = append(dst.Stmts, e.assigns.put(lang.AssignStmt{StmtBase: e.base(s), LHS: x.LHS, RHS: e.expr(x.RHS)}))
+		dst.Stmts = append(dst.Stmts, e.assigns.New(lang.AssignStmt{StmtBase: e.base(s), LHS: x.LHS, RHS: e.expr(x.RHS)}))
 
 	case *lang.BreakStmt:
 		if e.included(s) {
@@ -407,7 +394,7 @@ func (e *emitter) emitStmt(dst *lang.Block, s lang.Stmt) error {
 		if cp.Indirect {
 			e.need(cp.Callee, false)
 		}
-		dst.Stmts = append(dst.Stmts, e.calls.put(cp))
+		dst.Stmts = append(dst.Stmts, e.calls.New(cp))
 
 	case *lang.PrintfStmt:
 		if !e.included(s) {

@@ -115,11 +115,15 @@ func Analyze(prog *lang.Program) PointsTo {
 	return pts
 }
 
-// Transform rewrites prog (a deep copy is returned; the input is not
-// modified) so that every indirect call goes through a synthesized dispatch
-// procedure. It returns the transformed program and the number of dispatch
-// procedures created.
+// Transform rewrites prog so that every indirect call goes through a
+// synthesized dispatch procedure. It returns the transformed program and
+// the number of dispatch procedures created. A program without indirect
+// calls needs no rewriting and is returned itself, with 0 created;
+// otherwise the result is a deep copy and prog is not modified.
 func Transform(prog *lang.Program) (*lang.Program, int, error) {
+	if !prog.HasIndirectCall() {
+		return prog, 0, nil
+	}
 	out := lang.CloneProgram(prog)
 	pts := Analyze(out)
 

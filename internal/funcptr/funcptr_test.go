@@ -10,6 +10,7 @@ import (
 	"specslice/internal/interp"
 	"specslice/internal/lang"
 	"specslice/internal/sdg"
+	"specslice/internal/workload"
 )
 
 // fig15Src is the paper's Fig. 15 example.
@@ -196,8 +197,11 @@ int main() {
 	}
 }
 
+// TestTransformIdempotentOnDirectPrograms: a program without indirect
+// calls, even one holding function pointers, is returned itself, with no
+// dispatch procedure created.
 func TestTransformIdempotentOnDirectPrograms(t *testing.T) {
-	src := `
+	srcs := []string{`
 int f(int a) { return a; }
 int main() {
   int x;
@@ -205,16 +209,51 @@ int main() {
   printf("%d", x);
   return 0;
 }
-`
-	prog := lang.MustParse(src)
+`, `
+fnptr gp;
+int f(int a) { return a; }
+int main() {
+  fnptr p = f;
+  gp = &f;
+  int x = f(f(1)) + f(2);
+  printf("%d", x);
+  return 0;
+}
+`}
+	for _, cfg := range workload.Benchmarks() {
+		srcs = append(srcs, workload.GenerateSource(cfg))
+	}
+	for _, src := range srcs {
+		prog := lang.MustParse(src)
+		text := lang.Print(prog)
+		out, created, err := Transform(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != prog || created != 0 {
+			t.Errorf("Transform returned a new program (%v) with %d dispatch procs for a direct-call program", out != prog, created)
+		}
+		if lang.Print(out) != text {
+			t.Error("transform changed a program without indirect calls")
+		}
+	}
+}
+
+// TestTransformCopiesIndirectPrograms: a program with indirect calls is
+// transformed in a copy, and the input is left exactly as parsed.
+func TestTransformCopiesIndirectPrograms(t *testing.T) {
+	prog := lang.MustParse(fig15Src)
 	out, created, err := Transform(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if created != 0 {
-		t.Errorf("created = %d dispatch procs on a direct-call program", created)
+	if out == prog || created != 1 {
+		t.Fatalf("Transform returned its input (%v) with %d dispatch procs", out == prog, created)
 	}
-	if lang.Print(out) != lang.Print(prog) {
-		t.Error("transform changed a program without indirect calls")
+	if !reflect.DeepEqual(prog, lang.MustParse(fig15Src)) {
+		t.Errorf("Transform modified its input:\n%s", lang.Print(prog))
+	}
+	if !prog.HasIndirectCall() || out.HasIndirectCall() {
+		t.Errorf("indirect calls: input %v, output %v; want true, false", prog.HasIndirectCall(), out.HasIndirectCall())
 	}
 }

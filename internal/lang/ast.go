@@ -54,6 +54,23 @@ func (p *Program) Func(name string) *FuncDecl {
 	return nil
 }
 
+// HasIndirectCall reports whether any call statement of p calls through a
+// function pointer.
+func (p *Program) HasIndirectCall() bool {
+	found := false
+	for _, f := range p.Funcs {
+		WalkStmts(f.Body, func(s Stmt) {
+			if c, ok := s.(*CallStmt); ok && c.Indirect {
+				found = true
+			}
+		})
+		if found {
+			return true
+		}
+	}
+	return false
+}
+
 // GlobalDecl declares a global variable. Globals are initialized to zero.
 type GlobalDecl struct {
 	Pos     Pos
@@ -213,7 +230,7 @@ type Binary struct {
 }
 
 // CallExpr is a call in expression position. It exists only between parsing
-// and normalization; Normalize hoists every CallExpr into a CallStmt.
+// and normalization; Parse hoists every CallExpr into a CallStmt.
 type CallExpr struct {
 	Callee   string
 	Args     []Expr

@@ -102,12 +102,16 @@ int main() { gp = &id; printf("%d", gp(5)); return 0; }`,
 }
 
 // FuzzParse asserts the front end never panics: any byte string either
-// parses or returns an error, and a parsed program prints.
+// parses or returns an error, and a parsed program prints. Parse must
+// also agree with the reference front end (diffReference).
 func FuzzParse(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if d := diffReference(src); d != "" {
+			t.Fatalf("Parse diverges from the reference front end on %q:\n%s", src, d)
+		}
 		prog, err := Parse(src)
 		if err != nil {
 			return
@@ -122,7 +126,8 @@ func FuzzParse(f *testing.F) {
 // accepts, Print must render to source that reparses to a program printing
 // identically. (Parse normalizes, so the first print may differ from the
 // input — but it must be stable from then on.) The first print must also
-// match the reference printer byte for byte.
+// match the reference printer byte for byte, and canonicalizing the parsed
+// program must number it as the reparse does (checkCanonical).
 func FuzzRoundTrip(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -144,12 +149,13 @@ func FuzzRoundTrip(f *testing.F) {
 		if out2 != out {
 			t.Fatalf("print/parse round trip diverges:\nfirst:\n%s\nsecond:\n%s", out, out2)
 		}
+		checkCanonical(t, src)
 	})
 }
 
-// TestFuzzSeedsRoundTrip runs the round-trip property over the seed corpus
-// in a plain test, so the property is exercised on every `go test` run even
-// without -fuzz.
+// TestFuzzSeedsRoundTrip runs the round-trip property, with the
+// canonical-numbering check, over the seed corpus in a plain test, so the
+// property is exercised on every `go test` run even without -fuzz.
 func TestFuzzSeedsRoundTrip(t *testing.T) {
 	parsed := 0
 	for i, src := range fuzzSeeds {
@@ -170,6 +176,7 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 		if out2 := Print(prog2); out2 != out {
 			t.Errorf("seed %d: round trip diverges:\n%s\nvs:\n%s", i, out, out2)
 		}
+		checkCanonical(t, src)
 	}
 	if parsed < 10 {
 		t.Errorf("only %d seeds parse; corpus has rotted", parsed)

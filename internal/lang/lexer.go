@@ -18,79 +18,86 @@ const (
 	tokKeyword // int, void, fnptr, if, else, while, return, break, continue, printf, scanf
 )
 
+// token is one lexical token. Identifier, number, keyword and punctuation
+// texts are slices of the source; a string literal's text is its unescaped
+// contents, a source slice unless it holds an escape.
 type token struct {
 	kind tokenKind
 	text string
 	pos  Pos
 }
 
-var keywords = map[string]bool{
-	"int": true, "void": true, "fnptr": true, "if": true, "else": true,
-	"while": true, "return": true, "break": true, "continue": true,
-	"printf": true, "scanf": true,
+func isKeyword(s string) bool {
+	switch s {
+	case "int", "void", "fnptr", "if", "else", "while", "return", "break", "continue", "printf", "scanf":
+		return true
+	}
+	return false
 }
 
-// multi-char punctuation, longest first.
-var punct2 = []string{"==", "!=", "<=", ">=", "&&", "||"}
+// Byte classes. A byte is classified as the rune of the same value, by
+// unicode.IsLetter and unicode.IsDigit, so bytes 0x80-0xFF that are
+// Latin-1 letters continue an identifier.
+var identStart, identPart, isDigit [256]bool
 
-// lexer turns MicroC source text into tokens.
+func init() {
+	for b := range 256 {
+		isDigit[b] = unicode.IsDigit(rune(b))
+		identStart[b] = b == '_' || unicode.IsLetter(rune(b))
+		identPart[b] = identStart[b] || isDigit[b]
+	}
+}
+
+// lexer scans MicroC source text one token at a time. Columns count bytes
+// from 1, so a position is the line and the offset from the line's start.
 type lexer struct {
-	src  string
-	off  int
-	line int
-	col  int
+	src       string
+	off       int
+	line      int
+	lineStart int // offset of the current line's first byte
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
+func newLexer(src string) lexer { return lexer{src: src, line: 1} }
+
+func (lx *lexer) pos() Pos { return Pos{lx.line, lx.off - lx.lineStart + 1} }
 
 func (lx *lexer) errorf(pos Pos, format string, args ...any) error {
 	return fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...))
 }
 
-func (lx *lexer) peekByte() byte {
-	if lx.off >= len(lx.src) {
-		return 0
+// skip advances over the next n bytes, counting the lines they end.
+func (lx *lexer) skip(n int) {
+	seg := lx.src[lx.off : lx.off+n]
+	if k := strings.Count(seg, "\n"); k > 0 {
+		lx.line += k
+		lx.lineStart = lx.off + strings.LastIndexByte(seg, '\n') + 1
 	}
-	return lx.src[lx.off]
-}
-
-func (lx *lexer) advance() byte {
-	c := lx.src[lx.off]
-	lx.off++
-	if c == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
-	}
-	return c
+	lx.off += n
 }
 
 func (lx *lexer) skipSpaceAndComments() error {
-	for lx.off < len(lx.src) {
-		c := lx.peekByte()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
-		case c == '/' && lx.off+1 < len(lx.src) && lx.src[lx.off+1] == '/':
-			for lx.off < len(lx.src) && lx.peekByte() != '\n' {
-				lx.advance()
+	src := lx.src
+	for lx.off < len(src) {
+		switch c := src[lx.off]; {
+		case c == '\n':
+			lx.off++
+			lx.line++
+			lx.lineStart = lx.off
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.off++
+		case c == '/' && lx.off+1 < len(src) && src[lx.off+1] == '/':
+			if i := strings.IndexByte(src[lx.off:], '\n'); i >= 0 {
+				lx.off += i
+			} else {
+				lx.off = len(src)
 			}
-		case c == '/' && lx.off+1 < len(lx.src) && lx.src[lx.off+1] == '*':
-			pos := Pos{lx.line, lx.col}
-			lx.advance()
-			lx.advance()
-			for {
-				if lx.off+1 >= len(lx.src) {
-					return lx.errorf(pos, "unterminated block comment")
-				}
-				if lx.peekByte() == '*' && lx.src[lx.off+1] == '/' {
-					lx.advance()
-					lx.advance()
-					break
-				}
-				lx.advance()
+		case c == '/' && lx.off+1 < len(src) && src[lx.off+1] == '*':
+			pos := lx.pos()
+			i := strings.Index(src[lx.off+2:], "*/")
+			if i < 0 {
+				return lx.errorf(pos, "unterminated block comment")
 			}
+			lx.skip(i + 4)
 		default:
 			return nil
 		}
@@ -98,102 +105,101 @@ func (lx *lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-// next scans and returns the next token.
+// next scans and returns the next token. At the end of the input it
+// returns an EOF token, at the same position on every further call.
 func (lx *lexer) next() (token, error) {
 	if err := lx.skipSpaceAndComments(); err != nil {
 		return token{}, err
 	}
-	pos := Pos{lx.line, lx.col}
-	if lx.off >= len(lx.src) {
+	pos := lx.pos()
+	src := lx.src
+	start := lx.off
+	if start >= len(src) {
 		return token{kind: tokEOF, pos: pos}, nil
 	}
-	c := lx.peekByte()
+	c := src[start]
 	switch {
-	case c == '_' || unicode.IsLetter(rune(c)):
-		start := lx.off
-		for lx.off < len(lx.src) {
-			b := lx.peekByte()
-			if b == '_' || unicode.IsLetter(rune(b)) || unicode.IsDigit(rune(b)) {
-				lx.advance()
-			} else {
-				break
-			}
+	case identStart[c]:
+		i := start + 1
+		for i < len(src) && identPart[src[i]] {
+			i++
 		}
-		text := lx.src[start:lx.off]
-		if keywords[text] {
+		lx.off = i
+		if text := src[start:i]; isKeyword(text) {
 			return token{kind: tokKeyword, text: text, pos: pos}, nil
 		}
-		return token{kind: tokIdent, text: text, pos: pos}, nil
-
-	case unicode.IsDigit(rune(c)):
-		start := lx.off
-		for lx.off < len(lx.src) && unicode.IsDigit(rune(lx.peekByte())) {
-			lx.advance()
+		return token{kind: tokIdent, text: src[start:i], pos: pos}, nil
+	case isDigit[c]:
+		i := start + 1
+		for i < len(src) && isDigit[src[i]] {
+			i++
 		}
-		return token{kind: tokInt, text: lx.src[start:lx.off], pos: pos}, nil
-
+		lx.off = i
+		return token{kind: tokInt, text: src[start:i], pos: pos}, nil
 	case c == '"':
-		lx.advance()
-		var sb strings.Builder
-		for {
-			if lx.off >= len(lx.src) {
-				return token{}, lx.errorf(pos, "unterminated string literal")
-			}
-			b := lx.advance()
-			if b == '"' {
-				break
-			}
-			if b == '\\' {
-				if lx.off >= len(lx.src) {
-					return token{}, lx.errorf(pos, "unterminated escape")
-				}
-				e := lx.advance()
-				switch e {
-				case 'n':
-					sb.WriteByte('\n')
-				case 't':
-					sb.WriteByte('\t')
-				case '\\', '"':
-					sb.WriteByte(e)
-				case '%':
-					sb.WriteString("%%")
-				default:
-					return token{}, lx.errorf(pos, "unknown escape \\%c", e)
-				}
-				continue
-			}
-			sb.WriteByte(b)
-		}
-		return token{kind: tokString, text: sb.String(), pos: pos}, nil
+		return lx.str(pos)
 	}
-
-	for _, p := range punct2 {
-		if strings.HasPrefix(lx.src[lx.off:], p) {
-			lx.advance()
-			lx.advance()
+	if start+1 < len(src) {
+		switch p := src[start : start+2]; p {
+		case "==", "!=", "<=", ">=", "&&", "||":
+			lx.off += 2
 			return token{kind: tokPunct, text: p, pos: pos}, nil
 		}
 	}
 	switch c {
 	case '+', '-', '*', '/', '%', '<', '>', '=', '!', '(', ')', '{', '}', ',', ';', '&':
-		lx.advance()
-		return token{kind: tokPunct, text: string(c), pos: pos}, nil
+		lx.off++
+		return token{kind: tokPunct, text: src[start : start+1], pos: pos}, nil
 	}
 	return token{}, lx.errorf(pos, "unexpected character %q", c)
 }
 
-// lexAll scans the entire source.
-func lexAll(src string) ([]token, error) {
-	lx := newLexer(src)
-	var toks []token
+// str scans a string literal starting at the opening quote. A literal
+// without escapes is returned as a slice of the source.
+func (lx *lexer) str(pos Pos) (token, error) {
+	src := lx.src
+	start := lx.off + 1
+	i := start
+	for i < len(src) && src[i] != '"' && src[i] != '\\' {
+		i++
+	}
+	if i < len(src) && src[i] == '"' {
+		lx.skip(i + 1 - lx.off)
+		return token{kind: tokString, text: src[start:i], pos: pos}, nil
+	}
+	var sb strings.Builder
+	sb.WriteString(src[start:i])
 	for {
-		t, err := lx.next()
-		if err != nil {
-			return nil, err
+		if i >= len(src) {
+			return token{}, lx.errorf(pos, "unterminated string literal")
 		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
+		b := src[i]
+		i++
+		if b == '"' {
+			break
+		}
+		if b != '\\' {
+			sb.WriteByte(b)
+			continue
+		}
+		if i >= len(src) {
+			return token{}, lx.errorf(pos, "unterminated escape")
+		}
+		e := src[i]
+		i++
+		switch e {
+		case 'n':
+			sb.WriteByte('\n')
+		case 't':
+			sb.WriteByte('\t')
+		case '\\', '"':
+			sb.WriteByte(e)
+		case '%':
+			sb.WriteString("%%")
+		default:
+			return token{}, lx.errorf(pos, "unknown escape \\%c", e)
 		}
 	}
+	lx.skip(i - lx.off)
+	return token{kind: tokString, text: sb.String(), pos: pos}, nil
 }

@@ -3,107 +3,125 @@ package lang
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 )
 
-// scope holds the symbol information name resolution consults. resolve
-// builds the program-level tables once, so each reference costs a map
-// lookup rather than a scan of Program.Funcs or Program.Globals, and
-// resets the per-function ones for each function in turn.
+// scope holds the symbol information name resolution consults: one
+// symbol per name, so each reference costs one map lookup. The program's
+// globals and functions are entered once; a parameter or local is entered
+// with the stamp of its function, so moving to the next function clears
+// nothing.
 type scope struct {
-	funcs   map[string]*FuncDecl
-	globals map[string]bool // name -> IsFnPtr
-	fn      *FuncDecl
-	vars    map[string]bool // params + locals
-	fnptrs  map[string]bool // the params and locals holding function values
+	names map[string]int32 // name -> index in syms
+	syms  []symbol
+	fn    *FuncDecl
+	stamp int32 // 1 + the index of fn in Program.Funcs
 }
 
-// enter resets sc to fn's params and locals, checking their declarations.
-func (sc *scope) enter(fn *FuncDecl) error {
-	sc.fn = fn
-	clear(sc.vars)
-	clear(sc.fnptrs)
+// symbol is what one name denotes.
+type symbol struct {
+	fn     *FuncDecl // the function of this name, or nil
+	global bool
+	gFnptr bool  // the global holds function values
+	local  int32 // the stamp of the function with a param or local of this name
+	lFnptr bool  // that param or local holds function values
+}
+
+// declare returns name's symbol, entering an empty one if name is new. The
+// pointer is valid until the next declare.
+func (sc *scope) declare(name string) *symbol {
+	i, ok := sc.names[name]
+	if !ok {
+		i = int32(len(sc.syms))
+		sc.names[name] = i
+		sc.syms = append(sc.syms, symbol{})
+	}
+	return &sc.syms[i]
+}
+
+// lookup returns name's symbol; a name never declared has the zero symbol.
+func (sc *scope) lookup(name string) symbol {
+	if i, ok := sc.names[name]; ok {
+		return sc.syms[i]
+	}
+	return symbol{}
+}
+
+// local reports whether s is a param or local of the current function.
+func (sc *scope) local(s symbol) bool { return s.local == sc.stamp }
+
+// known reports whether s is visible in the scope (local, param, or global).
+func (sc *scope) known(s symbol) bool { return sc.local(s) || s.global }
+
+// fnptr reports whether s may hold a function value: an fnptr param or
+// local, or an fnptr global.
+func (sc *scope) fnptr(s symbol) bool { return sc.local(s) && s.lFnptr || s.gFnptr }
+
+// enter makes fn, the i-th function, current, entering and checking its
+// params and locals.
+func (sc *scope) enter(i int, fn *FuncDecl) error {
+	sc.fn, sc.stamp = fn, int32(i+1)
 	for _, pm := range fn.Params {
-		if sc.vars[pm.Name] {
+		s := sc.declare(pm.Name)
+		if s.local == sc.stamp {
 			return fmt.Errorf("%s: duplicate parameter %q in %s", fn.Pos, pm.Name, fn.Name)
 		}
-		if sc.funcs[pm.Name] != nil {
+		if s.fn != nil {
 			return fmt.Errorf("%s: parameter %q shadows a function", fn.Pos, pm.Name)
 		}
-		sc.vars[pm.Name] = true
-		if pm.IsFnPtr {
-			sc.fnptrs[pm.Name] = true
-		}
+		s.local, s.lFnptr = sc.stamp, pm.IsFnPtr
 	}
 	var err error
-	WalkStmts(fn.Body, func(s Stmt) {
-		d, ok := s.(*DeclStmt)
+	WalkStmts(fn.Body, func(st Stmt) {
+		d, ok := st.(*DeclStmt)
 		if !ok || err != nil {
 			return
 		}
-		if sc.vars[d.Name] {
+		s := sc.declare(d.Name)
+		if s.local == sc.stamp {
 			err = fmt.Errorf("%s: duplicate local %q in %s (MicroC locals have flat function scope)", d.Pos, d.Name, fn.Name)
 			return
 		}
-		if sc.funcs[d.Name] != nil {
+		if s.fn != nil {
 			err = fmt.Errorf("%s: local %q shadows a function", d.Pos, d.Name)
 			return
 		}
-		sc.vars[d.Name] = true
-		if d.IsFnPtr {
-			sc.fnptrs[d.Name] = true
-		}
+		s.local, s.lFnptr = sc.stamp, d.IsFnPtr
 	})
 	return err
-}
-
-// known reports whether name is visible in the scope (local, param, or global).
-func (sc *scope) known(name string) bool {
-	if sc.vars[name] {
-		return true
-	}
-	_, ok := sc.globals[name]
-	return ok
-}
-
-// fnptr reports whether name is a variable holding a function value: an
-// fnptr param, local or global.
-func (sc *scope) fnptr(name string) bool {
-	return sc.fnptrs[name] || sc.globals[name]
 }
 
 // resolve performs name resolution on a freshly parsed program: it converts
 // variable references that name functions into FuncRefs, classifies calls as
 // direct or indirect, and checks declarations, arities, and main's shape.
 func resolve(prog *Program) error {
-	sc := &scope{
-		funcs:   make(map[string]*FuncDecl, len(prog.Funcs)),
-		globals: make(map[string]bool, len(prog.Globals)),
-		vars:    map[string]bool{},
-		fnptrs:  map[string]bool{},
-	}
+	sc := &scope{names: make(map[string]int32, len(prog.Globals)+len(prog.Funcs))}
 	for _, g := range prog.Globals {
-		if _, dup := sc.globals[g.Name]; dup {
+		s := sc.declare(g.Name)
+		if s.global {
 			return fmt.Errorf("%s: duplicate global %q", g.Pos, g.Name)
 		}
-		sc.globals[g.Name] = g.IsFnPtr
+		s.global, s.gFnptr = true, g.IsFnPtr
 	}
 	for _, f := range prog.Funcs {
-		if sc.funcs[f.Name] != nil {
+		s := sc.declare(f.Name)
+		if s.fn != nil {
 			return fmt.Errorf("%s: duplicate function %q", f.Pos, f.Name)
 		}
-		if _, ok := sc.globals[f.Name]; ok {
+		if s.global {
 			return fmt.Errorf("%s: function %q collides with a global", f.Pos, f.Name)
 		}
-		sc.funcs[f.Name] = f
+		s.fn = f
 	}
-	if m := sc.funcs["main"]; m == nil {
+	if m := sc.lookup("main").fn; m == nil {
 		return fmt.Errorf("program has no main function")
 	} else if len(m.Params) != 0 {
 		return fmt.Errorf("%s: main must take no parameters", m.Pos)
 	}
 
-	for _, fn := range prog.Funcs {
-		if err := sc.enter(fn); err != nil {
+	for i, fn := range prog.Funcs {
+		if err := sc.enter(i, fn); err != nil {
 			return err
 		}
 		if err := sc.resolveFunc(); err != nil {
@@ -136,7 +154,7 @@ func (sc *scope) resolveStmt(s Stmt) error {
 			}
 		}
 	case *AssignStmt:
-		if !sc.known(x.LHS) {
+		if !sc.known(sc.lookup(x.LHS)) {
 			return fmt.Errorf("%s: assignment to undeclared variable %q", pos, x.LHS)
 		}
 		e, err := sc.resolveExpr(x.RHS, pos)
@@ -145,11 +163,11 @@ func (sc *scope) resolveStmt(s Stmt) error {
 		}
 		x.RHS = e
 	case *CallStmt:
-		if err := sc.resolveCallTarget(&x.Callee, &x.Indirect, pos); err != nil {
+		callee, err := sc.resolveCallTarget(x.Callee, &x.Indirect, pos)
+		if err != nil {
 			return err
 		}
 		if !x.Indirect {
-			callee := sc.funcs[x.Callee]
 			if len(x.Args) != len(callee.Params) {
 				return fmt.Errorf("%s: call to %s with %d args, want %d", pos, x.Callee, len(x.Args), len(callee.Params))
 			}
@@ -157,7 +175,7 @@ func (sc *scope) resolveStmt(s Stmt) error {
 				return fmt.Errorf("%s: void function %s used in assignment", pos, x.Callee)
 			}
 		}
-		if x.Target != "" && !sc.known(x.Target) {
+		if x.Target != "" && !sc.known(sc.lookup(x.Target)) {
 			return fmt.Errorf("%s: assignment to undeclared variable %q", pos, x.Target)
 		}
 		for i, a := range x.Args {
@@ -199,26 +217,28 @@ func (sc *scope) resolveStmt(s Stmt) error {
 			x.Args[i] = e
 		}
 	case *ScanfStmt:
-		if !sc.known(x.Var) {
+		if !sc.known(sc.lookup(x.Var)) {
 			return fmt.Errorf("%s: scanf into undeclared variable %q", pos, x.Var)
 		}
 	}
 	return nil
 }
 
-func (sc *scope) resolveCallTarget(callee *string, indirect *bool, pos Pos) error {
-	name := *callee
+// resolveCallTarget classifies a call of name, setting indirect, and
+// returns the function a direct call calls.
+func (sc *scope) resolveCallTarget(name string, indirect *bool, pos Pos) (*FuncDecl, error) {
+	s := sc.lookup(name)
 	switch {
-	case sc.funcs[name] != nil:
+	case s.fn != nil:
 		*indirect = false
-	case sc.fnptr(name):
+	case sc.fnptr(s):
 		*indirect = true
-	case sc.known(name):
-		return fmt.Errorf("%s: %q is not a function or fnptr", pos, name)
+	case sc.known(s):
+		return nil, fmt.Errorf("%s: %q is not a function or fnptr", pos, name)
 	default:
-		return fmt.Errorf("%s: call to undefined function %q", pos, name)
+		return nil, fmt.Errorf("%s: call to undefined function %q", pos, name)
 	}
-	return nil
+	return s.fn, nil
 }
 
 func (sc *scope) resolveExpr(e Expr, pos Pos) (Expr, error) {
@@ -226,15 +246,16 @@ func (sc *scope) resolveExpr(e Expr, pos Pos) (Expr, error) {
 	case *IntLit:
 		return x, nil
 	case *VarRef:
-		if sc.funcs[x.Name] != nil {
+		s := sc.lookup(x.Name)
+		if s.fn != nil {
 			return &FuncRef{Name: x.Name}, nil
 		}
-		if !sc.known(x.Name) {
+		if !sc.known(s) {
 			return nil, fmt.Errorf("%s: undeclared variable %q", pos, x.Name)
 		}
 		return x, nil
 	case *FuncRef:
-		if sc.funcs[x.Name] == nil {
+		if sc.lookup(x.Name).fn == nil {
 			return nil, fmt.Errorf("%s: &%s does not name a function", pos, x.Name)
 		}
 		return x, nil
@@ -257,11 +278,11 @@ func (sc *scope) resolveExpr(e Expr, pos Pos) (Expr, error) {
 		x.X, x.Y = l, r
 		return x, nil
 	case *CallExpr:
-		if err := sc.resolveCallTarget(&x.Callee, &x.Indirect, pos); err != nil {
+		callee, err := sc.resolveCallTarget(x.Callee, &x.Indirect, pos)
+		if err != nil {
 			return nil, err
 		}
 		if !x.Indirect {
-			callee := sc.funcs[x.Callee]
 			if !callee.ReturnsValue {
 				return nil, fmt.Errorf("%s: void function %s used as a value", pos, x.Callee)
 			}
@@ -281,212 +302,270 @@ func (sc *scope) resolveExpr(e Expr, pos Pos) (Expr, error) {
 	return nil, fmt.Errorf("%s: unknown expression node %T", pos, e)
 }
 
-// Normalize hoists every call out of expression position so that calls occur
-// only as top-level CallStmts (`x = f(a);` or `f(a);`). Nested calls become
-// assignments to fresh temporaries. Loop conditions may not contain calls
-// (hoisting one would change evaluation timing); Normalize reports an error
-// for those.
-func Normalize(prog *Program) error {
-	n := &normalizer{prog: prog}
+// normalize hoists every call out of expression position so that calls
+// occur only as top-level CallStmts (`x = f(a);` or `f(a);`). Nested calls
+// become assignments to fresh temporaries, declared at the top of their
+// function. Loop conditions may not contain calls (hoisting one would
+// change evaluation timing); normalize reports an error for those.
+//
+// prog must be resolved, and it stays resolved: a hoisted call was
+// resolved as the expression it replaces, and a temporary takes a name
+// that no global, function, parameter or local of its function has. New
+// nodes come from nd, and a block that hoists nothing keeps its list.
+func normalize(prog *Program, nd *nodes) error {
+	n := &normalizer{prog: prog, nd: nd}
 	for _, fn := range prog.Funcs {
 		n.fn = fn
-		n.newDecls = nil
-		if err := n.block(fn.Body); err != nil {
-			return err
-		}
-		if len(n.newDecls) > 0 {
-			fn.Body.Stmts = append(n.newDecls, fn.Body.Stmts...)
-		}
-	}
-	return Validate(prog)
-}
-
-type normalizer struct {
-	prog     *Program
-	fn       *FuncDecl
-	tempSeq  int
-	newDecls []Stmt
-}
-
-func (n *normalizer) newTemp(pos Pos) string {
-	n.tempSeq++
-	name := fmt.Sprintf("_t%d", n.tempSeq)
-	n.newDecls = append(n.newDecls, &DeclStmt{
-		StmtBase: StmtBase{ID: n.prog.NewID(), Pos: pos},
-		Name:     name,
-	})
-	return name
-}
-
-func (n *normalizer) block(b *Block) error {
-	var out []Stmt
-	for _, s := range b.Stmts {
-		pre, repl, err := n.stmt(s)
+		n.temps = n.temps[:0]
+		n.taken, n.takenSeen = nil, false
+		grew, err := n.list(fn.Body)
 		if err != nil {
 			return err
 		}
-		out = append(out, pre...)
-		out = append(out, repl)
+		switch {
+		case len(n.temps) > 0:
+			n.replace(fn.Body, slices.Concat(n.temps, n.stack))
+		case grew:
+			n.replace(fn.Body, nd.stmts.Copy(n.stack))
+		}
+		n.stack = n.stack[:0]
 	}
-	b.Stmts = out
+	return callsHoisted(prog)
+}
+
+type normalizer struct {
+	prog    *Program
+	nd      *nodes
+	fn      *FuncDecl
+	tempSeq int
+	temps   []Stmt // the declarations of fn's temporaries
+	// The statements of the blocks being rewritten, as a stack: a block's
+	// hoisted calls and statements sit above its mark until it closes.
+	stack []Stmt
+	// The names spelled like a temporary ("_t...") that fn's temporaries
+	// must avoid: the globals', the functions', and fn's parameters' and
+	// locals'. They are collected when fn's first temporary needs them.
+	taken     map[string]bool
+	takenSeen bool
+}
+
+// take records name as taken if it is spelled like a temporary.
+func (n *normalizer) take(name string) {
+	if !strings.HasPrefix(name, "_t") {
+		return
+	}
+	if n.taken == nil {
+		n.taken = map[string]bool{}
+	}
+	n.taken[name] = true
+}
+
+// newTemp declares a fresh temporary at the top of the current function
+// and returns its name: the next "_tN" in program order that is not
+// taken.
+func (n *normalizer) newTemp(pos Pos) string {
+	if !n.takenSeen {
+		n.takenSeen = true
+		for _, g := range n.prog.Globals {
+			n.take(g.Name)
+		}
+		for _, f := range n.prog.Funcs {
+			n.take(f.Name)
+		}
+		for _, pm := range n.fn.Params {
+			n.take(pm.Name)
+		}
+		// A declaration is replaced in its list only by a longer list
+		// that still holds it, so the walk sees every declaration.
+		WalkStmts(n.fn.Body, func(s Stmt) {
+			if d, ok := s.(*DeclStmt); ok {
+				n.take(d.Name)
+			}
+		})
+	}
+	var name string
+	for {
+		n.tempSeq++
+		name = "_t" + strconv.Itoa(n.tempSeq)
+		if !n.taken[name] {
+			break
+		}
+	}
+	n.temps = append(n.temps, n.nd.decls.New(DeclStmt{
+		StmtBase: StmtBase{ID: n.prog.NewID(), Pos: pos},
+		Name:     name,
+	}))
+	return name
+}
+
+// list rewrites b's statements and pushes them, each after the calls it
+// hoists. A statement that hoists nothing but is replaced, like an
+// assignment of a call by the call, is replaced in b's list in place; grew
+// reports whether some statement hoisted a call, so that b needs a new,
+// longer list.
+func (n *normalizer) list(b *Block) (grew bool, err error) {
+	for i, s := range b.Stmts {
+		before := len(n.stack)
+		repl, err := n.stmt(s)
+		if err != nil {
+			return false, err
+		}
+		if len(n.stack) == before {
+			b.Stmts[i] = repl
+		} else {
+			grew = true
+		}
+		n.stack = append(n.stack, repl)
+	}
+	return grew, nil
+}
+
+// block rewrites a nested block.
+func (n *normalizer) block(b *Block) error {
+	if b == nil {
+		return nil
+	}
+	mark := len(n.stack)
+	grew, err := n.list(b)
+	if err != nil {
+		return err
+	}
+	if grew {
+		n.replace(b, n.nd.stmts.Copy(n.stack[mark:]))
+	}
+	n.stack = n.stack[:mark]
 	return nil
 }
 
-// stmt returns hoisted call statements to insert before s, and s itself
-// (possibly rewritten).
-func (n *normalizer) stmt(s Stmt) (pre []Stmt, repl Stmt, err error) {
+// replace gives b the list stmts. b's old list stays in its slab chunk
+// for as long as the chunk lives, so it is cleared: the nodes only it
+// held become garbage.
+func (n *normalizer) replace(b *Block, stmts []Stmt) {
+	clear(b.Stmts)
+	b.Stmts = stmts
+}
+
+// stmt pushes the call statements hoisted out of s and returns s, or the
+// statement that replaces it.
+func (n *normalizer) stmt(s Stmt) (Stmt, error) {
 	pos := s.Base().Pos
+	var err error
 	switch x := s.(type) {
 	case *AssignStmt:
 		// `x = f(...);` becomes a CallStmt directly.
 		if c, ok := x.RHS.(*CallExpr); ok {
-			args, p, err := n.hoistAll(c.Args, pos)
-			if err != nil {
-				return nil, nil, err
+			if err := n.hoistAll(c.Args, pos); err != nil {
+				return nil, err
 			}
-			return p, &CallStmt{StmtBase: x.StmtBase, Target: x.LHS, Callee: c.Callee, Args: args, Indirect: c.Indirect}, nil
+			return n.nd.calls.New(CallStmt{StmtBase: x.StmtBase, Target: x.LHS, Callee: c.Callee, Args: c.Args, Indirect: c.Indirect}), nil
 		}
-		e, p, err := n.hoist(x.RHS, pos)
-		if err != nil {
-			return nil, nil, err
-		}
-		x.RHS = e
-		return p, x, nil
+		x.RHS, err = n.hoist(x.RHS, pos)
 
 	case *DeclStmt:
+		// `int x = f(...);` becomes `int x;` and `x = f(...);`.
 		if c, ok := x.Init.(*CallExpr); ok {
-			args, p, err := n.hoistAll(c.Args, pos)
-			if err != nil {
-				return nil, nil, err
+			if err := n.hoistAll(c.Args, pos); err != nil {
+				return nil, err
 			}
 			x.Init = nil
-			call := &CallStmt{
+			n.stack = append(n.stack, x)
+			return n.nd.calls.New(CallStmt{
 				StmtBase: StmtBase{ID: n.prog.NewID(), Pos: pos},
-				Target:   x.Name, Callee: c.Callee, Args: args, Indirect: c.Indirect,
-			}
-			return append(p, x), call, nil
+				Target:   x.Name, Callee: c.Callee, Args: c.Args, Indirect: c.Indirect,
+			}), nil
 		}
-		if x.Init != nil {
-			e, p, err := n.hoist(x.Init, pos)
-			if err != nil {
-				return nil, nil, err
-			}
-			x.Init = e
-			return p, x, nil
-		}
-		return nil, x, nil
+		x.Init, err = n.hoist(x.Init, pos)
 
 	case *CallStmt:
-		args, p, err := n.hoistAll(x.Args, pos)
-		if err != nil {
-			return nil, nil, err
-		}
-		x.Args = args
-		return p, x, nil
+		err = n.hoistAll(x.Args, pos)
 
 	case *IfStmt:
-		e, p, err := n.hoist(x.Cond, pos)
-		if err != nil {
-			return nil, nil, err
-		}
-		x.Cond = e
-		if err := n.block(x.Then); err != nil {
-			return nil, nil, err
-		}
-		if x.Else != nil {
-			if err := n.block(x.Else); err != nil {
-				return nil, nil, err
+		if x.Cond, err = n.hoist(x.Cond, pos); err == nil {
+			if err = n.block(x.Then); err == nil {
+				err = n.block(x.Else)
 			}
 		}
-		return p, x, nil
 
 	case *WhileStmt:
 		if HasCall(x.Cond) {
-			return nil, nil, fmt.Errorf("%s: calls in while conditions are not supported by MicroC; assign to a variable inside the loop", pos)
+			return nil, fmt.Errorf("%s: calls in while conditions are not supported by MicroC; assign to a variable inside the loop", pos)
 		}
-		if err := n.block(x.Body); err != nil {
-			return nil, nil, err
-		}
-		return nil, x, nil
+		err = n.block(x.Body)
 
 	case *ReturnStmt:
-		if x.Value != nil {
-			e, p, err := n.hoist(x.Value, pos)
-			if err != nil {
-				return nil, nil, err
-			}
-			x.Value = e
-			return p, x, nil
-		}
-		return nil, x, nil
+		x.Value, err = n.hoist(x.Value, pos)
 
 	case *PrintfStmt:
-		args, p, err := n.hoistAll(x.Args, pos)
-		if err != nil {
-			return nil, nil, err
-		}
-		x.Args = args
-		return p, x, nil
+		err = n.hoistAll(x.Args, pos)
 	}
-	return nil, s, nil
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-func (n *normalizer) hoistAll(es []Expr, pos Pos) ([]Expr, []Stmt, error) {
-	var pre []Stmt
-	out := make([]Expr, len(es))
+// hoistAll rewrites each expression of es in place.
+func (n *normalizer) hoistAll(es []Expr, pos Pos) error {
 	for i, e := range es {
-		r, p, err := n.hoist(e, pos)
+		r, err := n.hoist(e, pos)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		pre = append(pre, p...)
-		out[i] = r
+		es[i] = r
 	}
-	return out, pre, nil
+	return nil
 }
 
-// hoist rewrites e so it contains no CallExpr, emitting temp-assigning
+// hoist rewrites e so it contains no CallExpr, pushing temp-assigning
 // CallStmts in evaluation order.
-func (n *normalizer) hoist(e Expr, pos Pos) (Expr, []Stmt, error) {
+func (n *normalizer) hoist(e Expr, pos Pos) (Expr, error) {
 	switch x := e.(type) {
 	case nil, *IntLit, *VarRef, *FuncRef:
-		return e, nil, nil
+		return e, nil
 	case *Unary:
-		sub, p, err := n.hoist(x.X, pos)
+		sub, err := n.hoist(x.X, pos)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		x.X = sub
-		return x, p, nil
+		return x, nil
 	case *Binary:
-		l, p1, err := n.hoist(x.X, pos)
+		l, err := n.hoist(x.X, pos)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		r, p2, err := n.hoist(x.Y, pos)
+		r, err := n.hoist(x.Y, pos)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		x.X, x.Y = l, r
-		return x, append(p1, p2...), nil
+		return x, nil
 	case *CallExpr:
-		args, pre, err := n.hoistAll(x.Args, pos)
-		if err != nil {
-			return nil, nil, err
+		if err := n.hoistAll(x.Args, pos); err != nil {
+			return nil, err
 		}
 		tmp := n.newTemp(pos)
-		call := &CallStmt{
+		n.stack = append(n.stack, n.nd.calls.New(CallStmt{
 			StmtBase: StmtBase{ID: n.prog.NewID(), Pos: pos},
-			Target:   tmp, Callee: x.Callee, Args: args, Indirect: x.Indirect,
-		}
-		return &VarRef{Name: tmp}, append(pre, call), nil
+			Target:   tmp, Callee: x.Callee, Args: x.Args, Indirect: x.Indirect,
+		}))
+		return n.nd.vars.New(VarRef{Name: tmp}), nil
 	}
-	return nil, nil, fmt.Errorf("%s: unknown expression node %T", pos, e)
+	return nil, fmt.Errorf("%s: unknown expression node %T", pos, e)
 }
 
 // Validate checks the invariants relied upon by the analysis pipeline:
 // calls appear only as CallStmts, and all names resolve.
 func Validate(prog *Program) error {
+	if err := callsHoisted(prog); err != nil {
+		return err
+	}
+	return resolve(prog)
+}
+
+// callsHoisted reports the first statement that still has a call in
+// expression position.
+func callsHoisted(prog *Program) error {
 	for _, fn := range prog.Funcs {
 		var bad Stmt
 		WalkStmts(fn.Body, func(s Stmt) {
@@ -498,7 +577,7 @@ func Validate(prog *Program) error {
 			return fmt.Errorf("%s: internal error: call remains in expression position after normalization", bad.Base().Pos)
 		}
 	}
-	return resolve(prog)
+	return nil
 }
 
 // stmtHasCall reports whether an expression s uses directly (StmtExprs)

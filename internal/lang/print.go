@@ -17,7 +17,29 @@ import (
 // format must not change.
 func Print(prog *Program) string {
 	var p printer
+	p.program(prog)
+	return p.sb.String()
+}
+
+// Canonicalize renders prog like Print and, in the same walk, renumbers
+// it as a parse of that text would: statement IDs from 1 in print order,
+// no Origin, and each global, function and statement at its position in
+// the text. A program Parse returned then deep-equals
+// Parse(Canonicalize(prog)), so a caller holding a parsed program gets
+// its normalized source and the normalized program without a second
+// parse.
+func Canonicalize(prog *Program) string {
+	p := printer{canon: prog}
+	prog.nextID = 0
+	p.program(prog)
+	return p.sb.String()
+}
+
+func (p *printer) program(prog *Program) {
 	for _, g := range prog.Globals {
+		if p.canon != nil {
+			g.Pos = p.at(typeWidth(g.IsFnPtr) + 2)
+		}
 		p.typ(g.IsFnPtr)
 		p.sb.WriteByte(' ')
 		p.sb.WriteString(g.Name)
@@ -32,7 +54,6 @@ func Print(prog *Program) string {
 		}
 		p.fn(f)
 	}
-	return p.sb.String()
 }
 
 // ExprString renders an expression with minimal parentheses.
@@ -42,8 +63,30 @@ func ExprString(e Expr) string {
 	return p.sb.String()
 }
 
-// printer appends MicroC source text to one builder.
-type printer struct{ sb strings.Builder }
+// printer appends MicroC source text to one builder. With canon set
+// (Canonicalize), it also numbers and positions the program it prints.
+type printer struct {
+	sb    strings.Builder
+	canon *Program
+	line  int // the lines ended in sb[:seen]
+	seen  int
+}
+
+// at returns the position of column col on the line being written.
+func (p *printer) at(col int) Pos {
+	s := p.sb.String()
+	p.line += strings.Count(s[p.seen:], "\n")
+	p.seen = len(s)
+	return Pos{p.line + 1, col}
+}
+
+// typeWidth is the length of the type keyword typ writes.
+func typeWidth(fnptr bool) int {
+	if fnptr {
+		return len("fnptr")
+	}
+	return len("int")
+}
 
 func (p *printer) typ(fnptr bool) {
 	if fnptr {
@@ -54,6 +97,13 @@ func (p *printer) typ(fnptr bool) {
 }
 
 func (p *printer) fn(f *FuncDecl) {
+	if p.canon != nil {
+		col := len("void ") + 1
+		if f.ReturnsValue {
+			col = len("int ") + 1
+		}
+		f.Pos = p.at(col)
+	}
 	if f.ReturnsValue {
 		p.sb.WriteString("int ")
 	} else {
@@ -97,6 +147,14 @@ func (p *printer) indent(depth int) {
 // (stmtNode is unexported), so the switch covers every statement.
 func (p *printer) stmt(s Stmt, depth int) {
 	p.indent(depth)
+	if p.canon != nil {
+		// A declaration is positioned at its name, after the type.
+		col := 2*depth + 1
+		if d, ok := s.(*DeclStmt); ok {
+			col += typeWidth(d.IsFnPtr) + 1
+		}
+		*s.Base() = StmtBase{ID: p.canon.NewID(), Pos: p.at(col)}
+	}
 	switch x := s.(type) {
 	case *DeclStmt:
 		p.typ(x.IsFnPtr)
@@ -213,7 +271,7 @@ func (p *printer) expr(e Expr, parentPrec int) {
 		p.sb.WriteString(x.Op)
 		p.expr(x.X, 7)
 	case *Binary:
-		prec := binaryPrec[x.Op]
+		prec := precOf(x.Op)
 		if prec < parentPrec {
 			p.sb.WriteByte('(')
 		}

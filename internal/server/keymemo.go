@@ -36,24 +36,24 @@ type KeyMemo struct {
 }
 
 // Keys returns the cache keys of the program text raw. A text whose keys
-// are memoized is answered without parsing, and norm is then "". Otherwise
-// raw is parsed and norm is its normalized source; the keys are recorded
-// only when the parse succeeds, so an unparseable text returns its parse
-// error on every call.
-func (km *KeyMemo) Keys(raw string) (keys ProgramKeys, norm string, err error) {
+// are memoized is answered without parsing, and prog is then nil.
+// Otherwise raw is parsed, and prog is the program numbered as its
+// normalized source (specslice.ParseNormalized), ready to build; the keys
+// are recorded only when the parse succeeds, so an unparseable text
+// returns its parse error on every call.
+func (km *KeyMemo) Keys(raw string) (keys ProgramKeys, prog *specslice.Program, err error) {
 	digest := sha256.Sum256([]byte(raw))
 	km.mu.Lock()
 	keys, ok := km.m[digest]
 	km.mu.Unlock()
 	if ok {
 		km.hits.Add(1)
-		return keys, "", nil
+		return keys, nil, nil
 	}
-	prog, err := specslice.Parse(raw)
+	prog, norm, err := specslice.ParseNormalized(raw)
 	if err != nil {
-		return ProgramKeys{}, "", err
+		return ProgramKeys{}, nil, err
 	}
-	norm = prog.Source()
 	keys = ProgramKeys{Content: ContentKey(norm), Family: FamilyKey(prog.ProcNames())}
 	km.mu.Lock()
 	if km.m == nil || len(km.m) >= keyMemoCapacity {
@@ -61,7 +61,7 @@ func (km *KeyMemo) Keys(raw string) (keys ProgramKeys, norm string, err error) {
 	}
 	km.m[digest] = keys
 	km.mu.Unlock()
-	return keys, norm, nil
+	return keys, prog, nil
 }
 
 // Hits counts the calls Keys answered from the memo.

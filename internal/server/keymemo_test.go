@@ -183,12 +183,12 @@ func TestKeyMemoBounded(t *testing.T) {
 		t.Errorf("distinct texts counted %d hits", km.Hits())
 	}
 	last := src(2*keyMemoCapacity + 9)
-	keys, norm, err := km.Keys(last)
-	if err != nil || norm != "" || km.Hits() != 1 {
-		t.Fatalf("repeat of the newest text: err=%v norm=%q hits=%d, want a memo hit", err, norm, km.Hits())
+	keys, prog, err := km.Keys(last)
+	if err != nil || prog != nil || km.Hits() != 1 {
+		t.Fatalf("repeat of the newest text: err=%v parsed=%v hits=%d, want a memo hit", err, prog != nil, km.Hits())
 	}
-	prog := specslice.MustParse(last)
-	if keys.Content != ContentKey(prog.Source()) || keys.Family != FamilyKey(prog.ProcNames()) {
+	fresh := specslice.MustParse(last)
+	if keys.Content != ContentKey(fresh.Source()) || keys.Family != FamilyKey(fresh.ProcNames()) {
 		t.Errorf("memoized keys %+v disagree with a fresh parse", keys)
 	}
 }
@@ -310,5 +310,120 @@ func BenchmarkWarmHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve()
+	}
+}
+
+// nestedCallsSource is a program whose normalization hoists nested calls
+// into temporaries in every procedure, so its normalized text numbers and
+// positions statements differently from any spelling of it.
+const nestedCallsSource = `int g;
+int h(int a) { return a + g; }
+int k(int a, int b) { g = g + h(a); return h(h(a) * b); }
+int main() {
+  int x = h(h(1) + h(2)) * h(3);
+  int y = k(h(x), k(1, h(2)));
+  if (x > y) { g = h(y) + k(x, 2); } else { g = k(h(g), h(h(y))); }
+  printf("%d %d", x, y);
+  printf("%d", g);
+  return 0;
+}
+`
+
+// directResults slices specslice.Parse(norm) in process, resolving and
+// labelling the criteria as handleSlice does, and renders the results as
+// resultsJSON does.
+func directResults(t *testing.T, norm string, criteria []CriterionRequest) []byte {
+	t.Helper()
+	p, err := specslice.MustParse(norm).EliminateIndirectCalls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := p.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := eng.SDG()
+	reqs := make([]specslice.BatchRequest, len(criteria))
+	for i, c := range criteria {
+		mode, _ := batchMode(c.Mode)
+		reqs[i] = specslice.BatchRequest{Criterion: c.resolve(g), Mode: mode, Label: c.canonical()}
+	}
+	results, _ := eng.SliceAll(reqs, specslice.BatchOptions{Workers: 1})
+	out := make([]SliceResult, len(results))
+	for i, res := range results {
+		out[i] = SliceResult{Label: res.Label, Mode: canonicalMode(criteria[i].Mode)}
+		if res.Err != nil {
+			out[i].Error = res.Err.Error()
+			continue
+		}
+		out[i].VariantCounts = res.Slice.VariantCounts()
+		out[i].Vertices = res.Slice.Vertices()
+		if out[i].Source, err = res.Slice.Source(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resultsJSON(t, SliceResponse{Results: out})
+}
+
+// TestKeyMemoRenumberedProgramSlices: the server builds from the key
+// memo's AST, renumbered as its normalized source, instead of re-parsing
+// that source. A reformatted program with hoisted calls, sliced at lines
+// of its normalized text, must return the bytes of a direct slice of
+// specslice.Parse(norm) on its first miss, on the memo-hit rebuild after
+// its engine is evicted, and when it is advanced from an ancestor version.
+func TestKeyMemoRenumberedProgramSlices(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheMaxEntries: 1})
+	spell := func(src string) string { return "/* reformatted */ " + strings.ReplaceAll(src, ";", " ;\n   ") }
+	norm := specslice.MustParse(nestedCallsSource).Source()
+	if !strings.Contains(norm, "_t1 = h(a);") {
+		t.Fatalf("no hoisted call in the normalized text:\n%s", norm)
+	}
+	crit := []CriterionRequest{{Kind: "printf"}, {Kind: "printf", Proc: "main", Mode: "mono"}}
+	for i, l := range strings.Split(norm, "\n") {
+		if strings.Contains(l, " = ") {
+			crit = append(crit, CriterionRequest{Kind: "line", Line: i + 1})
+		}
+	}
+	want := directResults(t, norm, crit)
+	check := func(what string, req SliceRequest) SliceResponse {
+		t.Helper()
+		status, resp, raw := postSlice(t, ts.URL, req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", what, status, raw)
+		}
+		if got := resultsJSON(t, resp); !bytes.Equal(got, want) {
+			t.Fatalf("%s: results differ from a direct slice of the normalized text:\n%s\nwant:\n%s", what, got, want)
+		}
+		for _, r := range resp.Results {
+			if r.Error != "" {
+				t.Fatalf("%s: %s: %s", what, r.Label, r.Error)
+			}
+		}
+		return resp
+	}
+
+	req := SliceRequest{Program: spell(nestedCallsSource), Criteria: crit}
+	if first := check("first miss", req); first.CacheHit {
+		t.Fatal("first send hit the cache")
+	}
+	if status, _, raw := postSlice(t, ts.URL, SliceRequest{Program: workload.Fig2Source, Criteria: []CriterionRequest{{Kind: "printf"}}}); status != http.StatusOK {
+		t.Fatalf("evictor: status %d: %s", status, raw)
+	}
+	if again := check("memo-hit rebuild", req); again.CacheHit {
+		t.Fatal("rebuild hit the cache")
+	}
+	if st := getStats(t, ts.URL); st.KeyMemoHits != 1 {
+		t.Fatalf("key_memo_hits = %d, want 1", st.KeyMemoHits)
+	}
+
+	// An ancestor version with the same procedures, then the program in a
+	// spelling not seen before: a memo miss that advances the ancestor.
+	ancestor := strings.Replace(nestedCallsSource, "h(3)", "h(4)", 1)
+	if status, _, raw := postSlice(t, ts.URL, SliceRequest{Program: ancestor, Criteria: []CriterionRequest{{Kind: "printf"}}}); status != http.StatusOK {
+		t.Fatalf("ancestor: status %d: %s", status, raw)
+	}
+	req.Program = strings.ReplaceAll(nestedCallsSource, "{", "{\n\n")
+	if adv := check("advance", req); !adv.Advanced {
+		t.Fatalf("the program did not advance from its ancestor: %+v", adv)
 	}
 }

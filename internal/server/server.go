@@ -483,32 +483,28 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// A text seen before byte for byte skips the parse: the memo answers
-	// its keys, and norm stays "" until a build needs it.
-	keys, norm, err := s.memo.Keys(req.Program)
+	// its keys, and prog stays nil until a build needs it.
+	keys, prog, err := s.memo.Keys(req.Program)
 	if err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, "program does not parse: %v", err)
 		return
 	}
 	key, family := keys.Content, keys.Family
 	eng, hit, deduped, source, err := s.cache.Get(key, family, func(ancestor *specslice.Engine) (*specslice.Engine, BuildSource, error) {
-		if norm == "" {
-			// Memo hit, engine gone: recover the canonical text lazily.
-			prog, err := specslice.Parse(req.Program)
+		if prog == nil {
+			// Memo hit, engine gone: parse the request text now.
+			parsed, _, err := specslice.ParseNormalized(req.Program)
 			if err != nil {
 				return nil, BuildCold, err
 			}
-			norm = prog.Source()
+			prog = parsed
 		}
-		// Build from the canonical normalized source, not the request
+		// prog is numbered as its normalized source, not as the request
 		// text: every normalization-equivalent request must observe the
 		// same engine, including source positions — a line criterion
 		// resolves against the normalized program's line numbering no
 		// matter whose formatting populated the cache.
-		canon, err := specslice.Parse(norm)
-		if err != nil {
-			return nil, BuildCold, err
-		}
-		p, err := canon.EliminateIndirectCalls()
+		p, err := prog.EliminateIndirectCalls()
 		if err != nil {
 			return nil, BuildCold, err
 		}

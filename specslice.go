@@ -64,6 +64,22 @@ func Parse(src string) (*Program, error) {
 	return &Program{ast: ast}, nil
 }
 
+// ParseNormalized parses MicroC source text and also returns its
+// normalized source, the text Source prints, which every
+// normalization-equivalent input shares. The program is numbered as a
+// parse of the normalized source would number it: its statement IDs, and
+// its positions, are those of that text, whatever the input's formatting.
+// So a line criterion on it resolves against the normalized text's lines,
+// and it stands in for Parse(norm) without a second parse.
+func ParseNormalized(src string) (*Program, string, error) {
+	ast, err := lang.Parse(src)
+	if err != nil {
+		return nil, "", err
+	}
+	norm := lang.Canonicalize(ast)
+	return &Program{ast: ast}, norm, nil
+}
+
 // MustParse parses src and panics on error.
 func MustParse(src string) *Program {
 	p, err := Parse(src)
@@ -116,8 +132,9 @@ func (p *Program) Run(opts RunOptions) (*RunResult, error) {
 
 // EliminateIndirectCalls applies the paper's §6.2 transformation, returning
 // a behaviorally equivalent program whose calls are all direct (indirect
-// calls are routed through synthesized dispatch procedures). Programs
-// without indirect calls are returned unchanged.
+// calls are routed through synthesized dispatch procedures, in a deep
+// copy). A program without indirect calls comes back unchanged, sharing
+// p's AST.
 func (p *Program) EliminateIndirectCalls() (*Program, error) {
 	out, _, err := funcptr.Transform(p.ast)
 	if err != nil {
