@@ -61,7 +61,7 @@ func dot(g *sdg.Graph) string {
 	for _, p := range g.Procs {
 		out += fmt.Sprintf("  subgraph cluster_%d {\n    label=%q;\n", p.Index, p.Name)
 		for _, v := range p.Vertices {
-			vx := g.Vertices[v]
+			vx := &g.Vertices[v]
 			shape := "box"
 			switch vx.Kind {
 			case sdg.KindEntry:
@@ -71,7 +71,7 @@ func dot(g *sdg.Graph) string {
 			case sdg.KindPredicate:
 				shape = "diamond"
 			}
-			out += fmt.Sprintf("    v%d [label=%q, shape=%s];\n", v, vx.Label, shape)
+			out += fmt.Sprintf("    v%d [label=%q, shape=%s];\n", v, g.Label(v), shape)
 		}
 		out += "  }\n"
 	}

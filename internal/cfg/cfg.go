@@ -51,18 +51,26 @@ type Edge struct {
 
 // Graph is the CFG of one function.
 type Graph struct {
-	Fn     *lang.FuncDecl
-	Nodes  []*Node
-	Entry  *Node
-	Exit   *Node
-	Succs  [][]Edge
-	Preds  [][]Edge // mirrors Succs
-	ByStmt map[lang.NodeID]*Node
+	Fn    *lang.FuncDecl
+	Nodes []*Node
+	Entry *Node
+	Exit  *Node
+	Succs [][]Edge
+	Preds [][]Edge // mirrors Succs
 }
 
-// Build constructs the CFG of fn.
+// Build constructs the CFG of fn. Every statement is one node, besides
+// Entry and Exit, so the nodes and their edge lists are carved from
+// backings sized up front.
 func Build(fn *lang.FuncDecl) *Graph {
-	b := &builder{g: &Graph{Fn: fn, ByStmt: map[lang.NodeID]*Node{}}}
+	n := fn.NumStmts() + 2
+	b := &builder{
+		g:     &Graph{Fn: fn, Nodes: make([]*Node, 0, n), Succs: make([][]Edge, 0, n)},
+		nodes: make([]Node, 0, n),
+		// No node has more than two successors: a branch's two arms, or
+		// a jump's target and its pseudo fall-through.
+		succs: make([]Edge, 2*n),
+	}
 	b.g.Entry = b.newNode(KindEntry, nil)
 	b.g.Exit = b.newNode(KindExit, nil)
 	first := b.block(fn.Body, b.g.Exit.ID, loopCtx{})
@@ -82,16 +90,26 @@ type loopCtx struct {
 }
 
 type builder struct {
-	g *Graph
+	g     *Graph
+	nodes []Node // backs g.Nodes; never grows past its capacity
+	succs []Edge // backs g.Succs, two slots per node
 }
 
 func (b *builder) newNode(kind NodeKind, s lang.Stmt) *Node {
-	n := &Node{ID: len(b.g.Nodes), Kind: kind, Stmt: s}
-	b.g.Nodes = append(b.g.Nodes, n)
-	b.g.Succs = append(b.g.Succs, nil)
-	if s != nil {
-		b.g.ByStmt[s.Base().ID] = n
+	id := len(b.g.Nodes)
+	var n *Node
+	if len(b.nodes) < cap(b.nodes) {
+		b.nodes = append(b.nodes, Node{ID: id, Kind: kind, Stmt: s})
+		n = &b.nodes[len(b.nodes)-1]
+	} else {
+		n = &Node{ID: id, Kind: kind, Stmt: s}
 	}
+	b.g.Nodes = append(b.g.Nodes, n)
+	var succ []Edge
+	if 2*id+2 <= len(b.succs) {
+		succ = b.succs[2*id : 2*id : 2*id+2]
+	}
+	b.g.Succs = append(b.g.Succs, succ)
 	return n
 }
 
@@ -177,8 +195,24 @@ func (b *builder) stmt(s lang.Stmt, next int, lc loopCtx) int {
 	}
 }
 
+// buildPreds mirrors Succs into Preds, each node's list a view into one
+// backing, in source-node order.
 func (g *Graph) buildPreds() {
-	g.Preds = make([][]Edge, len(g.Nodes))
+	n := len(g.Nodes)
+	counts := make([]int, n+1)
+	m := 0
+	for _, es := range g.Succs {
+		for _, e := range es {
+			counts[e.To+1]++
+			m++
+		}
+	}
+	backing := make([]Edge, m)
+	g.Preds = make([][]Edge, n)
+	for v := 0; v < n; v++ {
+		counts[v+1] += counts[v]
+		g.Preds[v] = backing[counts[v]:counts[v]:counts[v+1]]
+	}
 	for from, es := range g.Succs {
 		for _, e := range es {
 			g.Preds[e.To] = append(g.Preds[e.To], Edge{To: from, Pseudo: e.Pseudo})

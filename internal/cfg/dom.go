@@ -90,12 +90,21 @@ func Postdominators(g *Graph) []int {
 // not postdominate u, every node on the postdominator-tree path from w up to
 // (but excluding) ipdom(u) is control dependent on u.
 //
-// The result maps each node ID to the set of node IDs it is control
-// dependent on (its controllers). Every statement node ends up with at least
-// one controller (possibly Entry) thanks to the Entry→Exit augmented edge.
+// The result maps each node ID to the node IDs it is control dependent on
+// (its controllers), each once, in ascending order; the lists are views
+// into one backing. Every statement node ends up with at least one
+// controller (possibly Entry) thanks to the Entry→Exit augmented edge.
 func ControlDeps(g *Graph) [][]int {
 	ipdom := Postdominators(g)
-	deps := make([]map[int]bool, len(g.Nodes))
+	n := len(g.Nodes)
+	// Collect (dependent, controller) pairs with u ascending; last[v]
+	// drops a second path from the same u to v.
+	type pair struct{ v, u int }
+	var pairs []pair
+	last := make([]int, n)
+	for i := range last {
+		last[i] = -1
+	}
 	for u := range g.Nodes {
 		for _, e := range g.Succs[u] {
 			w := e.To
@@ -103,11 +112,9 @@ func ControlDeps(g *Graph) [][]int {
 			stop := ipdom[u]
 			v := w
 			for v != stop && v != -1 {
-				if v != u { // a node is not usefully control dependent on itself here
-					if deps[v] == nil {
-						deps[v] = map[int]bool{}
-					}
-					deps[v][u] = true
+				if v != u && last[v] != u { // a node is not usefully control dependent on itself here
+					last[v] = u
+					pairs = append(pairs, pair{v, u})
 				}
 				if v == ipdom[v] {
 					break
@@ -116,11 +123,21 @@ func ControlDeps(g *Graph) [][]int {
 			}
 		}
 	}
-	out := make([][]int, len(g.Nodes))
-	for v, m := range deps {
-		for u := range m {
-			out[v] = append(out[v], u)
-		}
+	// Group by dependent, stably, so each list keeps u ascending.
+	start := make([]int, n+1)
+	for _, p := range pairs {
+		start[p.v+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	backing := make([]int, len(pairs))
+	out := make([][]int, n)
+	for v := 0; v < n; v++ {
+		out[v] = backing[start[v]:start[v]:start[v+1]]
+	}
+	for _, p := range pairs {
+		out[p.v] = append(out[p.v], p.u)
 	}
 	return out
 }

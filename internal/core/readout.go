@@ -197,11 +197,11 @@ func unmatchedActual(g *sdg.Graph, actuals, formals []sdg.VertexID, caller, call
 		if !caller.keeps(a) {
 			continue
 		}
-		av := g.Vertices[a]
-		for j < len(formals) && (!callee.keeps(formals[j]) || less(g.Vertices[formals[j]], av)) {
+		av := &g.Vertices[a]
+		for j < len(formals) && (!callee.keeps(formals[j]) || less(&g.Vertices[formals[j]], av)) {
 			j++
 		}
-		if j == len(formals) || !matches(g.Vertices[formals[j]], av) {
+		if j == len(formals) || !matches(&g.Vertices[formals[j]], av) {
 			return a, true
 		}
 		j++
@@ -451,9 +451,9 @@ func (r *Result) BuildR() *Specialized {
 		sp.VariantsOf[orig.Name] = append(sp.VariantsOf[orig.Name], k)
 		base[k] = sdg.VertexID(len(R.Vertices))
 		for _, v := range pv.Vertices {
-			cp := *g.Vertices[v]
+			cp := g.Vertices[v]
 			cp.Proc, cp.Site = k, -1
-			R.AddVertex(&cp)
+			R.AddVertex(cp)
 		}
 		sp.OriginVertex = append(sp.OriginVertex, pv.Vertices...)
 		rp.Entry = rid(k, orig.Entry)
@@ -526,11 +526,11 @@ func (r *Result) BuildR() *Specialized {
 			rs.Callee = vars[ki].Name
 			edges = append(edges, sdg.Edge{From: rs.CallVertex, To: R.Procs[ki].Entry, Kind: sdg.EdgeCall})
 			for _, a := range rs.ActualIns {
-				f, _ := callee.MatchFormalIn(g, R.Vertices[a])
+				f, _ := callee.MatchFormalIn(g, &R.Vertices[a])
 				edges = append(edges, sdg.Edge{From: a, To: rid(ki, f), Kind: sdg.EdgeParamIn})
 			}
 			for _, a := range rs.ActualOuts {
-				f, _ := callee.MatchFormalOut(g, R.Vertices[a])
+				f, _ := callee.MatchFormalOut(g, &R.Vertices[a])
 				edges = append(edges, sdg.Edge{From: rid(ki, f), To: a, Kind: sdg.EdgeParamOut})
 			}
 		}

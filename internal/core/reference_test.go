@@ -173,6 +173,17 @@ func referenceReadout(res *core.Result) (*refResult, error) {
 	r.OriginSite = map[sdg.SiteID]sdg.SiteID{}
 	r.VariantsOf = map[string][]int{}
 	stateToRProc := map[int]int{}
+	// edges collects R's edges in construction order; the first copy of
+	// an edge wins, as the retired AddEdge's dedup kept it.
+	var edges []sdg.Edge
+	seen := map[sdg.Edge]bool{}
+	addEdge := func(from, to sdg.VertexID, kind sdg.EdgeKind) {
+		e := sdg.Edge{From: from, To: to, Kind: kind}
+		if !seen[e] {
+			seen[e] = true
+			edges = append(edges, e)
+		}
+	}
 
 	for _, in := range infos {
 		orig := g.Procs[in.origProc]
@@ -194,11 +205,10 @@ func referenceReadout(res *core.Result) (*refResult, error) {
 		// Create R vertices (in source-ID order) and site skeletons.
 		newID := map[sdg.VertexID]sdg.VertexID{}
 		for _, v := range in.vertices {
-			src := g.Vertices[v]
-			cp := *src
+			cp := g.Vertices[v]
 			cp.Proc = rp.Index
 			cp.Site = -1 // re-linked below
-			id := R.AddVertex(&cp)
+			id := R.AddVertex(cp)
 			newID[v] = id
 			r.OriginVertex[id] = v
 		}
@@ -245,7 +255,7 @@ func referenceReadout(res *core.Result) (*refResult, error) {
 		for _, v := range in.vertices {
 			for _, e := range g.Out(v) {
 				if (e.Kind == sdg.EdgeControl || e.Kind == sdg.EdgeFlow) && inSet[e.To] {
-					R.AddEdge(newID[v], newID[e.To], e.Kind)
+					addEdge(newID[v], newID[e.To], e.Kind)
 				}
 			}
 		}
@@ -271,22 +281,23 @@ func referenceReadout(res *core.Result) (*refResult, error) {
 		}
 		rs.Callee = callee.Name
 		r.CallTargets[callerIdx][ce.site] = calleeIdx
-		R.AddEdge(rs.CallVertex, callee.Entry, sdg.EdgeCall)
+		addEdge(rs.CallVertex, callee.Entry, sdg.EdgeCall)
 		for _, ai := range rs.ActualIns {
 			fi, ok := refMatchFormalIn(R, callee, ai)
 			if !ok {
 				return nil, fmt.Errorf("core: parameter mismatch: %s has no formal for %s", callee.Name, R.VertexString(ai))
 			}
-			R.AddEdge(ai, fi, sdg.EdgeParamIn)
+			addEdge(ai, fi, sdg.EdgeParamIn)
 		}
 		for _, ao := range rs.ActualOuts {
 			fo, ok := refMatchFormalOut(R, callee, ao)
 			if !ok {
 				return nil, fmt.Errorf("core: parameter mismatch: %s has no formal-out for %s", callee.Name, R.VertexString(ao))
 			}
-			R.AddEdge(fo, ao, sdg.EdgeParamOut)
+			addEdge(fo, ao, sdg.EdgeParamOut)
 		}
 	}
+	R.InstallEdges(edges)
 	return r, nil
 }
 
@@ -335,7 +346,7 @@ func compareReadout(t *testing.T, tag string, res *core.Specialized, ref *refRes
 		a, b := R.Vertices[i], Q.Vertices[i]
 		if a.ID != b.ID || a.Kind != b.Kind || a.Proc != b.Proc || a.Site != b.Site ||
 			a.Param != b.Param || a.Var != b.Var || a.IsReturn != b.IsReturn ||
-			a.Label != b.Label || a.Stmt != b.Stmt {
+			R.Label(sdg.VertexID(i)) != Q.Label(sdg.VertexID(i)) || a.Stmt != b.Stmt {
 			t.Fatalf("%s: vertex %d differs: %+v vs %+v", tag, i, a, b)
 		}
 		if res.OriginVertex[i] != ref.OriginVertex[sdg.VertexID(i)] {
@@ -627,14 +638,14 @@ func TestFormalMatchDifferential(t *testing.T) {
 			callee := g.Procs[idx]
 			for _, ai := range site.ActualIns {
 				want, wok := refMatchFormalIn(g, callee, ai)
-				got, gok := callee.MatchFormalIn(g, g.Vertices[ai])
+				got, gok := callee.MatchFormalIn(g, &g.Vertices[ai])
 				if wok != gok || (wok && want != got) {
 					t.Fatalf("%s: MatchFormalIn(%s) = %v,%v want %v,%v", tag, g.VertexString(ai), got, gok, want, wok)
 				}
 			}
 			for _, ao := range site.ActualOuts {
 				want, wok := refMatchFormalOut(g, callee, ao)
-				got, gok := callee.MatchFormalOut(g, g.Vertices[ao])
+				got, gok := callee.MatchFormalOut(g, &g.Vertices[ao])
 				if wok != gok || (wok && want != got) {
 					t.Fatalf("%s: MatchFormalOut(%s) = %v,%v want %v,%v", tag, g.VertexString(ao), got, gok, want, wok)
 				}
@@ -815,8 +826,12 @@ int main() {
 // calling q, so q is never entered and its own site calling p is not live.
 func orphanGraph() *sdg.Graph {
 	g := &sdg.Graph{ProcByName: map[string]int{}}
+	var edges []sdg.Edge
+	edge := func(from, to sdg.VertexID, kind sdg.EdgeKind) {
+		edges = append(edges, sdg.Edge{From: from, To: to, Kind: kind})
+	}
 	vertex := func(p *sdg.Proc, kind sdg.VertexKind, site sdg.SiteID) sdg.VertexID {
-		return g.AddVertex(&sdg.Vertex{Kind: kind, Proc: p.Index, Site: site, Param: sdg.NoParam})
+		return g.AddVertex(sdg.Vertex{Kind: kind, Proc: p.Index, Site: site, Param: sdg.NoParam})
 	}
 	proc := func(name string) *sdg.Proc {
 		p := &sdg.Proc{Index: len(g.Procs), Name: name}
@@ -831,20 +846,21 @@ func orphanGraph() *sdg.Graph {
 		caller.Sites = append(caller.Sites, s.ID)
 		s.CallVertex = vertex(caller, sdg.KindCall, s.ID)
 		if live {
-			g.AddEdge(caller.Entry, s.CallVertex, sdg.EdgeControl)
+			edge(caller.Entry, s.CallVertex, sdg.EdgeControl)
 		}
-		g.AddEdge(s.CallVertex, callee.Entry, sdg.EdgeCall)
+		edge(s.CallVertex, callee.Entry, sdg.EdgeCall)
 	}
 	main, p, q := proc("main"), proc("p"), proc("q")
 	s1, s2, orphan := vertex(main, sdg.KindStmt, -1), vertex(main, sdg.KindStmt, -1), vertex(main, sdg.KindStmt, -1)
-	g.AddEdge(main.Entry, s1, sdg.EdgeControl)
-	g.AddEdge(s1, s2, sdg.EdgeFlow)
-	g.AddEdge(orphan, s2, sdg.EdgeFlow)
+	edge(main.Entry, s1, sdg.EdgeControl)
+	edge(s1, s2, sdg.EdgeFlow)
+	edge(orphan, s2, sdg.EdgeFlow)
 	vertex(p, sdg.KindStmt, -1)
 	call(main, p, true)
 	call(main, q, false)
 	call(p, p, true)
 	call(q, p, true)
+	g.InstallEdges(edges)
 	return g
 }
 

@@ -185,12 +185,12 @@ func CheckNoMismatches(g *sdg.Graph) error {
 				site.ID, site.Callee, len(site.ActualOuts), len(callee.FormalOuts))
 		}
 		for _, ai := range site.ActualIns {
-			if _, ok := callee.MatchFormalIn(g, g.Vertices[ai]); !ok {
+			if _, ok := callee.MatchFormalIn(g, &g.Vertices[ai]); !ok {
 				return fmt.Errorf("site %d -> %s: unmatched actual-in %s", site.ID, site.Callee, g.VertexString(ai))
 			}
 		}
 		for _, ao := range site.ActualOuts {
-			if _, ok := callee.MatchFormalOut(g, g.Vertices[ao]); !ok {
+			if _, ok := callee.MatchFormalOut(g, &g.Vertices[ao]); !ok {
 				return fmt.Errorf("site %d -> %s: unmatched actual-out %s", site.ID, site.Callee, g.VertexString(ao))
 			}
 		}

@@ -21,6 +21,7 @@
 package dataflow
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -229,7 +230,8 @@ func rowsEqualFor(a, b *ModRef, name string) bool {
 // transformed by the funcptr package contain no indirect calls and get
 // precise results.
 func ComputeModRef(prog *lang.Program) *ModRef {
-	return computeModRef(prog, prog.Funcs, nil, 1)
+	mr, _ := computeModRef(prog, prog.Funcs, nil, 1)
+	return mr
 }
 
 // ComputeModRefWorkers is ComputeModRef over a worker pool of the given
@@ -238,6 +240,15 @@ func ComputeModRef(prog *lang.Program) *ModRef {
 // level, in chunks balanced by statement count. The result is identical
 // for every worker count.
 func ComputeModRefWorkers(prog *lang.Program, workers int) *ModRef {
+	mr, _ := computeModRef(prog, prog.Funcs, nil, workers)
+	return mr
+}
+
+// ComputeModRefCFGs is ComputeModRefWorkers that also returns the CFG its
+// local phase built for each procedure, indexed like prog.Funcs, so the
+// SDG builder does not build them a second time. Its Stats().Local covers
+// their construction.
+func ComputeModRefCFGs(prog *lang.Program, workers int) (*ModRef, []*cfg.Graph) {
 	return computeModRef(prog, prog.Funcs, nil, workers)
 }
 
@@ -351,7 +362,7 @@ func AdvanceModRefDiff(newProg, oldProg *lang.Program, old *ModRef, diff lang.Pr
 				dirtyFns = append(dirtyFns, fn)
 			}
 		}
-		mr := computeModRef(newProg, dirtyFns, old, 1)
+		mr, _ := computeModRef(newProg, dirtyFns, old, 1)
 
 		// Cutoff check: if every dirty procedure's rows match its old
 		// ones, the callers outside the dirty set — computed against
@@ -425,8 +436,9 @@ type solver struct {
 // callers: every procedure outside fns has final rows in prev, and
 // summaries only flow callee → caller. prev must be encoded over the same
 // global declarations (the advance path guarantees this by falling back
-// to a full computation when globals change).
-func computeModRef(prog *lang.Program, fns []*lang.FuncDecl, prev *ModRef, workers int) *ModRef {
+// to a full computation when globals change). It also returns the CFG it
+// built for each of fns, in order.
+func computeModRef(prog *lang.Program, fns []*lang.FuncDecl, prev *ModRef, workers int) (*ModRef, []*cfg.Graph) {
 	t0 := time.Now()
 	var in *Interner
 	if prev != nil {
@@ -493,7 +505,7 @@ func computeModRef(prog *lang.Program, fns []*lang.FuncDecl, prev *ModRef, worke
 		// in chunks balanced by statement count.
 		sizes := make([]int, len(fns))
 		for k, fn := range fns {
-			sizes[k] = len(fn.Stmts())
+			sizes[k] = fn.NumStmts()
 		}
 		par.ForWeighted(parWorkers(workers, total(sizes)), len(fns),
 			func(k int) int { return sizes[k] },
@@ -558,7 +570,11 @@ func computeModRef(prog *lang.Program, fns []*lang.FuncDecl, prev *ModRef, worke
 		Local:    tLocal.Sub(tIntern),
 		Fixpoint: tFix.Sub(tLocal),
 	}
-	return mr
+	graphs := make([]*cfg.Graph, len(fns))
+	for k := range s.locals {
+		graphs[k] = s.locals[k].graph
+	}
+	return mr, graphs
 }
 
 // parMinStmts is the statement-count floor below which a phase runs
@@ -589,20 +605,27 @@ func (s *solver) buildLocal(k int, addressTaken []int) {
 	g := cfg.Build(fn)
 	loc := &s.locals[k]
 	loc.graph = g
-	loc.size = len(fn.Stmts())
-	loc.localMod = make([]uint64, words)
-	loc.localRef = make([]uint64, words)
 	nn := len(g.Nodes)
-	loc.genBits = make([]uint64, nn*words)
-	loc.useBits = make([]uint64, nn*words)
+	loc.size = nn - 2 // every statement is one node, besides entry and exit
+	rows := make([]uint64, (2+2*nn)*words)
+	loc.localMod, loc.localRef = rows[:words:words], rows[words:2*words:2*words]
+	loc.genBits = rows[2*words : (2+nn)*words : (2+nn)*words]
+	loc.useBits = rows[(2+nn)*words:]
 	loc.callAt = make([][]int, nn)
 	loc.preds = make([][]int, nn)
+	npreds := 0
 	for ni := range g.Preds {
+		npreds += len(g.Preds[ni])
+	}
+	preds := make([]int, 0, npreds)
+	for ni := range g.Preds {
+		lo := len(preds)
 		for _, e := range g.Preds[ni] {
 			if !e.Pseudo {
-				loc.preds[ni] = append(loc.preds[ni], e.To)
+				preds = append(preds, e.To)
 			}
 		}
+		loc.preds[ni] = preds[lo:len(preds):len(preds)]
 	}
 
 	// The interner holds exactly the non-fnptr globals, so an ID lookup
@@ -613,13 +636,10 @@ func (s *solver) buildLocal(k int, addressTaken []int) {
 			row[id/64] |= 1 << (uint(id) % 64)
 		}
 	}
-	refExpr := func(row []uint64, e lang.Expr) {
-		for _, v := range lang.ExprVars(e) {
-			setVar(row, v)
-		}
-	}
 
-	calleeSet := map[int]bool{}
+	// direct holds the callee of every direct call node, so each node's
+	// one-element callee list is a view into it.
+	direct := make([]int, 0, nn)
 	for _, node := range g.Nodes {
 		if node.Stmt == nil {
 			continue
@@ -628,8 +648,7 @@ func (s *solver) buildLocal(k int, addressTaken []int) {
 		use := loc.useBits[node.ID*words : (node.ID+1)*words]
 		// Direct uses: every global referenced in the node's expressions.
 		for _, e := range lang.StmtExprs(node.Stmt) {
-			refExpr(use, e)
-			refExpr(loc.localRef, e)
+			refExpr(mr.in, use, loc.localRef, e)
 		}
 		switch x := node.Stmt.(type) {
 		case *lang.AssignStmt:
@@ -645,21 +664,37 @@ func (s *solver) buildLocal(k int, addressTaken []int) {
 			if x.Indirect {
 				callees = addressTaken
 			} else if pi, ok := mr.idx[x.Callee]; ok {
-				callees = []int{pi}
+				direct = append(direct, pi)
+				callees = direct[len(direct)-1 : len(direct) : len(direct)]
 			}
 			if len(callees) > 0 {
 				loc.callAt[node.ID] = callees
-				for _, pi := range callees {
-					calleeSet[pi] = true
-				}
+				loc.callees = append(loc.callees, callees...)
 			}
 		}
 	}
-	loc.callees = make([]int, 0, len(calleeSet))
-	for pi := range calleeSet {
-		loc.callees = append(loc.callees, pi)
-	}
 	sort.Ints(loc.callees)
+	loc.callees = slices.Compact(loc.callees)
+}
+
+// refExpr sets, in both rows, the bit of every global e references.
+func refExpr(in *Interner, a, b []uint64, e lang.Expr) {
+	switch x := e.(type) {
+	case *lang.VarRef:
+		if id, ok := in.ID(x.Name); ok {
+			a[id/64] |= 1 << (uint(id) % 64)
+			b[id/64] |= 1 << (uint(id) % 64)
+		}
+	case *lang.Unary:
+		refExpr(in, a, b, x.X)
+	case *lang.Binary:
+		refExpr(in, a, b, x.X)
+		refExpr(in, a, b, x.Y)
+	case *lang.CallExpr:
+		for _, arg := range x.Args {
+			refExpr(in, a, b, arg)
+		}
+	}
 }
 
 // sccLevels computes the strongly connected components of the call graph

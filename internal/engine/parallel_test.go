@@ -72,9 +72,10 @@ func sameGraph(a, b *sdg.Graph) error {
 		return fmt.Errorf("element counts differ")
 	}
 	for i := range a.Vertices {
-		va, vb := a.Vertices[i], b.Vertices[i]
+		va, vb := &a.Vertices[i], &b.Vertices[i]
 		if va.Kind != vb.Kind || va.Proc != vb.Proc || va.Site != vb.Site ||
-			va.Param != vb.Param || va.Var != vb.Var || va.IsReturn != vb.IsReturn || va.Label != vb.Label {
+			va.Param != vb.Param || va.Var != vb.Var || va.IsReturn != vb.IsReturn ||
+			a.Label(sdg.VertexID(i)) != b.Label(sdg.VertexID(i)) {
 			return fmt.Errorf("vertex %d differs: %+v vs %+v", i, *va, *vb)
 		}
 	}

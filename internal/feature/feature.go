@@ -57,13 +57,18 @@ func RemoveWithEncoding(g *sdg.Graph, enc *core.Encoding, criterion []sdg.Vertex
 	return core.SpecializeFromSliceAutomaton(g, enc, keep)
 }
 
-// ForwardCriterion finds the statement vertices whose label matches, a
-// convenience for selecting feature seeds like `prod = 1`.
+// ForwardCriterion finds the vertices of procedure proc whose label
+// matches, a convenience for selecting feature seeds like `prod = 1`. It
+// renders labels for proc's vertices only.
 func ForwardCriterion(g *sdg.Graph, proc, label string) []sdg.VertexID {
+	pi, ok := g.ProcByName[proc]
+	if !ok {
+		return nil
+	}
 	var out []sdg.VertexID
-	for _, v := range g.Vertices {
-		if g.Procs[v.Proc].Name == proc && v.Label == label {
-			out = append(out, v.ID)
+	for _, v := range g.Procs[pi].Vertices {
+		if g.Label(v) == label {
+			out = append(out, v)
 		}
 	}
 	return out

@@ -334,6 +334,14 @@ func WalkStmts(b *Block, fn func(Stmt)) {
 	}
 }
 
+// NumStmts returns the number of statements of f, len(f.Stmts()), without
+// listing them.
+func (f *FuncDecl) NumStmts() int {
+	n := 0
+	WalkStmts(f.Body, func(Stmt) { n++ })
+	return n
+}
+
 // Stmts returns every statement of f in pre-order.
 func (f *FuncDecl) Stmts() []Stmt {
 	var out []Stmt

@@ -82,9 +82,9 @@ func Weiser(g *sdg.Graph, criterion []sdg.VertexID) *Result {
 }
 
 func actualFor(g *sdg.Graph, site *sdg.Site, fiID sdg.VertexID) (sdg.VertexID, bool) {
-	fi := g.Vertices[fiID]
+	fi := &g.Vertices[fiID]
 	for _, aiID := range site.ActualIns {
-		ai := g.Vertices[aiID]
+		ai := &g.Vertices[aiID]
 		if fi.Param != sdg.NoParam {
 			if ai.Param == fi.Param {
 				return aiID, true

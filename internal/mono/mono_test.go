@@ -55,7 +55,7 @@ func TestBinkleyFig14(t *testing.T) {
 	// g2 = 100 is an extra: not in the closure slice, added back.
 	foundInit := false
 	for v := range res.Extras {
-		if g.Vertices[v].Label == "g2 = 100" {
+		if g.Label(v) == "g2 = 100" {
 			foundInit = true
 		}
 	}

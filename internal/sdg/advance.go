@@ -1,11 +1,8 @@
 package sdg
 
 import (
-	"fmt"
-	"hash/fnv"
-	"io"
 	"reflect"
-	"sort"
+	"slices"
 
 	"specslice/internal/dataflow"
 	"specslice/internal/lang"
@@ -53,12 +50,8 @@ type DeltaStats struct {
 // dependence, and the reaching-definitions dataflow. old is only read; it
 // may be in use by concurrent readers.
 func Advance(old *Graph, newProg *lang.Program) (*Graph, *DeltaStats, error) {
-	for _, fn := range newProg.Funcs {
-		for _, s := range fn.Stmts() {
-			if c, ok := s.(*lang.CallStmt); ok && c.Indirect {
-				return nil, nil, fmt.Errorf("sdg: %s: indirect call through %q; apply the funcptr transformation first", c.Pos, c.Callee)
-			}
-		}
+	if err := checkDirectCalls(newProg); err != nil {
+		return nil, nil, err
 	}
 	// Hash the new version once; the old version's hashes were retained by
 	// its own build, so the diff needs no second print pass.
@@ -73,34 +66,12 @@ func Advance(old *Graph, newProg *lang.Program) (*Graph, *DeltaStats, error) {
 	// fixpoints re-run only over edited procs and their callers.
 	mr := dataflow.AdvanceModRefDiff(newProg, old.Prog, old.modref, diff)
 	sigs := computeBuildSigsFromHashes(newProg, mr, newHashes, 1)
-	b := &builder{
-		g: &Graph{
-			Prog:       newProg,
-			ProcByName: map[string]int{},
-			buildSigs:  sigs,
-			procHashes: newHashes,
-			modref:     mr,
-		},
-		mr: mr,
-	}
-	for i, fn := range newProg.Funcs {
-		p := &Proc{Index: i, Name: fn.Name, Fn: fn}
-		b.g.Procs = append(b.g.Procs, p)
-		b.g.ProcByName[fn.Name] = i
-	}
+	b := newBuilder(newProg, mr, sigs, newHashes)
+	b.g.Vertices = make([]Vertex, 0, old.NumVertices())
+	b.sites = make([]Site, 0, len(old.Sites))
+	b.edges = make([]Edge, 0, old.NumEdges())
 
 	st := &DeltaStats{}
-	reuse := make([]bool, len(b.g.Procs))
-	for i, p := range b.g.Procs {
-		oi, ok := old.ProcByName[p.Name]
-		if !ok {
-			continue
-		}
-		if old.buildSigs[p.Name] != sigs[p.Name] {
-			continue
-		}
-		reuse[i] = replayable(old.Procs[oi].Fn, p.Fn)
-	}
 	for name := range old.ProcByName {
 		if _, ok := b.g.ProcByName[name]; !ok {
 			st.ProcsRemoved++
@@ -112,31 +83,20 @@ func Advance(old *Graph, newProg *lang.Program) (*Graph, *DeltaStats, error) {
 	// mod/ref sets), so it is rebuilt even for reused procedures — which
 	// also revalidates the signature: a reused procedure's fresh skeleton
 	// must match its old one vertex for vertex.
-	for _, p := range b.g.Procs {
-		b.buildProcSkeleton(p)
-	}
+	b.buildSkeletons()
 
-	// Phase B: bodies, in procedure order. vmap carries old → new vertex
-	// IDs for replayed procedures; sitemap likewise for their call sites.
-	vmap := make([]VertexID, old.NumVertices())
-	for i := range vmap {
-		vmap[i] = -1
-	}
-	sitemap := make([]SiteID, len(old.Sites))
-	for i := range sitemap {
-		sitemap[i] = -1
-	}
-	for i, p := range b.g.Procs {
-		if reuse[i] {
-			po := old.Procs[old.ProcByName[p.Name]]
-			if replayBody(b, old, po, p, vmap, sitemap) {
+	// Phase B: bodies, in procedure order. An unchanged procedure's body
+	// is copied as blocks from old; the rest are rebuilt.
+	var cp bodyCopier
+	for _, p := range b.g.Procs {
+		if oi, ok := old.ProcByName[p.Name]; ok && old.buildSigs[p.Name] == sigs[p.Name] {
+			if b.copyBody(old, old.Procs[oi], p, &cp) {
 				st.ProcsReused++
 				continue
 			}
 			// Structural mismatch despite equal signatures (hash
-			// collision): fall back to an ordinary rebuild. Nothing has
-			// been mutated for this procedure yet.
-			reuse[i] = false
+			// collision): fall back to an ordinary rebuild. copyBody has
+			// left nothing behind for this procedure.
 		}
 		if err := b.buildProcBody(p); err != nil {
 			return nil, nil, err
@@ -144,15 +104,15 @@ func Advance(old *Graph, newProg *lang.Program) (*Graph, *DeltaStats, error) {
 		st.ProcsRebuilt++
 	}
 	b.connectProcs()
+	b.finish()
 	return b.g, st, nil
 }
 
-// replayable checks the cheap structural preconditions of a body replay:
+// replayable checks the cheap structural preconditions of a body copy:
 // statement lists of equal length and matching statement kinds. Equal build
 // signatures already imply this (equal normalized source parses to equal
 // structure); the check guards against hash collisions.
-func replayable(oldFn, newFn *lang.FuncDecl) bool {
-	os, ns := oldFn.Stmts(), newFn.Stmts()
+func replayable(os, ns []lang.Stmt) bool {
 	if len(os) != len(ns) {
 		return false
 	}
@@ -164,104 +124,199 @@ func replayable(oldFn, newFn *lang.FuncDecl) bool {
 	return true
 }
 
-// skeletonSize returns the number of skeleton (entry + formal) vertices of
-// p; Proc.Vertices lists them first, in creation order.
-func skeletonSize(p *Proc) int { return 1 + len(p.FormalIns) + len(p.FormalOuts) }
+// bodyCopier maps an old procedure's statements to the new version's
+// by lang.NodeID, reused across the procedures one Advance copies.
+type bodyCopier struct {
+	// os and ns list the old and new procedure's statements in pre-order.
+	os, ns []lang.Stmt
+	// old[id] and new[id] pair the statement numbered id in the old
+	// program with its new counterpart; stamp[id] names the procedure
+	// that set them (its index plus one).
+	old, new []lang.Stmt
+	stamp    []int32
+}
 
-// replayBody copies po's body vertices, call sites, and intraprocedural
-// edges into pn (whose skeleton is already built), preserving Build's
-// creation order so IDs match a from-scratch build. It reports false —
-// before mutating anything — if the old and new structures do not line up.
-func replayBody(b *builder, old *Graph, po, pn *Proc, vmap []VertexID, sitemap []SiteID) bool {
+// mapStmts pairs os with ns positionally for procedure proc: identical
+// normalized source parses to the identical statement sequence. It
+// reports false if two old statements share an ID.
+func (c *bodyCopier) mapStmts(proc int, os, ns []lang.Stmt) bool {
+	tag := int32(proc + 1)
+	for i, s := range os {
+		id := int(s.Base().ID)
+		if id < 0 {
+			return false
+		}
+		if id >= len(c.stamp) {
+			n := max(2*len(c.stamp), id+1, 64)
+			c.old = append(c.old, make([]lang.Stmt, n-len(c.old))...)
+			c.new = append(c.new, make([]lang.Stmt, n-len(c.new))...)
+			c.stamp = append(c.stamp, make([]int32, n-len(c.stamp))...)
+		}
+		if c.stamp[id] == tag {
+			return false
+		}
+		c.old[id], c.new[id], c.stamp[id] = s, ns[i], tag
+	}
+	return true
+}
+
+// lookup returns the new statement paired with old statement s of
+// procedure proc.
+func (c *bodyCopier) lookup(proc int, s lang.Stmt) (lang.Stmt, bool) {
+	id := int(s.Base().ID)
+	if id < 0 || id >= len(c.stamp) || c.stamp[id] != int32(proc+1) || c.old[id] != s {
+		return nil, false
+	}
+	return c.new[id], true
+}
+
+// copyBody appends po's body — vertices, call sites and intraprocedural
+// edges — to the graph as pn's, whose skeleton is already built. Build
+// lays a procedure out as one skeleton range and one body range, so the
+// vertices copy as one block with remapped IDs, sites and statements, and
+// the edges as po's out lists in vertex order, with the skeleton edges
+// buildProcSkeleton already emitted left out. That is the order and
+// numbering a from-scratch build produces. It reports false, leaving the
+// graph as it was, if the old and new structures do not line up.
+func (b *builder) copyBody(old *Graph, po, pn *Proc, c *bodyCopier) bool {
 	skel := skeletonSize(po)
-	if skeletonSize(pn) != skel || len(pn.Vertices) != skel {
+	if skeletonSize(pn) != skel || len(po.Vertices) < skel {
 		return false
 	}
+	c.os, c.ns = c.os[:0], c.ns[:0]
+	lang.WalkStmts(po.Fn.Body, func(s lang.Stmt) { c.os = append(c.os, s) })
+	lang.WalkStmts(pn.Fn.Body, func(s lang.Stmt) { c.ns = append(c.ns, s) })
+	if !replayable(c.os, c.ns) || !c.mapStmts(po.Index, c.os, c.ns) {
+		return false
+	}
+	oldSkel, newSkel := po.Entry, pn.Entry
 	for i := 0; i < skel; i++ {
-		o, n := old.Vertices[po.Vertices[i]], b.g.Vertices[pn.Vertices[i]]
-		if o.Kind != n.Kind || o.Param != n.Param || o.Var != n.Var || o.IsReturn != n.IsReturn {
+		ov := po.Vertices[i]
+		o, n := &old.Vertices[ov], &b.g.Vertices[newSkel+VertexID(i)]
+		if ov != oldSkel+VertexID(i) || o.Kind != n.Kind || o.Param != n.Param || o.Var != n.Var || o.IsReturn != n.IsReturn {
+			return false
+		}
+	}
+	body := po.Vertices[skel:]
+	oldBody := VertexID(0)
+	if len(body) > 0 {
+		oldBody = body[0]
+	}
+	for i, ov := range body {
+		if ov != oldBody+VertexID(i) {
+			return false
+		}
+	}
+	oldSite := SiteID(0)
+	if len(po.Sites) > 0 {
+		oldSite = po.Sites[0]
+	}
+	for i, sid := range po.Sites {
+		if sid != oldSite+SiteID(i) {
 			return false
 		}
 	}
 
-	// Old body statements map to new ones positionally: identical
-	// normalized source parses to the identical statement sequence.
-	os, ns := po.Fn.Stmts(), pn.Fn.Stmts()
-	smap := make(map[lang.Stmt]lang.Stmt, len(os))
-	for i := range os {
-		smap[os[i]] = ns[i]
+	vertBase, siteBase := VertexID(len(b.g.Vertices)), SiteID(len(b.sites))
+	remap := func(v VertexID) (VertexID, bool) {
+		switch {
+		case v >= oldSkel && v < oldSkel+VertexID(skel):
+			return newSkel + (v - oldSkel), true
+		case v >= oldBody && v < oldBody+VertexID(len(body)):
+			return vertBase + (v - oldBody), true
+		}
+		return 0, false
+	}
+	undo := func() bool {
+		b.g.Vertices = b.g.Vertices[:vertBase]
+		b.sites = b.sites[:siteBase]
+		return false
 	}
 
-	for i := 0; i < skel; i++ {
-		vmap[po.Vertices[i]] = pn.Vertices[i]
+	// Body vertices, as one block. Attributes are copied verbatim; Stmt
+	// points into the new AST (new source positions — line criteria
+	// resolve against the new normalized text) and Site is renumbered.
+	b.g.Vertices = append(b.g.Vertices, old.Vertices[oldBody:oldBody+VertexID(len(body))]...)
+	vs := b.g.Vertices[vertBase:]
+	for i := range vs {
+		v := &vs[i]
+		v.ID = vertBase + VertexID(i)
+		v.Proc = pn.Index
+		if v.Site >= 0 {
+			if v.Site < oldSite || v.Site >= oldSite+SiteID(len(po.Sites)) {
+				return undo()
+			}
+			v.Site = siteBase + (v.Site - oldSite)
+		}
+		if v.Stmt != nil {
+			s, ok := c.lookup(po.Index, v.Stmt)
+			if !ok {
+				return undo()
+			}
+			v.Stmt = s
+		}
 	}
 
-	// Call-site shells first (their IDs are referenced by the body
-	// vertices' Site fields), in po.Sites order — which is statement
-	// order, the order Build assigns.
-	for _, osid := range po.Sites {
-		so := old.Sites[osid]
-		sn := &Site{
-			ID:         SiteID(len(b.g.Sites)),
+	// Call sites, in po.Sites order — statement order, the order Build
+	// assigns — with their actual lists in one backing.
+	nacts := 0
+	for _, sid := range po.Sites {
+		nacts += len(old.Sites[sid].ActualIns) + len(old.Sites[sid].ActualOuts)
+	}
+	acts := make([]VertexID, 0, nacts)
+	for _, sid := range po.Sites {
+		so := old.Sites[sid]
+		stmt, ok := c.lookup(po.Index, so.Stmt)
+		cv, ok2 := remap(so.CallVertex)
+		if !ok || !ok2 {
+			return undo()
+		}
+		sn := Site{
+			ID:         siteBase + (sid - oldSite),
 			CallerProc: pn.Index,
 			Callee:     so.Callee,
 			Lib:        so.Lib,
-			Stmt:       smap[so.Stmt],
+			Stmt:       stmt,
+			CallVertex: cv,
 		}
-		b.g.Sites = append(b.g.Sites, sn)
-		pn.Sites = append(pn.Sites, sn.ID)
-		sitemap[osid] = sn.ID
+		lo := len(acts)
+		for _, a := range so.ActualIns {
+			v, ok := remap(a)
+			if !ok {
+				return undo()
+			}
+			acts = append(acts, v)
+		}
+		mid := len(acts)
+		for _, a := range so.ActualOuts {
+			v, ok := remap(a)
+			if !ok {
+				return undo()
+			}
+			acts = append(acts, v)
+		}
+		sn.ActualIns, sn.ActualOuts = acts[lo:mid:mid], acts[mid:len(acts):len(acts)]
+		b.sites = append(b.sites, sn)
 	}
 
-	// Body vertices, in creation order. Attributes are copied verbatim;
-	// Stmt points into the new AST (new source positions — line criteria
-	// resolve against the new normalized text) and Site is renumbered.
-	for _, ovid := range po.Vertices[skel:] {
-		o := old.Vertices[ovid]
-		nv := &Vertex{
-			Kind:     o.Kind,
-			Proc:     pn.Index,
-			Site:     -1,
-			Param:    o.Param,
-			Var:      o.Var,
-			IsReturn: o.IsReturn,
-			Label:    o.Label,
-		}
-		if o.Stmt != nil {
-			nv.Stmt = smap[o.Stmt]
-		}
-		if o.Site >= 0 {
-			nv.Site = sitemap[o.Site]
-		}
-		vmap[ovid] = b.g.AddVertex(nv)
-	}
-
-	// Fill the sites' vertex lists through the now-complete vertex map.
-	for _, osid := range po.Sites {
-		so := old.Sites[osid]
-		sn := b.g.Sites[sitemap[osid]]
-		sn.CallVertex = vmap[so.CallVertex]
-		for _, ai := range so.ActualIns {
-			sn.ActualIns = append(sn.ActualIns, vmap[ai])
-		}
-		for _, ao := range so.ActualOuts {
-			sn.ActualOuts = append(sn.ActualOuts, vmap[ao])
-		}
-	}
-
-	// Intraprocedural control and flow edges. Skeleton control edges were
-	// re-added by buildProcSkeleton; AddEdge dedups them. Call, param-in,
-	// and param-out edges are re-derived by connectProcs.
-	for _, ovid := range po.Vertices {
-		for _, e := range old.Out(ovid) {
+	// Intraprocedural control and flow edges, out list by out list. Call,
+	// param-in, and param-out edges are re-derived by connectProcs.
+	for _, ov := range po.Vertices {
+		for _, e := range old.Out(ov) {
 			if e.Kind != EdgeControl && e.Kind != EdgeFlow {
 				continue
 			}
-			if old.Vertices[e.To].Proc != po.Index {
-				continue
+			to, ok := remap(e.To)
+			if !ok || (ov == oldSkel && e.Kind == EdgeControl && e.To < oldSkel+VertexID(skel)) {
+				continue // another procedure's vertex, or a skeleton edge
 			}
-			b.g.AddEdge(vmap[e.From], vmap[e.To], e.Kind)
+			from, _ := remap(ov)
+			b.addEdge(from, to, e.Kind)
 		}
+	}
+	b.bodies[pn.Index] = bodySpan{
+		lo: vertBase, hi: VertexID(len(b.g.Vertices)),
+		siteLo: siteBase, siteHi: SiteID(len(b.sites)),
 	}
 	return true
 }
@@ -298,15 +353,15 @@ func computeBuildSigsFromHashes(prog *lang.Program, mr *dataflow.ModRef, hashes 
 	sigSlots := make([]uint64, len(prog.Funcs))
 	par.For(workers, len(prog.Funcs), func(i int) {
 		fn := prog.Funcs[i]
-		h := fnv.New64a()
-		writeU64(h, hashes[fn.Name])
-		writeU64(h, ifaces[fn.Name])
+		h := newFNV()
+		h.u64(hashes[fn.Name])
+		h.u64(ifaces[fn.Name])
 		for _, callee := range directCallees(fn) {
-			h.Write([]byte(callee))
-			h.Write([]byte{0})
-			writeU64(h, ifaces[callee])
+			h.str(callee)
+			h.byte(0)
+			h.u64(ifaces[callee])
 		}
-		sigSlots[i] = h.Sum64()
+		sigSlots[i] = uint64(h)
 	})
 	sigs := make(map[string]uint64, len(prog.Funcs))
 	for i, fn := range prog.Funcs {
@@ -321,47 +376,57 @@ func computeBuildSigsFromHashes(prog *lang.Program, mr *dataflow.ModRef, hashes 
 // hashed by sorted name (the ModRef accessors' order), not interned ID,
 // so signatures stay comparable across versions whose interners differ.
 func ifaceHash(fn *lang.FuncDecl, mr *dataflow.ModRef) uint64 {
-	h := fnv.New64a()
+	h := newFNV()
 	if fn.ReturnsValue {
-		h.Write([]byte{1})
+		h.byte(1)
 	} else {
-		h.Write([]byte{0})
+		h.byte(0)
 	}
-	h.Write([]byte{byte(len(fn.Params))})
-	writeNames(h, mr.FormalInGlobalNames(fn.Name))
-	writeNames(h, mr.GMODNames(fn.Name))
-	writeNames(h, mr.MustModNames(fn.Name))
-	return h.Sum64()
+	h.byte(byte(len(fn.Params)))
+	h.names(mr.FormalInGlobalNames(fn.Name))
+	h.names(mr.GMODNames(fn.Name))
+	h.names(mr.MustModNames(fn.Name))
+	return uint64(h)
 }
 
 // directCallees returns the unique direct callee names of fn, sorted.
 func directCallees(fn *lang.FuncDecl) []string {
-	set := map[string]bool{}
-	for _, s := range fn.Stmts() {
+	var out []string
+	lang.WalkStmts(fn.Body, func(s lang.Stmt) {
 		if c, ok := s.(*lang.CallStmt); ok && !c.Indirect {
-			set[c.Callee] = true
+			out = append(out, c.Callee)
 		}
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	})
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func writeU64(h io.Writer, v uint64) {
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(v >> (8 * i))
+// fnv64 is 64-bit FNV-1a, the hash hash/fnv's New64a computes, held by
+// value so that hashing allocates nothing.
+type fnv64 uint64
+
+func newFNV() fnv64 { return 14695981039346656037 }
+
+func (h *fnv64) byte(b byte) { *h = (*h ^ fnv64(b)) * 1099511628211 }
+
+func (h *fnv64) str(s string) {
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
 	}
-	h.Write(buf[:])
 }
 
-func writeNames(h io.Writer, names []string) {
+// u64 hashes v's eight bytes, least significant first.
+func (h *fnv64) u64(v uint64) {
+	for i := 0; i < 8; i++ {
+		h.byte(byte(v >> (8 * i)))
+	}
+}
+
+// names hashes each name with a 0 terminator, then a 1 closing the list.
+func (h *fnv64) names(names []string) {
 	for _, k := range names {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
+		h.str(k)
+		h.byte(0)
 	}
-	h.Write([]byte{1})
+	h.byte(1)
 }

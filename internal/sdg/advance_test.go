@@ -55,9 +55,10 @@ func graphsIdentical(t *testing.T, got, want *Graph) {
 		t.Fatalf("vertices: got %d, want %d", got.NumVertices(), want.NumVertices())
 	}
 	for i := range want.Vertices {
-		g, w := got.Vertices[i], want.Vertices[i]
+		g, w := &got.Vertices[i], &want.Vertices[i]
 		if g.Kind != w.Kind || g.Proc != w.Proc || g.Site != w.Site ||
-			g.Param != w.Param || g.Var != w.Var || g.IsReturn != w.IsReturn || g.Label != w.Label {
+			g.Param != w.Param || g.Var != w.Var || g.IsReturn != w.IsReturn ||
+			got.Label(VertexID(i)) != want.Label(VertexID(i)) {
 			t.Fatalf("vertex %d differs:\ngot  %+v\nwant %+v", i, *g, *w)
 		}
 		switch {

@@ -2,6 +2,7 @@ package sdg
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"specslice/internal/cfg"
@@ -20,69 +21,64 @@ const RetVar = "$ret"
 func Build(prog *lang.Program) (*Graph, error) { return BuildWorkers(prog, 0) }
 
 // BuildWorkers constructs the SDG of prog, sharding the procedure-local
-// work — mod/ref summary components, build signatures, and the
-// per-procedure dependence-graph bodies (CFG, control dependence, reaching
-// definitions) — across a worker pool of the given size (<= 0 means
-// GOMAXPROCS, mirroring engine.BatchOptions.Workers). Bodies are built
-// into per-procedure buffers and merged in procedure order, so the
-// resulting graph — vertex and site numbering included — is byte-identical
-// for every worker count; the sequential-vs-parallel identity test and the
-// incremental oracle (Advance merges each rebuilt body as soon as it is
-// built) hold it there.
+// work — mod/ref summary components with each procedure's CFG, build
+// signatures, and the per-procedure dependence-graph bodies (control
+// dependence, reaching definitions) — across a worker pool of the given
+// size (<= 0 means GOMAXPROCS, mirroring engine.BatchOptions.Workers).
+// Bodies are built into per-procedure buffers and merged in procedure
+// order, so the resulting graph — vertex and site numbering included — is
+// byte-identical for every worker count; the sequential-vs-parallel
+// identity test and the incremental oracle (Advance merges each rebuilt
+// body as soon as it is built) hold it there.
 func BuildWorkers(prog *lang.Program, workers int) (*Graph, error) {
-	for _, fn := range prog.Funcs {
-		for _, s := range fn.Stmts() {
-			if c, ok := s.(*lang.CallStmt); ok && c.Indirect {
-				return nil, fmt.Errorf("sdg: %s: indirect call through %q; apply the funcptr transformation first", c.Pos, c.Callee)
-			}
-		}
+	if err := checkDirectCalls(prog); err != nil {
+		return nil, err
 	}
 	workers = par.Workers(workers)
 	t0 := time.Now()
-	mr := dataflow.ComputeModRefWorkers(prog, workers)
+	// The mod/ref local phase builds every procedure's CFG; the bodies
+	// below reuse them instead of building each a second time.
+	mr, cfgs := dataflow.ComputeModRefCFGs(prog, workers)
 	sigs, hashes := computeBuildSigsWorkers(prog, mr, workers)
-	b := &builder{
-		g: &Graph{
-			Prog:       prog,
-			ProcByName: map[string]int{},
-			buildSigs:  sigs,
-			procHashes: hashes,
-			modref:     mr,
-		},
-		mr: mr,
-	}
+	b := newBuilder(prog, mr, sigs, hashes)
 	tModRef := time.Now()
-	for i, fn := range prog.Funcs {
-		p := &Proc{Index: i, Name: fn.Name, Fn: fn}
-		b.g.Procs = append(b.g.Procs, p)
-		b.g.ProcByName[fn.Name] = i
-	}
-	for _, p := range b.g.Procs {
-		b.buildProcSkeleton(p)
-	}
+	b.buildSkeletons()
 
-	// Bodies: each procedure's CFG, control dependence, and reaching
-	// definitions run independently into a buffer; the deterministic merge
-	// below replays them in procedure order, reproducing the exact vertex,
-	// site, and edge insertion order of a fully sequential build. The
-	// fan-out is chunked by statement count so small procedures ride
-	// along with big ones instead of each paying a scheduling round-trip.
+	// Bodies: each procedure's control dependence and reaching
+	// definitions run independently into a buffer; the deterministic
+	// merge below appends them in procedure order, reproducing the exact
+	// vertex, site, and edge order of a fully sequential build. The
+	// fan-out is chunked by CFG size so small procedures ride along with
+	// big ones instead of each paying a scheduling round-trip.
 	skelBase := VertexID(len(b.g.Vertices))
 	bufs := make([]bodyBuf, len(b.g.Procs))
 	par.ForWeighted(workers, len(b.g.Procs),
-		func(i int) int { return len(b.g.Procs[i].Fn.Stmts()) },
+		func(i int) int { return len(cfgs[i].Nodes) },
 		func(i int) {
 			bufs[i].skelBase = skelBase
-			bufs[i].err = b.buildBody(b.g.Procs[i], &bufs[i])
+			bufs[i].err = b.buildBody(b.g.Procs[i], cfgs[i], &bufs[i])
 		})
-	for i, p := range b.g.Procs {
+	var nv, ns, ne int
+	for i := range bufs {
 		if err := bufs[i].err; err != nil {
 			return nil, err
 		}
+		nv += len(bufs[i].verts)
+		ns += len(bufs[i].sites)
+		ne += len(bufs[i].edges)
+		for j := range bufs[i].sites {
+			ne += connectBound(&bufs[i].sites[j])
+		}
+	}
+	b.g.Vertices = slices.Grow(b.g.Vertices, nv)
+	b.sites = slices.Grow(b.sites, ns)
+	b.edges = slices.Grow(b.edges, ne)
+	for i, p := range b.g.Procs {
 		b.mergeBody(p, &bufs[i])
 	}
 	tPDG := time.Now()
 	b.connectProcs()
+	b.finish()
 	tConnect := time.Now()
 	mrStats := mr.Stats()
 	b.g.buildStats = BuildStats{
@@ -96,6 +92,21 @@ func BuildWorkers(prog *lang.Program, workers int) (*Graph, error) {
 		ModRefFixpoint: mrStats.Fixpoint,
 	}
 	return b.g, nil
+}
+
+// checkDirectCalls rejects a program that still holds an indirect call.
+func checkDirectCalls(prog *lang.Program) error {
+	if !prog.HasIndirectCall() {
+		return nil
+	}
+	for _, fn := range prog.Funcs {
+		for _, s := range fn.Stmts() {
+			if c, ok := s.(*lang.CallStmt); ok && c.Indirect {
+				return fmt.Errorf("sdg: %s: indirect call through %q; apply the funcptr transformation first", c.Pos, c.Callee)
+			}
+		}
+	}
+	return nil
 }
 
 // MustBuild builds the SDG and panics on error; for tests and workloads
@@ -117,20 +128,118 @@ func MustBuildWorkers(prog *lang.Program, workers int) *Graph {
 	return g
 }
 
+// builder assembles one graph for Build or Advance. Vertices go straight
+// into Graph.Vertices; call sites and edges collect in emission order and
+// finish installs them.
 type builder struct {
 	g  *Graph
 	mr *dataflow.ModRef
+	// edges is the edge stream: skeletons, then bodies in procedure
+	// order, then the interprocedural wiring. finish lays it out as the
+	// graph's out and in lists.
+	edges []Edge
+	// sites holds the call sites by value, in ID order; finish points
+	// Graph.Sites into it.
+	sites []Site
+	// bodies[i] is procedure i's body: its vertex and site ranges.
+	bodies []bodySpan
 }
 
+type bodySpan struct {
+	lo, hi         VertexID
+	siteLo, siteHi SiteID
+}
+
+func newBuilder(prog *lang.Program, mr *dataflow.ModRef, sigs, hashes map[string]uint64) *builder {
+	n := len(prog.Funcs)
+	g := &Graph{
+		Prog:       prog,
+		Procs:      make([]*Proc, n),
+		ProcByName: make(map[string]int, n),
+		buildSigs:  sigs,
+		procHashes: hashes,
+		modref:     mr,
+	}
+	procs := make([]Proc, n)
+	for i, fn := range prog.Funcs {
+		procs[i] = Proc{Index: i, Name: fn.Name, Fn: fn}
+		g.Procs[i] = &procs[i]
+		g.ProcByName[fn.Name] = i
+	}
+	return &builder{g: g, mr: mr, bodies: make([]bodySpan, n)}
+}
+
+func (b *builder) addVertex(v Vertex) VertexID {
+	v.ID = VertexID(len(b.g.Vertices))
+	b.g.Vertices = append(b.g.Vertices, v)
+	return v.ID
+}
+
+func (b *builder) addEdge(from, to VertexID, kind EdgeKind) {
+	b.edges = append(b.edges, Edge{From: from, To: to, Kind: kind})
+}
+
+// buildSkeletons creates every procedure's entry and formal vertices, in
+// procedure order: the first vertices of every graph.
+func (b *builder) buildSkeletons() {
+	nv := 0
+	for _, p := range b.g.Procs {
+		nv += 1 + b.numFormals(p)
+	}
+	b.g.Vertices = slices.Grow(b.g.Vertices, nv)
+	b.edges = slices.Grow(b.edges, nv-len(b.g.Procs))
+	for _, p := range b.g.Procs {
+		b.buildProcSkeleton(p)
+	}
+}
+
+func (b *builder) numFormals(p *Proc) int {
+	n := len(p.Fn.Params) + len(b.mr.FormalInGlobalNames(p.Name)) + len(b.mr.GMODNames(p.Name))
+	if p.Fn.ReturnsValue {
+		n++
+	}
+	return n
+}
+
+// buildProcSkeleton creates the entry and formal vertices of p, with the
+// entry's control edges to them.
+func (b *builder) buildProcSkeleton(p *Proc) {
+	fn := p.Fn
+	ins, outs := b.mr.FormalInGlobalNames(fn.Name), b.mr.GMODNames(fn.Name)
+	p.Entry = b.addVertex(Vertex{Kind: KindEntry, Proc: p.Index, Site: -1, Param: NoParam})
+	formals := make([]VertexID, 0, b.numFormals(p))
+	for i, prm := range fn.Params {
+		formals = append(formals, b.addVertex(Vertex{Kind: KindFormalIn, Proc: p.Index, Site: -1, Param: i, Var: prm.Name}))
+	}
+	for _, gname := range ins {
+		formals = append(formals, b.addVertex(Vertex{Kind: KindFormalIn, Proc: p.Index, Site: -1, Param: NoParam, Var: gname}))
+	}
+	nIn := len(formals)
+	if fn.ReturnsValue {
+		formals = append(formals, b.addVertex(Vertex{Kind: KindFormalOut, Proc: p.Index, Site: -1, Param: NoParam, Var: RetVar, IsReturn: true}))
+	}
+	for _, gname := range outs {
+		formals = append(formals, b.addVertex(Vertex{Kind: KindFormalOut, Proc: p.Index, Site: -1, Param: NoParam, Var: gname}))
+	}
+	p.FormalIns, p.FormalOuts = formals[:nIn:nIn], formals[nIn:]
+	for _, v := range formals {
+		b.addEdge(p.Entry, v, EdgeControl)
+	}
+}
+
+// skeletonSize returns the number of skeleton (entry + formal) vertices of
+// p, numbered consecutively from p.Entry.
+func skeletonSize(p *Proc) int { return 1 + len(p.FormalIns) + len(p.FormalOuts) }
+
 // bodyBuf collects one procedure body's vertices, call sites, and edges
-// locally, in creation order, for mergeBody to replay into the graph.
+// locally, in creation order, for mergeBody to append to the graph.
 // Vertex references at or above skelBase denote the buffer's own vertices
 // (skelBase + local index); references below it are global vertices, which
 // are already numbered. Site IDs and vertex Site fields are buffer-local.
 type bodyBuf struct {
 	skelBase VertexID
 	verts    []Vertex
-	sites    []*Site
+	sites    []Site
 	edges    []Edge
 	err      error
 }
@@ -140,24 +249,26 @@ func (bb *bodyBuf) addVertex(v Vertex) VertexID {
 	return bb.skelBase + VertexID(len(bb.verts)-1)
 }
 
-func (bb *bodyBuf) addSite(s Site) *Site {
+// addSite appends a call site whose actual lists have room for nIn and
+// nOut vertices, and returns it; it stays valid until the next addSite.
+func (bb *bodyBuf) addSite(s Site, nIn, nOut int) *Site {
 	s.ID = SiteID(len(bb.sites))
-	sp := &s
-	bb.sites = append(bb.sites, sp)
-	return sp
+	acts := make([]VertexID, 0, nIn+nOut)
+	s.ActualIns, s.ActualOuts = acts[:0:nIn], acts[nIn:nIn]
+	bb.sites = append(bb.sites, s)
+	return &bb.sites[len(bb.sites)-1]
 }
 
 func (bb *bodyBuf) addEdge(from, to VertexID, kind EdgeKind) {
 	bb.edges = append(bb.edges, Edge{From: from, To: to, Kind: kind})
 }
 
-// mergeBody replays a buffered body into the graph: sites first (their
-// global IDs are contiguous per procedure), then vertices (renumbered from
-// the buffer-local range), then edges in recorded order through the
-// deduplicating AddEdge — the numbering and edge order of a fully
-// sequential build.
+// mergeBody appends a buffered body to the graph: its sites (their
+// global IDs are contiguous per procedure), its vertices as one block
+// (renumbered from the buffer-local range), then its edges in recorded
+// order — the numbering and edge order of a fully sequential build.
 func (b *builder) mergeBody(p *Proc, buf *bodyBuf) {
-	siteBase := SiteID(len(b.g.Sites))
+	siteBase := SiteID(len(b.sites))
 	vertBase := VertexID(len(b.g.Vertices))
 	dec := func(ref VertexID) VertexID {
 		if ref >= buf.skelBase {
@@ -165,73 +276,59 @@ func (b *builder) mergeBody(p *Proc, buf *bodyBuf) {
 		}
 		return ref
 	}
-	for _, site := range buf.sites {
+	for i := range buf.sites {
+		site := &buf.sites[i]
 		site.ID += siteBase
-		b.g.Sites = append(b.g.Sites, site)
-		p.Sites = append(p.Sites, site.ID)
-	}
-	for i := range buf.verts {
-		v := &buf.verts[i]
-		if v.Site >= 0 {
-			v.Site += siteBase
-		}
-		b.g.AddVertex(v)
-	}
-	for _, site := range buf.sites {
 		site.CallVertex = dec(site.CallVertex)
-		for i := range site.ActualIns {
-			site.ActualIns[i] = dec(site.ActualIns[i])
+		for j := range site.ActualIns {
+			site.ActualIns[j] = dec(site.ActualIns[j])
 		}
-		for i := range site.ActualOuts {
-			site.ActualOuts[i] = dec(site.ActualOuts[i])
+		for j := range site.ActualOuts {
+			site.ActualOuts[j] = dec(site.ActualOuts[j])
+		}
+	}
+	b.sites = append(b.sites, buf.sites...)
+	b.g.Vertices = append(b.g.Vertices, buf.verts...)
+	vs := b.g.Vertices[vertBase:]
+	for i := range vs {
+		vs[i].ID = vertBase + VertexID(i)
+		if vs[i].Site >= 0 {
+			vs[i].Site += siteBase
 		}
 	}
 	for _, e := range buf.edges {
-		b.g.AddEdge(dec(e.From), dec(e.To), e.Kind)
+		b.addEdge(dec(e.From), dec(e.To), e.Kind)
+	}
+	b.bodies[p.Index] = bodySpan{
+		lo: vertBase, hi: VertexID(len(b.g.Vertices)),
+		siteLo: siteBase, siteHi: SiteID(len(b.sites)),
 	}
 }
 
-// buildProcSkeleton creates the entry and formal vertices of p.
-func (b *builder) buildProcSkeleton(p *Proc) {
-	fn := p.Fn
-	p.Entry = b.g.AddVertex(&Vertex{Kind: KindEntry, Proc: p.Index, Site: -1, Param: NoParam, Label: fn.Name})
-
-	for i, prm := range fn.Params {
-		v := b.g.AddVertex(&Vertex{
-			Kind: KindFormalIn, Proc: p.Index, Site: -1, Param: i, Var: prm.Name,
-			Label: fmt.Sprintf("%s: %s", fn.Name, prm.Name),
-		})
-		p.FormalIns = append(p.FormalIns, v)
+// finish lists each procedure's vertices and sites, points Graph.Sites at
+// the site values, and installs the edge stream.
+func (b *builder) finish() {
+	g := b.g
+	g.Sites = make([]*Site, len(b.sites))
+	sids := make([]SiteID, len(b.sites))
+	for i := range b.sites {
+		g.Sites[i] = &b.sites[i]
+		sids[i] = SiteID(i)
 	}
-	for _, gname := range b.mr.FormalInGlobalNames(fn.Name) {
-		v := b.g.AddVertex(&Vertex{
-			Kind: KindFormalIn, Proc: p.Index, Site: -1, Param: NoParam, Var: gname,
-			Label: fmt.Sprintf("%s: global %s in", fn.Name, gname),
-		})
-		p.FormalIns = append(p.FormalIns, v)
+	ids := make([]VertexID, 0, len(g.Vertices))
+	for i, p := range g.Procs {
+		start := len(ids)
+		for v := p.Entry; v < p.Entry+VertexID(skeletonSize(p)); v++ {
+			ids = append(ids, v)
+		}
+		body := b.bodies[i]
+		for v := body.lo; v < body.hi; v++ {
+			ids = append(ids, v)
+		}
+		p.Vertices = ids[start:len(ids):len(ids)]
+		p.Sites = sids[body.siteLo:body.siteHi:body.siteHi]
 	}
-
-	if fn.ReturnsValue {
-		v := b.g.AddVertex(&Vertex{
-			Kind: KindFormalOut, Proc: p.Index, Site: -1, Param: NoParam, Var: RetVar, IsReturn: true,
-			Label: fmt.Sprintf("%s: return", fn.Name),
-		})
-		p.FormalOuts = append(p.FormalOuts, v)
-	}
-	for _, gname := range b.mr.GMODNames(fn.Name) {
-		v := b.g.AddVertex(&Vertex{
-			Kind: KindFormalOut, Proc: p.Index, Site: -1, Param: NoParam, Var: gname,
-			Label: fmt.Sprintf("%s: global %s out", fn.Name, gname),
-		})
-		p.FormalOuts = append(p.FormalOuts, v)
-	}
-
-	for _, v := range p.FormalIns {
-		b.g.AddEdge(p.Entry, v, EdgeControl)
-	}
-	for _, v := range p.FormalOuts {
-		b.g.AddEdge(p.Entry, v, EdgeControl)
-	}
+	g.InstallEdges(b.edges)
 }
 
 // defEvent / useEvent attribute a variable definition or use to a vertex.
@@ -246,324 +343,379 @@ type useEvent struct {
 	vr     string
 }
 
-// nodeInfo is the dataflow view of one CFG node.
-type nodeInfo struct {
-	vertex VertexID // primary vertex (call vertex for sites); -1 if none
-	defs   []defEvent
-	uses   []useEvent
+// bodyEvents is the dataflow view of one body's CFG: each node's primary
+// vertex (the call vertex for sites; -1 if none) and the definitions and
+// uses attributed to it, flat in node order: node i's are
+// defs[defStart[i]:defStart[i+1]] and uses[useStart[i]:useStart[i+1]].
+type bodyEvents struct {
+	vertex             []VertexID
+	defs               []defEvent
+	uses               []useEvent
+	defStart, useStart []int32
 }
 
-// buildProcBody builds p's body into a buffer and merges it at once — the
-// Advance rebuild path, which runs procedures strictly in order.
+func (ev *bodyEvents) def(v VertexID, vr string, kills bool) {
+	ev.defs = append(ev.defs, defEvent{vertex: v, vr: vr, kills: kills})
+}
+
+// exprUses records a use by v of every variable e references, once per
+// name, in first-occurrence order (lang.ExprVars's order).
+func (ev *bodyEvents) exprUses(v VertexID, e lang.Expr) {
+	ev.uses = appendUses(ev.uses, len(ev.uses), v, e)
+}
+
+func appendUses(uses []useEvent, from int, v VertexID, e lang.Expr) []useEvent {
+	switch x := e.(type) {
+	case *lang.VarRef:
+		for _, u := range uses[from:] {
+			if u.vr == x.Name {
+				return uses
+			}
+		}
+		return append(uses, useEvent{vertex: v, vr: x.Name})
+	case *lang.Unary:
+		return appendUses(uses, from, v, x.X)
+	case *lang.Binary:
+		return appendUses(appendUses(uses, from, v, x.X), from, v, x.Y)
+	case *lang.CallExpr:
+		for _, a := range x.Args {
+			uses = appendUses(uses, from, v, a)
+		}
+	}
+	return uses
+}
+
+// buildProcBody builds p's CFG and body into a buffer and merges it at
+// once — the Advance rebuild path, which runs procedures strictly in
+// order.
 func (b *builder) buildProcBody(p *Proc) error {
 	buf := bodyBuf{skelBase: VertexID(len(b.g.Vertices))}
-	if err := b.buildBody(p, &buf); err != nil {
+	if err := b.buildBody(p, cfg.Build(p.Fn), &buf); err != nil {
 		return err
 	}
 	b.mergeBody(p, &buf)
 	return nil
 }
 
-// buildBody builds p's body — CFG, statement and call-site vertices,
-// control and flow dependences — into em.
-func (b *builder) buildBody(p *Proc, em *bodyBuf) error {
-	fn := p.Fn
-	graph := cfg.Build(fn)
-	info := make([]nodeInfo, len(graph.Nodes))
-	for i := range info {
-		info[i].vertex = -1
+// buildBody builds p's body over its CFG graph — statement and call-site
+// vertices, control and flow dependences — into em.
+func (b *builder) buildBody(p *Proc, graph *cfg.Graph, em *bodyBuf) error {
+	ev, err := b.bodyVertices(p, graph, em)
+	if err != nil {
+		return err
 	}
 
-	// Entry node: formal-ins define their variables.
-	info[graph.Entry.ID].vertex = VertexID(p.Entry)
-	for _, fiID := range p.FormalIns {
-		fi := b.g.Vertices[fiID]
-		info[graph.Entry.ID].defs = append(info[graph.Entry.ID].defs, defEvent{vertex: fiID, vr: fi.Var, kills: true})
-	}
-	// Exit node: formal-outs use their variables.
-	for _, foID := range p.FormalOuts {
-		fo := b.g.Vertices[foID]
-		info[graph.Exit.ID].uses = append(info[graph.Exit.ID].uses, useEvent{vertex: foID, vr: fo.Var})
-	}
-
-	// Statement vertices.
-	for _, node := range graph.Nodes {
-		if node.Stmt == nil {
+	// Control dependence edges (Ball–Horwitz augmented CFG).
+	for nodeID, controllers := range cfg.ControlDeps(graph) {
+		dep := ev.vertex[nodeID]
+		if dep < 0 {
 			continue
 		}
-		ni := &info[node.ID]
+		for _, ctl := range controllers {
+			if src := ev.vertex[ctl]; src >= 0 {
+				em.addEdge(src, dep, EdgeControl)
+			}
+		}
+	}
+
+	// Flow dependence via reaching definitions over executable edges.
+	flowEdges(graph, ev, em)
+	return nil
+}
+
+// bodyVertices creates p's statement and call-site vertices, with the
+// call sites' own edges, in CFG node order, and returns each node's
+// dataflow events.
+func (b *builder) bodyVertices(p *Proc, graph *cfg.Graph, em *bodyBuf) (*bodyEvents, error) {
+	fn := p.Fn
+	n := len(graph.Nodes)
+	starts := make([]int32, 2*(n+1))
+	ev := &bodyEvents{
+		vertex:   make([]VertexID, n),
+		defStart: starts[: n+1 : n+1],
+		useStart: starts[n+1:],
+	}
+	em.verts = slices.Grow(em.verts, n)
+	for _, node := range graph.Nodes {
+		ev.defStart[node.ID] = int32(len(ev.defs))
+		ev.useStart[node.ID] = int32(len(ev.uses))
+		ev.vertex[node.ID] = -1
+		switch node.Kind {
+		case cfg.KindEntry:
+			// Formal-ins define their variables.
+			ev.vertex[node.ID] = p.Entry
+			for _, fi := range p.FormalIns {
+				ev.def(fi, b.g.Vertices[fi].Var, true)
+			}
+			continue
+		case cfg.KindExit:
+			// Formal-outs use their variables.
+			for _, fo := range p.FormalOuts {
+				ev.uses = append(ev.uses, useEvent{vertex: fo, vr: b.g.Vertices[fo].Var})
+			}
+			continue
+		}
+		vertex := func(kind VertexKind) VertexID {
+			v := em.addVertex(Vertex{Kind: kind, Proc: p.Index, Stmt: node.Stmt, Site: -1, Param: NoParam})
+			ev.vertex[node.ID] = v
+			return v
+		}
 		switch x := node.Stmt.(type) {
 		case *lang.DeclStmt:
 			if x.Init == nil {
 				continue // pure declaration: no vertex
 			}
-			v := em.addVertex(Vertex{Kind: KindStmt, Proc: p.Index, Stmt: x, Site: -1, Param: NoParam, Label: x.Name + " = " + lang.ExprString(x.Init)})
-			ni.vertex = v
-			ni.defs = append(ni.defs, defEvent{vertex: v, vr: x.Name, kills: true})
-			b.addExprUses(ni, v, x.Init)
+			v := vertex(KindStmt)
+			ev.def(v, x.Name, true)
+			ev.exprUses(v, x.Init)
 
 		case *lang.AssignStmt:
-			v := em.addVertex(Vertex{Kind: KindStmt, Proc: p.Index, Stmt: x, Site: -1, Param: NoParam, Label: x.LHS + " = " + lang.ExprString(x.RHS)})
-			ni.vertex = v
-			ni.defs = append(ni.defs, defEvent{vertex: v, vr: x.LHS, kills: true})
-			b.addExprUses(ni, v, x.RHS)
+			v := vertex(KindStmt)
+			ev.def(v, x.LHS, true)
+			ev.exprUses(v, x.RHS)
 
 		case *lang.IfStmt:
-			v := em.addVertex(Vertex{Kind: KindPredicate, Proc: p.Index, Stmt: x, Site: -1, Param: NoParam, Label: "if " + lang.ExprString(x.Cond)})
-			ni.vertex = v
-			b.addExprUses(ni, v, x.Cond)
+			ev.exprUses(vertex(KindPredicate), x.Cond)
 
 		case *lang.WhileStmt:
-			v := em.addVertex(Vertex{Kind: KindPredicate, Proc: p.Index, Stmt: x, Site: -1, Param: NoParam, Label: "while " + lang.ExprString(x.Cond)})
-			ni.vertex = v
-			b.addExprUses(ni, v, x.Cond)
+			ev.exprUses(vertex(KindPredicate), x.Cond)
 
 		case *lang.ReturnStmt:
-			v := em.addVertex(Vertex{Kind: KindStmt, Proc: p.Index, Stmt: x, Site: -1, Param: NoParam, Label: "return " + lang.ExprString(x.Value)})
-			ni.vertex = v
+			v := vertex(KindStmt)
 			if x.Value != nil && fn.ReturnsValue {
-				ni.defs = append(ni.defs, defEvent{vertex: v, vr: RetVar, kills: true})
-				b.addExprUses(ni, v, x.Value)
+				ev.def(v, RetVar, true)
+				ev.exprUses(v, x.Value)
 			}
 
-		case *lang.BreakStmt:
-			ni.vertex = em.addVertex(Vertex{Kind: KindStmt, Proc: p.Index, Stmt: x, Site: -1, Param: NoParam, Label: "break"})
-		case *lang.ContinueStmt:
-			ni.vertex = em.addVertex(Vertex{Kind: KindStmt, Proc: p.Index, Stmt: x, Site: -1, Param: NoParam, Label: "continue"})
+		case *lang.BreakStmt, *lang.ContinueStmt:
+			vertex(KindStmt)
 
 		case *lang.CallStmt:
-			b.buildCallSite(p, ni, x, em)
+			b.buildCallSite(p, x, em, ev)
+			ev.vertex[node.ID] = em.sites[len(em.sites)-1].CallVertex
 
 		case *lang.PrintfStmt:
-			site := em.addSite(Site{CallerProc: p.Index, Callee: "printf", Lib: true, Stmt: x})
-			cv := em.addVertex(Vertex{Kind: KindCall, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam, Label: "call printf"})
+			site := em.addSite(Site{CallerProc: p.Index, Callee: "printf", Lib: true, Stmt: x}, len(x.Args), 0)
+			cv := em.addVertex(Vertex{Kind: KindCall, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam})
 			site.CallVertex = cv
-			ni.vertex = cv
+			ev.vertex[node.ID] = cv
 			for i, a := range x.Args {
-				ai := em.addVertex(Vertex{Kind: KindActualIn, Proc: p.Index, Stmt: x, Site: site.ID, Param: i, Label: lang.ExprString(a)})
+				ai := em.addVertex(Vertex{Kind: KindActualIn, Proc: p.Index, Stmt: x, Site: site.ID, Param: i})
 				site.ActualIns = append(site.ActualIns, ai)
 				em.addEdge(cv, ai, EdgeControl)
-				for _, vr := range lang.ExprVars(a) {
-					ni.uses = append(ni.uses, useEvent{vertex: ai, vr: vr})
-				}
+				ev.exprUses(ai, a)
 				// §6.1: library signatures must not change; make the call
 				// depend on each of its actuals.
 				em.addEdge(ai, cv, EdgeFlow)
 			}
 
 		case *lang.ScanfStmt:
-			site := em.addSite(Site{CallerProc: p.Index, Callee: "scanf", Lib: true, Stmt: x})
-			cv := em.addVertex(Vertex{Kind: KindCall, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam, Label: "call scanf"})
+			site := em.addSite(Site{CallerProc: p.Index, Callee: "scanf", Lib: true, Stmt: x}, 0, 1)
+			cv := em.addVertex(Vertex{Kind: KindCall, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam})
 			site.CallVertex = cv
-			ni.vertex = cv
-			ao := em.addVertex(Vertex{Kind: KindActualOut, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam, Var: x.Var, Label: "&" + x.Var})
+			ev.vertex[node.ID] = cv
+			ao := em.addVertex(Vertex{Kind: KindActualOut, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam, Var: x.Var})
 			site.ActualOuts = append(site.ActualOuts, ao)
 			em.addEdge(cv, ao, EdgeControl)
 			em.addEdge(cv, ao, EdgeFlow) // the read value comes from the call
-			ni.defs = append(ni.defs, defEvent{vertex: ao, vr: x.Var, kills: true})
+			ev.def(ao, x.Var, true)
 			// §6.1 edge: the actual-out is the &var argument; slicing back
 			// from the call keeps its argument list intact.
 			em.addEdge(ao, cv, EdgeFlow)
 
 		default:
-			return fmt.Errorf("sdg: unhandled statement %T", x)
+			return nil, fmt.Errorf("sdg: unhandled statement %T", x)
 		}
 	}
-
-	// Control dependence edges (Ball–Horwitz augmented CFG).
-	deps := cfg.ControlDeps(graph)
-	for nodeID, controllers := range deps {
-		dep := info[nodeID].vertex
-		if dep < 0 {
-			continue
-		}
-		for _, ctl := range controllers {
-			src := info[ctl].vertex
-			if src < 0 {
-				continue
-			}
-			em.addEdge(src, dep, EdgeControl)
-		}
-	}
-
-	// Flow dependence via reaching definitions over executable edges.
-	b.flowEdges(graph, info, em)
-	return nil
+	ev.defStart[n] = int32(len(ev.defs))
+	ev.useStart[n] = int32(len(ev.uses))
+	return ev, nil
 }
 
-func (b *builder) addExprUses(ni *nodeInfo, v VertexID, e lang.Expr) {
-	if e == nil {
-		return
+func (b *builder) buildCallSite(p *Proc, x *lang.CallStmt, em *bodyBuf, ev *bodyEvents) {
+	calleeFn := b.g.Procs[b.g.ProcByName[x.Callee]].Fn
+	ins, outs := b.mr.FormalInGlobalNames(x.Callee), b.mr.GMODNames(x.Callee)
+	ret := x.Target != "" && calleeFn.ReturnsValue
+	nOut := len(outs)
+	if ret {
+		nOut++
 	}
-	for _, vr := range lang.ExprVars(e) {
-		ni.uses = append(ni.uses, useEvent{vertex: v, vr: vr})
+	site := em.addSite(Site{CallerProc: p.Index, Callee: x.Callee, Stmt: x}, len(x.Args)+len(ins), nOut)
+	actual := func(kind VertexKind, param int, vr string, isRet bool) VertexID {
+		v := em.addVertex(Vertex{Kind: kind, Proc: p.Index, Stmt: x, Site: site.ID, Param: param, Var: vr, IsReturn: isRet})
+		if kind == KindActualIn {
+			site.ActualIns = append(site.ActualIns, v)
+		} else {
+			site.ActualOuts = append(site.ActualOuts, v)
+		}
+		em.addEdge(site.CallVertex, v, EdgeControl)
+		return v
 	}
-}
 
-func (b *builder) buildCallSite(p *Proc, ni *nodeInfo, x *lang.CallStmt, em *bodyBuf) {
-	calleeIdx := b.g.ProcByName[x.Callee]
-	calleeFn := b.g.Procs[calleeIdx].Fn
-	site := em.addSite(Site{CallerProc: p.Index, Callee: x.Callee, Stmt: x})
-
-	cv := em.addVertex(Vertex{Kind: KindCall, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam, Label: "call " + x.Callee})
-	site.CallVertex = cv
-	ni.vertex = cv
-
+	site.CallVertex = em.addVertex(Vertex{Kind: KindCall, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam})
 	for i, a := range x.Args {
-		ai := em.addVertex(Vertex{Kind: KindActualIn, Proc: p.Index, Stmt: x, Site: site.ID, Param: i, Label: lang.ExprString(a)})
-		site.ActualIns = append(site.ActualIns, ai)
-		em.addEdge(cv, ai, EdgeControl)
-		for _, vr := range lang.ExprVars(a) {
-			ni.uses = append(ni.uses, useEvent{vertex: ai, vr: vr})
-		}
+		ev.exprUses(actual(KindActualIn, i, "", false), a)
 	}
-	for _, gname := range b.mr.FormalInGlobalNames(x.Callee) {
-		ai := em.addVertex(Vertex{Kind: KindActualIn, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam, Var: gname, Label: "global " + gname + " in"})
-		site.ActualIns = append(site.ActualIns, ai)
-		em.addEdge(cv, ai, EdgeControl)
-		ni.uses = append(ni.uses, useEvent{vertex: ai, vr: gname})
+	for _, gname := range ins {
+		ev.uses = append(ev.uses, useEvent{vertex: actual(KindActualIn, NoParam, gname, false), vr: gname})
 	}
-
-	if x.Target != "" && calleeFn.ReturnsValue {
-		ao := em.addVertex(Vertex{Kind: KindActualOut, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam, Var: x.Target, IsReturn: true, Label: x.Target + " = ret"})
-		site.ActualOuts = append(site.ActualOuts, ao)
-		em.addEdge(cv, ao, EdgeControl)
-		ni.defs = append(ni.defs, defEvent{vertex: ao, vr: x.Target, kills: true})
+	if ret {
+		ev.def(actual(KindActualOut, NoParam, x.Target, true), x.Target, true)
 	}
-	for _, gname := range b.mr.GMODNames(x.Callee) {
-		ao := em.addVertex(Vertex{Kind: KindActualOut, Proc: p.Index, Stmt: x, Site: site.ID, Param: NoParam, Var: gname, Label: "global " + gname + " out"})
-		site.ActualOuts = append(site.ActualOuts, ao)
-		em.addEdge(cv, ao, EdgeControl)
-		ni.defs = append(ni.defs, defEvent{vertex: ao, vr: gname, kills: b.mr.MustModHas(x.Callee, gname)})
+	for _, gname := range outs {
+		ev.def(actual(KindActualOut, NoParam, gname, false), gname, b.mr.MustModHas(x.Callee, gname))
 	}
 }
 
 // flowEdges solves reaching definitions over the executable CFG and adds
-// flow-dependence edges from reaching defs to uses.
-func (b *builder) flowEdges(graph *cfg.Graph, info []nodeInfo, em *bodyBuf) {
-	// Index all definitions.
-	type def struct {
-		vertex VertexID
-		vr     string
+// flow-dependence edges from reaching defs to uses. Definitions are
+// numbered in node order and the body's defined variables interned once,
+// so every node's gen, kill, in and out sets are rows of one bitset
+// backing and a visit transfers in place. The internal/sdg reference test
+// holds it to the map-based solver it replaced, edge for edge.
+func flowEdges(graph *cfg.Graph, ev *bodyEvents, em *bodyBuf) {
+	nd := len(ev.defs)
+	if nd == 0 {
+		return
 	}
-	var defs []def
-	defIndex := map[def]int{}
-	defsOfVar := map[string][]int{}
-	for i := range info {
-		for _, d := range info[i].defs {
-			k := def{d.vertex, d.vr}
-			if _, ok := defIndex[k]; !ok {
-				defIndex[k] = len(defs)
-				defsOfVar[d.vr] = append(defsOfVar[d.vr], len(defs))
-				defs = append(defs, k)
-			}
+	// defVar[d] is definition d's variable; defsOf[defsStart[x]:defsStart[x+1]]
+	// lists variable x's definitions in ascending order.
+	varOf := make(map[string]int32, nd)
+	defVar := make([]int32, nd)
+	for d := range ev.defs {
+		x, ok := varOf[ev.defs[d].vr]
+		if !ok {
+			x = int32(len(varOf))
+			varOf[ev.defs[d].vr] = x
 		}
+		defVar[d] = x
 	}
-	nd := len(defs)
-	words := (nd + 63) / 64
-	newSet := func() []uint64 { return make([]uint64, words) }
-	setBit := func(s []uint64, i int) { s[i/64] |= 1 << (uint(i) % 64) }
-	clearBit := func(s []uint64, i int) { s[i/64] &^= 1 << (uint(i) % 64) }
-	getBit := func(s []uint64, i int) bool { return s[i/64]&(1<<(uint(i)%64)) != 0 }
+	defsStart := make([]int32, len(varOf)+1)
+	for _, x := range defVar {
+		defsStart[x+1]++
+	}
+	for x := 1; x < len(defsStart); x++ {
+		defsStart[x] += defsStart[x-1]
+	}
+	defsOf := make([]int32, nd)
+	fill := append([]int32(nil), defsStart[:len(defsStart)-1]...)
+	for d, x := range defVar {
+		defsOf[fill[x]] = int32(d)
+		fill[x]++
+	}
 
 	n := len(graph.Nodes)
-	inSets := make([][]uint64, n)
-	outSets := make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		inSets[i] = newSet()
-		outSets[i] = newSet()
+	words := (nd + 63) / 64
+	sets := make([]uint64, 4*n*words)
+	row := func(set, node int) []uint64 {
+		off := (set*n + node) * words
+		return sets[off : off+words : off+words]
 	}
-
-	apply := func(nodeID int, in []uint64) []uint64 {
-		out := append([]uint64(nil), in...)
-		for _, d := range info[nodeID].defs {
-			if d.kills {
-				for _, di := range defsOfVar[d.vr] {
-					clearBit(out, di)
+	const gen, kill, in, out = 0, 1, 2, 3
+	for i := 0; i < n; i++ {
+		g, k := row(gen, i), row(kill, i)
+		for d := ev.defStart[i]; d < ev.defStart[i+1]; d++ {
+			g[d/64] |= 1 << (d % 64)
+			if ev.defs[d].kills {
+				x := defVar[d]
+				for _, d2 := range defsOf[defsStart[x]:defsStart[x+1]] {
+					k[d2/64] |= 1 << (d2 % 64)
 				}
 			}
 		}
-		for _, d := range info[nodeID].defs {
-			setBit(out, defIndex[def{d.vertex, d.vr}])
-		}
-		return out
 	}
 
-	work := make([]int, 0, n)
-	inWork := make([]bool, n)
-	for i := 0; i < n; i++ {
-		work = append(work, i)
-		inWork[i] = true
+	// A FIFO worklist over a ring of n slots, seeded with every node; a
+	// node is queued at most once at a time.
+	queue := make([]int32, n)
+	queued := make([]bool, n)
+	for i := range queue {
+		queue[i] = int32(i)
+		queued[i] = true
 	}
-	for len(work) > 0 {
-		id := work[0]
-		work = work[1:]
-		inWork[id] = false
-		in := newSet()
+	head, count := 0, n
+	for count > 0 {
+		id := queue[head]
+		head = (head + 1) % n
+		count--
+		queued[id] = false
+		inRow := row(in, int(id))
+		clear(inRow)
 		for _, e := range graph.Preds[id] {
 			if e.Pseudo {
 				continue
 			}
-			for w := 0; w < words; w++ {
-				in[w] |= outSets[e.To][w]
+			for w, o := range row(out, e.To) {
+				inRow[w] |= o
 			}
 		}
-		inSets[id] = in
-		out := apply(id, in)
+		g, k, outRow := row(gen, int(id)), row(kill, int(id)), row(out, int(id))
 		changed := false
-		for w := 0; w < words; w++ {
-			if out[w] != outSets[id][w] {
+		for w := range outRow {
+			if o := inRow[w]&^k[w] | g[w]; o != outRow[w] {
+				outRow[w] = o
 				changed = true
-				break
 			}
 		}
-		if changed {
-			outSets[id] = out
-			for _, e := range graph.Succs[id] {
-				if e.Pseudo {
-					continue
-				}
-				if !inWork[e.To] {
-					inWork[e.To] = true
-					work = append(work, e.To)
-				}
+		if !changed {
+			continue
+		}
+		for _, e := range graph.Succs[id] {
+			if !e.Pseudo && !queued[e.To] {
+				queued[e.To] = true
+				queue[(head+count)%n] = int32(e.To)
+				count++
 			}
 		}
 	}
 
 	for id := 0; id < n; id++ {
-		for _, u := range info[id].uses {
-			for _, di := range defsOfVar[u.vr] {
-				if getBit(inSets[id], di) {
-					em.addEdge(defs[di].vertex, u.vertex, EdgeFlow)
+		inRow := row(in, id)
+		for _, u := range ev.uses[ev.useStart[id]:ev.useStart[id+1]] {
+			x, ok := varOf[u.vr]
+			if !ok {
+				continue
+			}
+			for _, d := range defsOf[defsStart[x]:defsStart[x+1]] {
+				if inRow[d/64]&(1<<(d%64)) != 0 {
+					em.addEdge(ev.defs[d].vertex, u.vertex, EdgeFlow)
 				}
 			}
 		}
 	}
 }
 
+// connectBound is the most interprocedural edges connectProcs adds for
+// site: its call edge and one parameter edge per actual.
+func connectBound(s *Site) int {
+	if s.Lib {
+		return 0
+	}
+	return 1 + len(s.ActualIns) + len(s.ActualOuts)
+}
+
 // connectProcs adds call, parameter-in, and parameter-out edges, matching
 // actuals to formals by binary search over the formal ordering invariant.
-// They are the last edges Build and Advance add — the graph is never
-// written afterwards — so it then releases AddEdge's dedup index.
+// They are the last edges Build and Advance emit.
 func (b *builder) connectProcs() {
-	for _, site := range b.g.Sites {
+	g := b.g
+	for i := range b.sites {
+		site := &b.sites[i]
 		if site.Lib {
 			continue
 		}
-		callee := b.g.Procs[b.g.ProcByName[site.Callee]]
-		b.g.AddEdge(site.CallVertex, callee.Entry, EdgeCall)
+		callee := g.Procs[g.ProcByName[site.Callee]]
+		b.addEdge(site.CallVertex, callee.Entry, EdgeCall)
 		// Parameter-in: positional by Param index, globals by Var.
 		for _, aiID := range site.ActualIns {
-			if fiID, ok := callee.MatchFormalIn(b.g, b.g.Vertices[aiID]); ok {
-				b.g.AddEdge(aiID, fiID, EdgeParamIn)
+			if fiID, ok := callee.MatchFormalIn(g, &g.Vertices[aiID]); ok {
+				b.addEdge(aiID, fiID, EdgeParamIn)
 			}
 		}
 		for _, aoID := range site.ActualOuts {
-			if foID, ok := callee.MatchFormalOut(b.g, b.g.Vertices[aoID]); ok {
-				b.g.AddEdge(foID, aoID, EdgeParamOut)
+			if foID, ok := callee.MatchFormalOut(g, &g.Vertices[aoID]); ok {
+				b.addEdge(foID, aoID, EdgeParamOut)
 			}
 		}
 	}
-	b.g.edgeSet = nil
 }

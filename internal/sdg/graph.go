@@ -8,7 +8,9 @@
 package sdg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,7 +25,7 @@ type VertexID int
 type SiteID int
 
 // VertexKind classifies SDG vertices.
-type VertexKind int
+type VertexKind uint8
 
 const (
 	KindEntry VertexKind = iota
@@ -59,10 +61,10 @@ func (k EdgeKind) String() string { return edgeNames[k] }
 // return value rather than a positional parameter.
 const NoParam = -1
 
-// Vertex is one SDG vertex.
+// Vertex is one SDG vertex. Graph.Vertices holds vertices by value;
+// Graph.Label renders a vertex's label on demand.
 type Vertex struct {
 	ID   VertexID
-	Kind VertexKind
 	Proc int       // index into Graph.Procs
 	Stmt lang.Stmt // originating statement; nil for entry/formal vertices
 	Site SiteID    // for call/actual vertices; -1 otherwise
@@ -71,10 +73,10 @@ type Vertex struct {
 	Param int
 	// Var is the variable a formal/actual global vertex stands for, or the
 	// return-value pseudo-variable.
-	Var string
+	Var  string
+	Kind VertexKind
 	// IsReturn marks the return-value formal-out/actual-out.
 	IsReturn bool
-	Label    string
 }
 
 // Edge is a directed SDG edge.
@@ -104,7 +106,7 @@ func (p *Proc) FormalInFor(g *Graph, i int) (VertexID, bool) {
 	lo, hi := 0, len(p.FormalIns)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		fi := g.Vertices[p.FormalIns[mid]]
+		fi := &g.Vertices[p.FormalIns[mid]]
 		if fi.Param == NoParam || fi.Param > i {
 			hi = mid
 		} else if fi.Param < i {
@@ -123,7 +125,7 @@ func (p *Proc) formalInGlobal(g *Graph, name string) (VertexID, bool) {
 	lo, hi := 0, len(p.FormalIns)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		fi := g.Vertices[p.FormalIns[mid]]
+		fi := &g.Vertices[p.FormalIns[mid]]
 		if fi.Param != NoParam || fi.Var < name {
 			lo = mid + 1
 		} else if fi.Var > name {
@@ -160,7 +162,7 @@ func (p *Proc) MatchFormalOut(g *Graph, a *Vertex) (VertexID, bool) {
 	lo, hi := 0, len(p.FormalOuts)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		fo := g.Vertices[p.FormalOuts[mid]]
+		fo := &g.Vertices[p.FormalOuts[mid]]
 		if fo.IsReturn || fo.Var < a.Var {
 			lo = mid + 1
 		} else if fo.Var > a.Var {
@@ -191,7 +193,7 @@ func (s *Site) ActualInFor(g *Graph, f *Vertex) (VertexID, bool) {
 	lo, hi := 0, len(s.ActualIns)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		ai := g.Vertices[s.ActualIns[mid]]
+		ai := &g.Vertices[s.ActualIns[mid]]
 		var less bool
 		switch {
 		case f.Param != NoParam:
@@ -224,7 +226,7 @@ func (s *Site) ActualOutFor(g *Graph, f *Vertex) (VertexID, bool) {
 	lo, hi := 0, len(s.ActualOuts)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		ao := g.Vertices[s.ActualOuts[mid]]
+		ao := &g.Vertices[s.ActualOuts[mid]]
 		if ao.IsReturn || ao.Var < f.Var {
 			lo = mid + 1
 		} else if ao.Var > f.Var {
@@ -239,18 +241,18 @@ func (s *Site) ActualOutFor(g *Graph, f *Vertex) (VertexID, bool) {
 // Graph is a system dependence graph.
 type Graph struct {
 	Prog     *lang.Program
-	Vertices []*Vertex
+	Vertices []Vertex
 	Procs    []*Proc
 	Sites    []*Site
 
 	ProcByName map[string]int
 
-	out [][]Edge
-	in  [][]Edge
-	// edgeSet is AddEdge's O(1) dedup index over all edges, keyed on the
-	// packed (from, kind, to) int. It is nil until the first AddEdge call,
-	// and Build and Advance release it once the graph is complete.
-	edgeSet map[uint64]struct{}
+	// out and in are the adjacency in compressed sparse row form: out
+	// holds every edge grouped by source vertex, v's out list being
+	// out[outStart[v]:outStart[v+1]], and in holds every edge again,
+	// grouped by target. InstallEdges fills both from one edge stream.
+	out, in           []Edge
+	outStart, inStart []int32
 	// buildSigs maps each procedure name to its build signature: a hash of
 	// every input its PDG construction depends on (normalized source plus
 	// its own and its callees' mod/ref interfaces). Advance reuses a
@@ -275,116 +277,90 @@ type Graph struct {
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int { return len(g.Vertices) }
 
-// AddVertex appends a vertex and returns its ID.
-func (g *Graph) AddVertex(v *Vertex) VertexID {
+// AddVertex appends a vertex, numbering it and listing it in its
+// procedure, and returns its ID.
+func (g *Graph) AddVertex(v Vertex) VertexID {
 	v.ID = VertexID(len(g.Vertices))
 	g.Vertices = append(g.Vertices, v)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	if v.Proc >= 0 && v.Proc < len(g.Procs) {
 		g.Procs[v.Proc].Vertices = append(g.Procs[v.Proc].Vertices, v.ID)
 	}
 	return v.ID
 }
 
-// edgeKey packs (from, kind, to) into one word: 4 bits of kind below 30
-// bits of to below 30 bits of from. Vertex counts are bounded far below
-// 2^30 by memory long before the key can overflow.
-func edgeKey(from, to VertexID, kind EdgeKind) uint64 {
-	return uint64(from)<<34 | uint64(to)<<4 | uint64(kind)
-}
-
-// ensureEdgeIndex builds the packed dedup index from the adjacency lists.
-// Graphs assembled by InstallEdges or returned by Build and Advance have no
-// index, so the first AddEdge afterwards pays one linear pass here.
-func (g *Graph) ensureEdgeIndex() {
-	if g.edgeSet != nil {
-		return
-	}
-	g.edgeSet = make(map[uint64]struct{}, 2*g.NumEdges())
-	for _, es := range g.out {
-		for _, e := range es {
-			g.edgeSet[edgeKey(e.From, e.To, e.Kind)] = struct{}{}
-		}
-	}
-}
-
-// AddEdge inserts the edge if not already present, reporting whether it
-// was new. Dedup is O(1) through the packed edge index.
-func (g *Graph) AddEdge(from, to VertexID, kind EdgeKind) bool {
-	g.ensureEdgeIndex()
-	k := edgeKey(from, to, kind)
-	if _, ok := g.edgeSet[k]; ok {
-		return false
-	}
-	g.edgeSet[k] = struct{}{}
-	e := Edge{From: from, To: to, Kind: kind}
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
-	return true
-}
-
-// InstallEdges replaces the graph's adjacency with the given edge list,
-// which must already be duplicate-free, packing the per-vertex out/in
-// lists into two backings: one [][]Edge of length 2·vertices holding both
-// directions' headers and one []Edge of length 2·edges holding both
-// copies. The dedup index is not built; a later AddEdge reconstructs it
-// lazily.
+// InstallEdges sets the graph's adjacency to the given edge stream, which
+// must be duplicate-free and reference only existing vertices. It is the
+// only way a graph gets edges. Two stable counting sorts, by source and by
+// target, lay the stream out as the out and in lists, so each list keeps
+// the stream's order. A stream already grouped by source, as a snapshot
+// stores it, becomes the out lists as it is: the graph then keeps edges'
+// backing array, which the caller must not modify afterwards.
 func (g *Graph) InstallEdges(edges []Edge) {
-	n := len(g.Vertices)
-	m := len(edges)
-	adj := make([][]Edge, 2*n)
-	backing := make([]Edge, 2*m)
-	g.out, g.in = adj[:n:n], adj[n:]
-	// Counting pass, then prefix offsets into the shared backing: out
-	// lists occupy [0, m), in lists [m, 2m).
-	counts := make([]int32, 2*n)
+	n, m := len(g.Vertices), len(edges)
+	starts := make([]int32, 2*(n+1))
+	g.outStart, g.inStart = starts[:n+1:n+1], starts[n+1:]
+	if slices.IsSortedFunc(edges, func(a, b Edge) int { return cmp.Compare(a.From, b.From) }) {
+		g.out, g.in = edges[:m:m], make([]Edge, m)
+		for _, e := range edges {
+			g.outStart[e.From+1]++
+		}
+		for v := 1; v <= n; v++ {
+			g.outStart[v] += g.outStart[v-1]
+		}
+	} else {
+		backing := make([]Edge, 2*m)
+		g.out, g.in = backing[:m:m], backing[m:]
+		csr(edges, g.out, g.outStart, false)
+	}
+	csr(edges, g.in, g.inStart, true)
+}
+
+// csr places edges into dst grouped by source (or, with byTo, by target)
+// vertex, stably, and leaves start[v] at the first slot of v's group
+// (start has one entry per vertex plus a final one holding len(dst)).
+func csr(edges, dst []Edge, start []int32, byTo bool) {
+	key := func(e *Edge) VertexID {
+		if byTo {
+			return e.To
+		}
+		return e.From
+	}
 	for i := range edges {
-		counts[edges[i].From]++
-		counts[int(edges[i].To)+n]++
+		start[key(&edges[i])+1]++
 	}
-	off := 0
-	for v := 0; v < n; v++ {
-		c := int(counts[v])
-		g.out[v] = backing[off : off : off+c]
-		off += c
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
 	}
-	off = m
-	for v := 0; v < n; v++ {
-		c := int(counts[n+v])
-		g.in[v] = backing[off : off : off+c]
-		off += c
+	// start[v] is now the end of v-1's group; placing advances it to the
+	// end of v's, so shifting by one afterwards restores the beginnings.
+	for i := range edges {
+		k := key(&edges[i])
+		dst[start[k]] = edges[i]
+		start[k]++
 	}
-	for _, e := range edges {
-		g.out[e.From] = append(g.out[e.From], e)
-		g.in[e.To] = append(g.in[e.To], e)
-	}
-	g.edgeSet = nil
+	copy(start[1:], start[:len(start)-1])
+	start[0] = 0
 }
 
-// Out returns the outgoing edges of v.
-func (g *Graph) Out(v VertexID) []Edge { return g.out[v] }
-
-// In returns the incoming edges of v.
-func (g *Graph) In(v VertexID) []Edge { return g.in[v] }
-
-// Edges returns all edges, ordered by source vertex.
-func (g *Graph) Edges() []Edge {
-	var out []Edge
-	for _, es := range g.out {
-		out = append(out, es...)
-	}
-	return out
+// Out returns the outgoing edges of v. The list is a view into the
+// graph's adjacency; callers must not modify it.
+func (g *Graph) Out(v VertexID) []Edge {
+	lo, hi := g.outStart[v], g.outStart[v+1]
+	return g.out[lo:hi:hi]
 }
+
+// In returns the incoming edges of v, as a view like Out's.
+func (g *Graph) In(v VertexID) []Edge {
+	lo, hi := g.inStart[v], g.inStart[v+1]
+	return g.in[lo:hi:hi]
+}
+
+// Edges returns all edges, ordered by source vertex, as a view into the
+// graph's adjacency; callers must not modify it.
+func (g *Graph) Edges() []Edge { return g.out[:len(g.out):len(g.out)] }
 
 // NumEdges returns the edge count.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, es := range g.out {
-		n += len(es)
-	}
-	return n
-}
+func (g *Graph) NumEdges() int { return len(g.out) }
 
 // SiteCalls returns the call-sites calling procedure name.
 func (g *Graph) SiteCalls(name string) []*Site {
@@ -397,14 +373,111 @@ func (g *Graph) SiteCalls(name string) []*Site {
 	return out
 }
 
+// Label renders vertex v the way the paper's figures label it: the
+// procedure name for an entry, the formal's name or global for formals,
+// the printed statement for statement and predicate vertices, and the
+// argument or defined variable for actuals. Labels are computed on
+// demand; only DOT output, feature criteria, diagnostics and snapshots
+// read them.
+func (g *Graph) Label(v VertexID) string {
+	vx := &g.Vertices[v]
+	switch vx.Kind {
+	case KindEntry, KindFormalIn, KindFormalOut:
+		name := g.procName(vx.Proc)
+		switch {
+		case vx.Kind == KindEntry:
+			return name
+		case vx.Kind == KindFormalIn && vx.Param != NoParam:
+			return name + ": " + vx.Var
+		case vx.Kind == KindFormalIn:
+			return name + ": global " + vx.Var + " in"
+		case vx.IsReturn:
+			return name + ": return"
+		default:
+			return name + ": global " + vx.Var + " out"
+		}
+	case KindCall:
+		switch x := vx.Stmt.(type) {
+		case *lang.CallStmt:
+			return "call " + x.Callee
+		case *lang.PrintfStmt:
+			return "call printf"
+		case *lang.ScanfStmt:
+			return "call scanf"
+		}
+	case KindActualIn:
+		if vx.Param == NoParam {
+			return "global " + vx.Var + " in"
+		}
+		if args := callArgs(vx.Stmt); vx.Param < len(args) {
+			return lang.ExprString(args[vx.Param])
+		}
+	case KindActualOut:
+		switch {
+		case isScanf(vx.Stmt):
+			return "&" + vx.Var
+		case vx.IsReturn:
+			return vx.Var + " = ret"
+		default:
+			return "global " + vx.Var + " out"
+		}
+	case KindStmt, KindPredicate:
+		switch x := vx.Stmt.(type) {
+		case *lang.DeclStmt:
+			return x.Name + " = " + lang.ExprString(x.Init)
+		case *lang.AssignStmt:
+			return x.LHS + " = " + lang.ExprString(x.RHS)
+		case *lang.IfStmt:
+			return "if " + lang.ExprString(x.Cond)
+		case *lang.WhileStmt:
+			return "while " + lang.ExprString(x.Cond)
+		case *lang.ReturnStmt:
+			return "return " + lang.ExprString(x.Value)
+		case *lang.BreakStmt:
+			return "break"
+		case *lang.ContinueStmt:
+			return "continue"
+		}
+	}
+	return vx.Kind.String()
+}
+
+// procName names the function of procedure i: in a specialized graph
+// that is the source procedure a variant copies, as in its labels.
+func (g *Graph) procName(i int) string {
+	if i < 0 || i >= len(g.Procs) {
+		return "?"
+	}
+	if p := g.Procs[i]; p.Fn != nil {
+		return p.Fn.Name
+	}
+	return g.Procs[i].Name
+}
+
+// callArgs returns the argument list of a call or printf statement.
+func callArgs(s lang.Stmt) []lang.Expr {
+	switch x := s.(type) {
+	case *lang.CallStmt:
+		return x.Args
+	case *lang.PrintfStmt:
+		return x.Args
+	}
+	return nil
+}
+
+func isScanf(s lang.Stmt) bool {
+	_, ok := s.(*lang.ScanfStmt)
+	return ok
+}
+
 // VertexString renders v for diagnostics.
 func (g *Graph) VertexString(v VertexID) string {
-	vx := g.Vertices[v]
+	vx := &g.Vertices[v]
 	proc := "?"
 	if vx.Proc >= 0 {
 		proc = g.Procs[vx.Proc].Name
 	}
-	return fmt.Sprintf("v%d[%s %s %s]", v, proc, vx.Kind, vx.Label)
+	return fmt.Sprintf("v%d[%s %s %s]", v, proc, vx.Kind, g.Label(v))
 }
 
 // BuildStats records where a Build spent its time and how wide its worker

@@ -100,8 +100,9 @@ int main() {
 func findVertex(t *testing.T, g *Graph, proc, label string, kind VertexKind) VertexID {
 	t.Helper()
 	var found []VertexID
-	for _, v := range g.Vertices {
-		if g.Procs[v.Proc].Name == proc && v.Kind == kind && v.Label == label {
+	for i := range g.Vertices {
+		v := &g.Vertices[i]
+		if g.Procs[v.Proc].Name == proc && v.Kind == kind && g.Label(v.ID) == label {
 			found = append(found, v.ID)
 		}
 	}
@@ -188,7 +189,7 @@ int main() {
 	controllers := map[string]bool{}
 	for _, e := range g.In(asg) {
 		if e.Kind == EdgeControl {
-			controllers[g.Vertices[e.From].Label] = true
+			controllers[g.Label(e.From)] = true
 		}
 	}
 	// With a conditional break before it, g=g+1 executes only when the if
@@ -206,7 +207,7 @@ int main() {
 	wctl := map[string]bool{}
 	for _, e := range g.In(whileV) {
 		if e.Kind == EdgeControl {
-			wctl[g.Vertices[e.From].Label] = true
+			wctl[g.Label(e.From)] = true
 		}
 	}
 	if !wctl["break"] && !wctl["if i == 1"] {

@@ -96,8 +96,8 @@ func EncodeSnapshot(g *Graph) ([]byte, error) {
 		strs = append(strs, s)
 		return len(strs) - 1
 	}
-	for _, v := range g.Vertices {
-		if v.Var != "" {
+	for i := range g.Vertices {
+		if v := &g.Vertices[i]; v.Var != "" {
 			intern(v.Var)
 		}
 	}
@@ -118,7 +118,8 @@ func EncodeSnapshot(g *Graph) ([]byte, error) {
 		b = appendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
-	for _, v := range g.Vertices {
+	for i := range g.Vertices {
+		v := &g.Vertices[i]
 		if v.Proc < 0 || v.Proc >= len(g.Procs) {
 			return nil, fmt.Errorf("sdg: snapshot: vertex %d has proc %d", v.ID, v.Proc)
 		}
@@ -145,8 +146,9 @@ func EncodeSnapshot(g *Graph) ([]byte, error) {
 			fl = 1
 		}
 		b = append(b, fl)
-		b = appendUvarint(b, uint64(len(v.Label)))
-		b = append(b, v.Label...)
+		label := g.Label(v.ID)
+		b = appendUvarint(b, uint64(len(label)))
+		b = append(b, label...)
 	}
 	for _, s := range g.Sites {
 		b = appendUvarint(b, uint64(strIdx[s.Callee]))
@@ -156,12 +158,10 @@ func EncodeSnapshot(g *Graph) ([]byte, error) {
 			b = append(b, 0)
 		}
 	}
-	for _, es := range g.out {
-		for _, e := range es {
-			b = appendUvarint(b, uint64(e.From))
-			b = appendUvarint(b, uint64(e.To))
-			b = append(b, byte(e.Kind))
-		}
+	for _, e := range g.Edges() {
+		b = appendUvarint(b, uint64(e.From))
+		b = appendUvarint(b, uint64(e.To))
+		b = append(b, byte(e.Kind))
 	}
 	return b, nil
 }
@@ -228,6 +228,15 @@ func (r *snapReader) readCount(what string, minBytes int) (int, error) {
 	return int(v), nil
 }
 
+// skip advances past n bytes.
+func (r *snapReader) skip(n int) error {
+	if n < 0 || n > r.remaining() {
+		return fmt.Errorf("sdg: snapshot: %d bytes exceed input", n)
+	}
+	r.off += n
+	return nil
+}
+
 func (r *snapReader) readString(n int) (string, error) {
 	if n < 0 || n > r.remaining() {
 		return "", fmt.Errorf("sdg: snapshot: string of %d bytes exceeds input", n)
@@ -265,12 +274,8 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sdg: snapshot source does not parse: %w", err)
 	}
-	for _, fn := range prog.Funcs {
-		for _, s := range fn.Stmts() {
-			if c, ok := s.(*lang.CallStmt); ok && c.Indirect {
-				return nil, fmt.Errorf("sdg: snapshot source has indirect call through %q", c.Callee)
-			}
-		}
+	if err := checkDirectCalls(prog); err != nil {
+		return nil, fmt.Errorf("sdg: snapshot source: %v", err)
 	}
 
 	// minimum encoded sizes: vertex = kind+proc+site+param+stmt+var+flags+label ≥ 8,
@@ -304,18 +309,23 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 
 	g := &Graph{Prog: prog, ProcByName: map[string]int{}}
 	stmtsOf := make([][]lang.Stmt, len(prog.Funcs))
+	procs := make([]Proc, len(prog.Funcs))
 	for i, fn := range prog.Funcs {
-		g.Procs = append(g.Procs, &Proc{Index: i, Name: fn.Name, Fn: fn})
+		procs[i] = Proc{Index: i, Name: fn.Name, Fn: fn}
+		g.Procs = append(g.Procs, &procs[i])
 		g.ProcByName[fn.Name] = i
 		stmtsOf[i] = fn.Stmts()
 	}
 
+	siteVals := make([]Site, nSites)
 	sites := make([]*Site, nSites)
 	for i := range sites {
-		sites[i] = &Site{ID: SiteID(i), CallerProc: -1, CallVertex: -1}
+		siteVals[i] = Site{ID: SiteID(i), CallerProc: -1, CallVertex: -1}
+		sites[i] = &siteVals[i]
 	}
+	procSize := make([]int, len(g.Procs))
 	hasEntry := make([]bool, len(g.Procs))
-	g.Vertices = make([]*Vertex, 0, nVerts)
+	g.Vertices = make([]Vertex, 0, nVerts)
 	for i := 0; i < nVerts; i++ {
 		kind, err := r.readByte()
 		if err != nil {
@@ -365,21 +375,22 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The label is stored for readers of the format; Graph.Label
+		// recomputes it from the vertex, so the decoder skips it.
 		labelLen, err := r.readCount("label bytes", 1)
 		if err != nil {
 			return nil, err
 		}
-		label, err := r.readString(labelLen)
-		if err != nil {
+		if err := r.skip(labelLen); err != nil {
 			return nil, err
 		}
-		v := &Vertex{
+		v := Vertex{
+			ID:       VertexID(i),
 			Kind:     VertexKind(kind),
 			Proc:     proc,
 			Site:     SiteID(siteU) - 1,
 			Param:    int(paramU) - 1,
 			IsReturn: vfl&1 != 0,
-			Label:    label,
 		}
 		if stmtU > 0 {
 			v.Stmt = stmtsOf[proc][stmtU-1]
@@ -387,10 +398,12 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 		if varU > 0 {
 			v.Var = strs[varU-1]
 		}
-		if err := checkVertexShape(v, i); err != nil {
+		if err := checkVertexShape(&v, i); err != nil {
 			return nil, err
 		}
-		id := g.AddVertex(v)
+		id := v.ID
+		g.Vertices = append(g.Vertices, v)
+		procSize[proc]++
 		p := g.Procs[proc]
 		switch v.Kind {
 		case KindEntry:
@@ -427,6 +440,18 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 		}
 	}
 
+	// Each procedure's vertex list, in vertex order, from one backing.
+	ids := make([]VertexID, len(g.Vertices))
+	off := 0
+	for pi, p := range g.Procs {
+		p.Vertices = ids[off : off : off+procSize[pi]]
+		off += procSize[pi]
+	}
+	for i := range g.Vertices {
+		p := g.Procs[g.Vertices[i].Proc]
+		p.Vertices = append(p.Vertices, VertexID(i))
+	}
+
 	for i := range sites {
 		calleeU, err := r.readUvarint()
 		if err != nil {
@@ -453,9 +478,11 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 				return nil, fmt.Errorf("sdg: snapshot: site %d calls unknown procedure %q", i, s.Callee)
 			}
 		}
-		for _, a := range append(append([]VertexID{}, s.ActualIns...), s.ActualOuts...) {
-			if g.Vertices[a].Proc != s.CallerProc {
-				return nil, fmt.Errorf("sdg: snapshot: site %d spans procedures", i)
+		for _, as := range [][]VertexID{s.ActualIns, s.ActualOuts} {
+			for _, a := range as {
+				if g.Vertices[a].Proc != s.CallerProc {
+					return nil, fmt.Errorf("sdg: snapshot: site %d spans procedures", i)
+				}
 			}
 		}
 		g.Sites = append(g.Sites, s)
@@ -463,7 +490,6 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 	}
 
 	edges := make([]Edge, 0, nEdges)
-	seen := make(map[uint64]struct{}, 2*nEdges)
 	for i := 0; i < nEdges; i++ {
 		fromU, err := r.readUvarint()
 		if err != nil {
@@ -483,17 +509,15 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 		if EdgeKind(kind) > EdgeParamOut {
 			return nil, fmt.Errorf("sdg: snapshot: edge %d has kind %d", i, kind)
 		}
-		k := edgeKey(VertexID(fromU), VertexID(toU), EdgeKind(kind))
-		if _, dup := seen[k]; dup {
-			return nil, fmt.Errorf("sdg: snapshot: duplicate edge %d", i)
-		}
-		seen[k] = struct{}{}
 		edges = append(edges, Edge{From: VertexID(fromU), To: VertexID(toU), Kind: EdgeKind(kind)})
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("sdg: snapshot: %d trailing bytes", r.remaining())
 	}
 	g.InstallEdges(edges)
+	if err := checkNoDuplicateEdges(g); err != nil {
+		return nil, fmt.Errorf("sdg: snapshot: %v", err)
+	}
 
 	for _, p := range g.Procs {
 		if len(p.Vertices) == 0 || g.Vertices[p.Vertices[0]].Kind != KindEntry {
@@ -511,6 +535,24 @@ func DecodeSnapshot(data []byte) (*Graph, error) {
 		g.buildSigs, g.procHashes = computeBuildSigsWorkers(prog, mr, 1)
 	}
 	return g, nil
+}
+
+// checkNoDuplicateEdges rejects a graph with an out list that repeats a
+// (target, kind) pair, in O(vertices + edges): mark[5·to + kind] holds the
+// last source vertex (plus one) that had that edge.
+func checkNoDuplicateEdges(g *Graph) error {
+	const kinds = int(EdgeParamOut) + 1
+	mark := make([]int32, kinds*len(g.Vertices))
+	for v := range g.Vertices {
+		for _, e := range g.Out(VertexID(v)) {
+			k := kinds*int(e.To) + int(e.Kind)
+			if mark[k] == int32(v)+1 {
+				return fmt.Errorf("duplicate edge v%d -%s-> v%d", v, e.Kind, e.To)
+			}
+			mark[k] = int32(v) + 1
+		}
+	}
+	return nil
 }
 
 // checkVertexShape enforces the kind-dependent invariants the builder
@@ -543,6 +585,9 @@ func checkVertexShape(v *Vertex, i int) error {
 		case *lang.CallStmt, *lang.PrintfStmt, *lang.ScanfStmt:
 		default:
 			return fmt.Errorf("sdg: snapshot: %s vertex %d on %T", v.Kind, i, v.Stmt)
+		}
+		if v.Kind == KindActualIn && v.Param != NoParam && v.Param >= len(callArgs(v.Stmt)) {
+			return fmt.Errorf("sdg: snapshot: actual-in %d has argument %d of %d", i, v.Param, len(callArgs(v.Stmt)))
 		}
 	}
 	return nil

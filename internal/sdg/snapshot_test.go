@@ -49,9 +49,10 @@ func TestSnapshotRoundTripIdentity(t *testing.T) {
 			wantOrd := stmtOrdinals(want.Prog)
 			gotOrd := stmtOrdinals(got.Prog)
 			for i := range want.Vertices {
-				g, w := got.Vertices[i], want.Vertices[i]
+				g, w := &got.Vertices[i], &want.Vertices[i]
 				if g.Kind != w.Kind || g.Proc != w.Proc || g.Site != w.Site ||
-					g.Param != w.Param || g.Var != w.Var || g.IsReturn != w.IsReturn || g.Label != w.Label {
+					g.Param != w.Param || g.Var != w.Var || g.IsReturn != w.IsReturn ||
+					got.Label(VertexID(i)) != want.Label(VertexID(i)) {
 					t.Fatalf("vertex %d differs:\ngot  %+v\nwant %+v", i, *g, *w)
 				}
 				if (g.Stmt == nil) != (w.Stmt == nil) {
@@ -206,8 +207,30 @@ func TestSnapshotDecodeHostileBytes(t *testing.T) {
 		mut[pos] ^= byte(1 + rng.Intn(255))
 		// Either outcome is fine; what matters is no panic and no
 		// absurd allocation (the -race CI run would catch a crash, and
-		// readCount bounds every allocation by len(data)).
-		_, _ = DecodeSnapshot(mut)
+		// readCount bounds every allocation by len(data)). A graph the
+		// decoder accepts must also render every label, since labels are
+		// computed on demand from the decoded statements.
+		if dec, err := DecodeSnapshot(mut); err == nil {
+			for v := range dec.Vertices {
+				_ = dec.Label(VertexID(v))
+			}
+		}
+	}
+	// An actual-in whose argument index exceeds its call's arguments
+	// would make its label index past the argument list.
+	for i := range g.Vertices {
+		if v := &g.Vertices[i]; v.Kind == KindActualIn && v.Param != NoParam {
+			v.Param += 100
+			bad, err := EncodeSnapshot(g)
+			v.Param -= 100
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if _, err := DecodeSnapshot(bad); err == nil {
+				t.Fatal("decoded an actual-in past its call's arguments")
+			}
+			break
+		}
 	}
 	junk := [][]byte{
 		nil,

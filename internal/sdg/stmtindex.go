@@ -51,13 +51,14 @@ func (x *StmtIndex) Locals(proc int) []Local { return x.locals[proc] }
 
 func buildStmtIndex(g *Graph) *StmtIndex {
 	n := 0
-	for _, v := range g.Vertices {
-		if v.Stmt != nil {
+	for i := range g.Vertices {
+		if v := &g.Vertices[i]; v.Stmt != nil {
 			n = max(n, int(v.Stmt.Base().ID)+1)
 		}
 	}
 	x := &StmtIndex{vertex: make([]int32, n), locals: make([][]Local, len(g.Procs))}
-	for _, v := range g.Vertices {
+	for i := range g.Vertices {
+		v := &g.Vertices[i]
 		if v.Stmt == nil {
 			continue
 		}

@@ -102,8 +102,8 @@ func ComputeSummaries(g *sdg.Graph) *Summaries {
 	for len(work) > 0 {
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
-		if fi := g.Vertices[it.v]; fi.Kind == sdg.KindFormalIn {
-			fo := g.Vertices[it.fo]
+		if fi := &g.Vertices[it.v]; fi.Kind == sdg.KindFormalIn {
+			fo := &g.Vertices[it.fo]
 			// The site's matching actuals, by binary search over the
 			// shared actual/formal ordering invariant (sdg.Site docs).
 			for _, site := range callers[fi.Proc] {
@@ -210,7 +210,7 @@ func Weiser(g *sdg.Graph, criterion []sdg.VertexID) VSet {
 		}
 		// Atomicity: any vertex of a call site pulls in the call vertex and
 		// every actual parameter of that site.
-		vx := g.Vertices[v]
+		vx := &g.Vertices[v]
 		if vx.Site >= 0 {
 			site := g.Sites[vx.Site]
 			push(site.CallVertex)

@@ -39,9 +39,9 @@ func printfCriterion(g *sdg.Graph) []sdg.VertexID {
 func labelsIn(g *sdg.Graph, set VSet, proc string) map[string]bool {
 	out := map[string]bool{}
 	for v := range set {
-		vx := g.Vertices[v]
+		vx := &g.Vertices[v]
 		if g.Procs[vx.Proc].Name == proc {
-			out[vx.Kind.String()+":"+vx.Label] = true
+			out[vx.Kind.String()+":"+g.Label(v)] = true
 		}
 	}
 	return out

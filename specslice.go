@@ -213,7 +213,8 @@ func (s *SDG) PrintfCriterion(proc string) Criterion {
 // vertex depends on nothing and would slice to almost nothing).
 func (s *SDG) LineCriterion(line int) Criterion {
 	var vs []sdg.VertexID
-	for _, v := range s.g.Vertices {
+	for i := range s.g.Vertices {
+		v := &s.g.Vertices[i]
 		if v.Stmt == nil || v.Stmt.Base().Pos.Line != line {
 			continue
 		}
