@@ -37,9 +37,9 @@
 //	specslice route -workers 4 -tenant-rate 200 -shard-inflight 64
 //
 // On SIGINT/SIGTERM the router drains in-flight requests, then each
-// worker is terminated gracefully (workers drain and close their stores
-// cleanly). See internal/cluster and the README's Sharded serving
-// section.
+// worker is terminated gracefully (workers drain their own in-flight
+// requests and exit). See internal/cluster and the README's Sharded
+// serving section.
 //
 // The bench subcommand drives a named workload scenario (read_heavy,
 // write_heavy, balanced) against the real HTTP slice path with an
@@ -67,7 +67,6 @@ import (
 
 	"encoding/json"
 	"net/http"
-	"path/filepath"
 
 	"specslice"
 	"specslice/internal/cluster"
@@ -85,8 +84,6 @@ func serve(args []string) {
 	maxProgramKB := fs.Int64("max-program-kb", 1024, "largest accepted program source in KiB")
 	maxCriteria := fs.Int("max-criteria", 256, "largest accepted criterion batch")
 	workers := fs.Int("workers", 0, "per-batch worker-pool size (0 = GOMAXPROCS)")
-	storeDir := fs.String("store-dir", "", "directory for the persistent snapshot tier (empty = RAM cache only)")
-	storeBudgetBytes := fs.Int64("store-budget-bytes", 0, "disk budget for the snapshot tier; oldest segments dropped past it (0 = unlimited)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: specslice serve [flags]")
@@ -95,13 +92,11 @@ func serve(args []string) {
 	}
 
 	srv, err := server.New(server.Config{
-		CacheMaxEntries:  *cacheEntries,
-		CacheMaxBytes:    *cacheMB << 20,
-		MaxProgramBytes:  *maxProgramKB << 10,
-		MaxCriteria:      *maxCriteria,
-		Workers:          *workers,
-		StoreDir:         *storeDir,
-		StoreBudgetBytes: *storeBudgetBytes,
+		CacheMaxEntries: *cacheEntries,
+		CacheMaxBytes:   *cacheMB << 20,
+		MaxProgramBytes: *maxProgramKB << 10,
+		MaxCriteria:     *maxCriteria,
+		Workers:         *workers,
 	})
 	if err != nil {
 		fatal(err)
@@ -112,11 +107,9 @@ func serve(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	// Log the resolved address (not the flag) so :0 reports its bound port —
-	// the restart integration test discovers the port from this line.
-	if *storeDir != "" {
-		log.Printf("specslice: store %s (budget %d bytes)", *storeDir, *storeBudgetBytes)
-	}
+	// Log the resolved address (not the flag) so :0 reports its bound port:
+	// the benchmark, the router and TestServeBinary read the port from this
+	// line.
 	log.Printf("specslice: listening on %s (cache: %d entries, %d MiB)", ln.Addr(), *cacheEntries, *cacheMB)
 	if err := srv.Serve(ctx, ln); err != nil {
 		fatal(err)
@@ -134,7 +127,6 @@ func route(args []string) {
 	cacheMB := fs.Int64("cache-mb", 512, "per-worker engine cache byte budget in MiB (<0 = unbounded)")
 	maxProgramKB := fs.Int64("max-program-kb", 1024, "largest accepted program source in KiB")
 	maxCriteria := fs.Int("max-criteria", 256, "largest accepted criterion batch")
-	storeDir := fs.String("store-dir", "", "base directory for per-worker persistent stores (empty = RAM only; worker i uses <dir>/wi)")
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant admitted requests/sec (0 = unlimited)")
 	tenantBurst := fs.Int("tenant-burst", 0, "per-tenant token-bucket burst (0 = ceil(rate))")
 	shardInFlight := fs.Int64("shard-inflight", 128, "per-shard in-flight depth before shedding (<0 = unlimited)")
@@ -153,17 +145,13 @@ func route(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	procs, err := cluster.SpawnWorkers(bin, *workers, func(i int) []string {
-		wargs := []string{
+	procs, err := cluster.SpawnWorkers(bin, *workers, func(int) []string {
+		return []string{
 			"-cache-entries", strconv.Itoa(*cacheEntries),
 			"-cache-mb", strconv.FormatInt(*cacheMB, 10),
 			"-max-program-kb", strconv.FormatInt(*maxProgramKB, 10),
 			"-max-criteria", strconv.Itoa(*maxCriteria),
 		}
-		if *storeDir != "" {
-			wargs = append(wargs, "-store-dir", filepath.Join(*storeDir, fmt.Sprintf("w%d", i)))
-		}
-		return wargs
 	})
 	if err != nil {
 		fatal(err)

@@ -28,10 +28,9 @@ type Local struct {
 }
 
 type localWorker struct {
-	id  string
-	srv *server.Server
-	ln  net.Listener
-	hs  *http.Server
+	id string
+	ln net.Listener
+	hs *http.Server
 }
 
 // StartLocal boots n workers with the given server config plus a router
@@ -49,15 +48,13 @@ func StartLocal(n int, scfg server.Config, rcfg Config) (*Local, error) {
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			srv.Close()
 			lc.Close()
 			return nil, err
 		}
 		lw := &localWorker{
-			id:  fmt.Sprintf("w%d", i),
-			srv: srv,
-			ln:  ln,
-			hs:  &http.Server{Handler: srv.Handler()},
+			id: fmt.Sprintf("w%d", i),
+			ln: ln,
+			hs: &http.Server{Handler: srv.Handler()},
 		}
 		go lw.hs.Serve(ln)
 		lc.workers = append(lc.workers, lw)
@@ -108,9 +105,6 @@ func (lc *Local) Close() error {
 			first = err
 		}
 		cancel()
-		if err := lw.srv.Close(); err != nil && first == nil {
-			first = err
-		}
 	}
 	return first
 }

@@ -620,7 +620,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 				c.Builds += st.Cache.Builds
 				c.Advances += st.Cache.Advances
 				c.ColdBuilds += st.Cache.ColdBuilds
-				c.DiskHits += st.Cache.DiskHits
 				c.BuildErrors += st.Cache.BuildErrors
 				c.Evictions += st.Cache.Evictions
 				c.InFlight += st.Cache.InFlight

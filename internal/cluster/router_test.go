@@ -137,7 +137,7 @@ func TestRoutedResponsesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(direct.Handler())
-	defer func() { ts.Close(); direct.Close() }()
+	defer ts.Close()
 	lc := startLocal(t, 3, server.Config{}, Config{})
 
 	criteria := []server.CriterionRequest{

@@ -20,9 +20,8 @@ type Proc struct {
 // URL returns the worker's base URL.
 func (p *Proc) URL() string { return "http://" + p.Addr }
 
-// Stop sends SIGTERM (the worker drains in-flight requests and closes
-// its store cleanly) and waits up to timeout before escalating to
-// SIGKILL.
+// Stop sends SIGTERM (the worker drains in-flight requests and exits)
+// and waits up to timeout before escalating to SIGKILL.
 func (p *Proc) Stop(timeout time.Duration) error {
 	if p.Cmd.Process == nil {
 		return nil
@@ -41,7 +40,7 @@ func (p *Proc) Stop(timeout time.Duration) error {
 
 // SpawnWorkers starts n `specslice serve` subprocesses of the given
 // binary on ephemeral loopback ports; argsFor(i) supplies worker i's
-// extra flags (cache budgets, a per-worker store directory). Each
+// extra flags (cache budgets, request limits). Each
 // worker's bound port is discovered from its "listening on" log line;
 // the rest of its stderr is relayed to ours with an id prefix. On any
 // failure the already-started workers are stopped.

@@ -22,7 +22,7 @@ func gzipGraph(b *testing.B) *sdg.Graph {
 }
 
 // BenchmarkReachable times Reachable on a fresh encoding of gzip: what
-// every cold build, disk load and Advance pays once.
+// every cold build and Advance pays once.
 func BenchmarkReachable(b *testing.B) {
 	g := gzipGraph(b)
 	b.ReportAllocs()

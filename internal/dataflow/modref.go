@@ -234,20 +234,13 @@ func ComputeModRef(prog *lang.Program) *ModRef {
 	return mr
 }
 
-// ComputeModRefWorkers is ComputeModRef over a worker pool of the given
-// size (<= 0 means GOMAXPROCS): the local phase shards procedures and the
+// ComputeModRefCFGs is ComputeModRef over a worker pool of the given size
+// (<= 0 means GOMAXPROCS): the local phase shards procedures and the
 // fixpoint phase shards call-graph components at the same condensation
 // level, in chunks balanced by statement count. The result is identical
-// for every worker count.
-func ComputeModRefWorkers(prog *lang.Program, workers int) *ModRef {
-	mr, _ := computeModRef(prog, prog.Funcs, nil, workers)
-	return mr
-}
-
-// ComputeModRefCFGs is ComputeModRefWorkers that also returns the CFG its
-// local phase built for each procedure, indexed like prog.Funcs, so the
-// SDG builder does not build them a second time. Its Stats().Local covers
-// their construction.
+// for every worker count. It also returns the CFG its local phase built
+// for each procedure, indexed like prog.Funcs, so the SDG builder does not
+// build them a second time. Its Stats().Local covers their construction.
 func ComputeModRefCFGs(prog *lang.Program, workers int) (*ModRef, []*cfg.Graph) {
 	return computeModRef(prog, prog.Funcs, nil, workers)
 }
@@ -260,8 +253,8 @@ func ComputeModRefCFGs(prog *lang.Program, workers int) (*ModRef, []*cfg.Graph) 
 // members of any call cycle they sit in, and their transitive callers. old
 // is only read (its rows are copied, never aliased), so the previous
 // version may keep serving concurrently. Falls back to a full computation
-// when the global declarations or the address-taken function set changed
-// (both are program-wide inputs to every summary).
+// when the global declarations changed (a program-wide input to every
+// summary) or either version has an indirect call.
 func AdvanceModRef(newProg, oldProg *lang.Program, old *ModRef) *ModRef {
 	if old == nil || oldProg == nil {
 		return ComputeModRef(newProg)
@@ -279,12 +272,14 @@ func AdvanceModRefDiff(newProg, oldProg *lang.Program, old *ModRef, diff lang.Pr
 	// The caller-cutoff logic below tracks dependencies through direct
 	// calls only, so programs still containing indirect calls (callers
 	// invisible in the reverse call graph) get the full recomputation.
+	// That also makes the address-taken set irrelevant from here on: it
+	// only resolves indirect calls.
 	if newProg.HasIndirectCall() || oldProg.HasIndirectCall() {
 		return ComputeModRef(newProg)
 	}
 	// Globals unchanged ⇒ the old interner covers the new program, so old
 	// rows copy verbatim and the change cutoff is a word comparison.
-	if diff.GlobalsChanged || !sameStrings(addressTakenFuncs(oldProg), addressTakenFuncs(newProg)) {
+	if diff.GlobalsChanged {
 		return ComputeModRef(newProg)
 	}
 
@@ -994,18 +989,6 @@ func (s *solver) mustDefOuts(k int, outs []uint64) {
 			}
 		}
 	}
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // addressTakenFuncs returns the functions whose address is taken anywhere in

@@ -517,10 +517,10 @@ func TestModRefDifferentialOracle(t *testing.T) {
 		prog := refParse(t, g.source(nil))
 		ref := refComputeModRef(prog)
 
-		base := ComputeModRefWorkers(prog, 1)
+		base, _ := ComputeModRefCFGs(prog, 1)
 		checkAgainstOracle(t, fmt.Sprintf("prog %d (workers=1)", i), base, ref, prog)
 		for _, workers := range []int{2, 4, 8} {
-			mr := ComputeModRefWorkers(prog, workers)
+			mr, _ := ComputeModRefCFGs(prog, workers)
 			for _, fn := range prog.Funcs {
 				if !rowsEqualFor(base, mr, fn.Name) {
 					t.Errorf("prog %d: workers=%d rows differ from workers=1 for %s", i, workers, fn.Name)
@@ -560,4 +560,16 @@ func TestAdvanceModRefDiffOracle(t *testing.T) {
 		}
 		checkAgainstOracle(t, fmt.Sprintf("advanced prog %d", i), adv, refComputeModRef(newProg), newProg)
 	}
+}
+
+func sameStrings(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

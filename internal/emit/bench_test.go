@@ -51,7 +51,7 @@ func BenchmarkEmitSource(b *testing.B) {
 }
 
 // BenchmarkPrint times lang.Print of gzip's normalized program: what every
-// content key, build and snapshot pays.
+// content key and build pays.
 func BenchmarkPrint(b *testing.B) {
 	prog := benchSuite(b, "gzip")
 	b.ReportAllocs()

@@ -50,9 +50,9 @@ func polyOutcome(e *Engine, spec core.CriterionSpec) string {
 
 // TestSummariesAgreeAcrossBuildPaths holds the lazily computed HRB
 // summaries to one answer per program version, however the engine got its
-// graph: built cold, advanced through an editor chain, or decoded from a
-// snapshot. On the 8 Siemens-sized suites all three engines must compute
-// identical summaries and emit byte-identical Binkley slices.
+// graph: built cold or advanced through an editor chain. On the 8
+// Siemens-sized suites both engines must compute identical summaries and
+// emit byte-identical Binkley slices.
 func TestSummariesAgreeAcrossBuildPaths(t *testing.T) {
 	steps, randomCrits := 4, 12
 	if testing.Short() {
@@ -70,27 +70,12 @@ func TestSummariesAgreeAcrossBuildPaths(t *testing.T) {
 			adv = next
 		}
 		cold := New(sdg.MustBuild(lang.MustParse(ed.Source())))
-		data, err := cold.Snapshot()
-		if err != nil {
-			t.Fatalf("%s: snapshot: %v", cfg.Name, err)
-		}
-		decoded, err := FromSnapshot(data)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", cfg.Name, err)
-		}
-		others := []struct {
-			name string
-			e    *Engine
-		}{{"advanced", adv}, {"decoded", decoded}}
-
 		if numSummaries(cold) == 0 {
 			t.Fatalf("%s: cold engine computed no summary edges", cfg.Name)
 		}
-		for _, o := range others {
-			if !reflect.DeepEqual(o.e.EnsureSummaryEdges(), cold.EnsureSummaryEdges()) {
-				t.Errorf("%s: %s summaries differ from cold (%d vs %d edges)\nops: %v",
-					cfg.Name, o.name, numSummaries(o.e), numSummaries(cold), ed.Ops)
-			}
+		if !reflect.DeepEqual(adv.EnsureSummaryEdges(), cold.EnsureSummaryEdges()) {
+			t.Errorf("%s: advanced summaries differ from cold (%d vs %d edges)\nops: %v",
+				cfg.Name, numSummaries(adv), numSummaries(cold), ed.Ops)
 		}
 
 		crits := [][]sdg.VertexID{core.PrintfCriterion(cold.Graph(), "")}
@@ -99,12 +84,9 @@ func TestSummariesAgreeAcrossBuildPaths(t *testing.T) {
 			crits = append(crits, []sdg.VertexID{sdg.VertexID(rng.Intn(cold.Graph().NumVertices()))})
 		}
 		for _, c := range crits {
-			want := binkleyOutcome(cold, c)
-			for _, o := range others {
-				if got := binkleyOutcome(o.e, c); got != want {
-					t.Fatalf("%s: %s Binkley slice of %v differs from cold:\n--- %s\n%s\n--- cold\n%s",
-						cfg.Name, o.name, c, o.name, got, want)
-				}
+			if got, want := binkleyOutcome(adv, c), binkleyOutcome(cold, c); got != want {
+				t.Fatalf("%s: advanced Binkley slice of %v differs from cold:\n--- advanced\n%s\n--- cold\n%s",
+					cfg.Name, c, got, want)
 			}
 		}
 	}
@@ -112,7 +94,7 @@ func TestSummariesAgreeAcrossBuildPaths(t *testing.T) {
 
 // TestPolyDoesNotComputeSummaries pins when the summary fixpoint runs. An
 // engine that serves only polyvariant and feature-removal requests — warmed,
-// charged by a cache, snapshotted, advanced — never computes summaries; the
+// charged by a cache, advanced — never computes summaries; the
 // first monovariant or closure (ClosureSliceSize's Backward) request
 // computes them once, and later requests reuse them. A cold engine racing
 // its first monovariant request against polyvariant requests and Advance
@@ -137,9 +119,6 @@ func TestPolyDoesNotComputeSummaries(t *testing.T) {
 		}
 	}
 	eng.Footprint()
-	if _, err := eng.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
 	next, _, err := eng.Advance(edited)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +127,7 @@ func TestPolyDoesNotComputeSummaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if eng.sums != nil || next.sums != nil {
-		t.Fatal("poly, feature, warm, footprint, snapshot or advance computed summary edges")
+		t.Fatal("poly, feature, warm, footprint or advance computed summary edges")
 	}
 
 	for _, first := range []string{"mono", "closure"} {

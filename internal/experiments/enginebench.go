@@ -14,7 +14,6 @@ import (
 	"specslice/internal/loadgen"
 	"specslice/internal/par"
 	"specslice/internal/sdg"
-	"specslice/internal/store"
 	"specslice/internal/workload"
 )
 
@@ -97,18 +96,6 @@ type EngineBench struct {
 	// ColdBuildPhases breaks the sequential (1-worker) tcas build into
 	// its phases, in ns/op.
 	ColdBuildPhases *BuildPhaseNs `json:"cold_build_phase_ns"`
-
-	// Persistence: SnapshotEncodeNs is one engine.Snapshot() of the warmed
-	// gzip engine (what the write-behind persister pays per build);
-	// WarmFromDiskNsPerOp is decode+warm from those snapshot bytes — the
-	// restart path — which CI gates below AdvanceColdNsPerOp, the
-	// 1-worker build+warm of the same-scale program it replaces;
-	// RestartRecoveryNs is a store.Open over segments holding that
-	// snapshot, i.e. the CRC scan + WAL replay a restarted server pays
-	// before its first request.
-	SnapshotEncodeNs    int64   `json:"snapshot_encode_ns"`
-	WarmFromDiskNsPerOp float64 `json:"warm_from_disk_ns_per_op"`
-	RestartRecoveryNs   int64   `json:"restart_recovery_ns"`
 
 	// Workloads holds one tail-latency report per loadgen scenario
 	// (read_heavy, write_heavy, balanced): an open-loop Zipfian schedule
@@ -337,53 +324,6 @@ func RunEngineBench(iters, workers int) (*EngineBench, error) {
 		sp := float64(eb.ColdBuildNsByWorkers["1"].Ns) / float64(e4.Ns)
 		eb.ColdBuildParallelSpeedup = &sp
 	}
-	// Persistence: encode the warmed gzip engine, decode+warm from the
-	// snapshot bytes (the restart path), and time a store recovery over
-	// segments holding that snapshot.
-	snapEng := engine.New(sdg.MustBuildWorkers(gzProg, 1))
-	if err := snapEng.Warm(); err != nil {
-		return nil, err
-	}
-	const snapIters = 3
-	var snapData []byte
-	t0 = time.Now()
-	for i := 0; i < snapIters; i++ {
-		if snapData, err = snapEng.Snapshot(); err != nil {
-			return nil, err
-		}
-	}
-	eb.SnapshotEncodeNs = time.Since(t0).Nanoseconds() / snapIters
-	t0 = time.Now()
-	for i := 0; i < snapIters; i++ {
-		deng, err := engine.FromSnapshot(snapData)
-		if err != nil {
-			return nil, err
-		}
-		if err := deng.Warm(); err != nil {
-			return nil, err
-		}
-	}
-	eb.WarmFromDiskNsPerOp = float64(time.Since(t0).Nanoseconds()) / float64(snapIters)
-
-	mfs := store.NewMemFS()
-	st, err := store.Open("bench", store.Options{FS: mfs})
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Put("gzip", "gzip-fam", snapData); err != nil {
-		return nil, err
-	}
-	if err := st.Close(); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	st2, err := store.Open("bench", store.Options{FS: mfs})
-	if err != nil {
-		return nil, err
-	}
-	eb.RestartRecoveryNs = time.Since(t0).Nanoseconds()
-	st2.Close()
-
 	bs := sdg.MustBuildWorkers(gzProg, 1).BuildStats()
 	eb.ColdBuildPhases = &BuildPhaseNs{
 		ModRef:         float64(bs.ModRef.Nanoseconds()),

@@ -12,9 +12,8 @@ import (
 // statement and expression is written straight into a single
 // strings.Builder, with no fmt call and no intermediate string per
 // expression. The rendered text is a stable contract — the server's
-// content key and on-disk store hash it, ProcHash drives Advance's diff,
-// and sdg.EncodeSnapshot verifies its source by re-printing — so the
-// format must not change.
+// content key hashes it and ProcHash drives Advance's diff — so the format
+// must not change.
 func Print(prog *Program) string {
 	var p printer
 	p.program(prog)

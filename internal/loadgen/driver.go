@@ -44,7 +44,6 @@ type CacheDelta struct {
 	Hits     int64 `json:"hits"`
 	Misses   int64 `json:"misses"`
 	Advances int64 `json:"advances"`
-	DiskHits int64 `json:"disk_hits"`
 }
 
 // Report is one scenario run's result — the workloads entry written to
@@ -181,7 +180,6 @@ func Run(baseURL string, sched *Schedule, opts Options) (*Report, error) {
 		Hits:     after.Cache.Hits - before.Cache.Hits,
 		Misses:   after.Cache.Misses - before.Cache.Misses,
 		Advances: after.Cache.Advances - before.Cache.Advances,
-		DiskHits: after.Cache.DiskHits - before.Cache.DiskHits,
 	}
 	return rep, nil
 }

@@ -47,8 +47,8 @@ func NewHistogram(min, max time.Duration, perDecade int) *Histogram {
 
 // NewLatencyHistogram returns the harness's standard shape: 1µs to 60s at
 // 20 buckets per decade (~135 buckets, ~12% worst-case quantile error) —
-// wide enough that a stalled disk-tier fallback still lands in a bucket
-// instead of the overflow bin.
+// wide enough that a request stalled behind a long cold build still lands
+// in a bucket instead of the overflow bin.
 func NewLatencyHistogram() *Histogram {
 	return NewHistogram(time.Microsecond, 60*time.Second, 20)
 }

@@ -299,11 +299,11 @@ func (e *PrestarEngine) putArena(ar *prestarArena) {
 	e.mu.Unlock()
 }
 
-// scratchRuleBytes is the floor of the scratch one arena retains per PDS
-// rule once queries have run: after every per-procedure printf criterion
-// and every 13th vertex of the 8 Siemens suites, gzip and space, an arena
-// held 41–168 bytes per rule.
-const scratchRuleBytes = 40
+// scratchRuleBytes is the scratch one arena retains per PDS rule once
+// queries have run: after every per-procedure printf criterion and every
+// 13th vertex of the 8 Siemens suites and gzip, an arena held 8–20 bytes
+// per rule, 13.5 over the whole corpus.
+const scratchRuleBytes = 12
 
 // ScratchBytes reports the heap retained by the engine's pooled arenas
 // between queries. Arenas checked out by in-flight queries are not

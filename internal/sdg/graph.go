@@ -8,9 +8,7 @@
 package sdg
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -292,26 +290,14 @@ func (g *Graph) AddVertex(v Vertex) VertexID {
 // must be duplicate-free and reference only existing vertices. It is the
 // only way a graph gets edges. Two stable counting sorts, by source and by
 // target, lay the stream out as the out and in lists, so each list keeps
-// the stream's order. A stream already grouped by source, as a snapshot
-// stores it, becomes the out lists as it is: the graph then keeps edges'
-// backing array, which the caller must not modify afterwards.
+// the stream's order.
 func (g *Graph) InstallEdges(edges []Edge) {
 	n, m := len(g.Vertices), len(edges)
 	starts := make([]int32, 2*(n+1))
 	g.outStart, g.inStart = starts[:n+1:n+1], starts[n+1:]
-	if slices.IsSortedFunc(edges, func(a, b Edge) int { return cmp.Compare(a.From, b.From) }) {
-		g.out, g.in = edges[:m:m], make([]Edge, m)
-		for _, e := range edges {
-			g.outStart[e.From+1]++
-		}
-		for v := 1; v <= n; v++ {
-			g.outStart[v] += g.outStart[v-1]
-		}
-	} else {
-		backing := make([]Edge, 2*m)
-		g.out, g.in = backing[:m:m], backing[m:]
-		csr(edges, g.out, g.outStart, false)
-	}
+	backing := make([]Edge, 2*m)
+	g.out, g.in = backing[:m:m], backing[m:]
+	csr(edges, g.out, g.outStart, false)
 	csr(edges, g.in, g.inStart, true)
 }
 
@@ -377,8 +363,7 @@ func (g *Graph) SiteCalls(name string) []*Site {
 // procedure name for an entry, the formal's name or global for formals,
 // the printed statement for statement and predicate vertices, and the
 // argument or defined variable for actuals. Labels are computed on
-// demand; only DOT output, feature criteria, diagnostics and snapshots
-// read them.
+// demand; only DOT output, feature criteria and diagnostics read them.
 func (g *Graph) Label(v VertexID) string {
 	vx := &g.Vertices[v]
 	switch vx.Kind {

@@ -268,9 +268,20 @@ func TestFlowEdgesMatchReference(t *testing.T) {
 	t.Logf("%d procedures, %d flow edges", procs, edges)
 }
 
+// checkNoDuplicateOutEdges fails if an out list repeats a (target, kind)
+// pair, in O(vertices + edges): mark[kinds·to + kind] holds the last
+// source vertex (plus one) that had that edge.
 func checkNoDuplicateOutEdges(t *testing.T, name string, g *Graph) {
 	t.Helper()
-	if err := checkNoDuplicateEdges(g); err != nil {
-		t.Fatalf("%s: %v", name, err)
+	const kinds = int(EdgeParamOut) + 1
+	mark := make([]int32, kinds*len(g.Vertices))
+	for v := range g.Vertices {
+		for _, e := range g.Out(VertexID(v)) {
+			k := kinds*int(e.To) + int(e.Kind)
+			if mark[k] == int32(v)+1 {
+				t.Fatalf("%s: duplicate edge v%d -%s-> v%d", name, v, e.Kind, e.To)
+			}
+			mark[k] = int32(v) + 1
+		}
 	}
 }

@@ -47,43 +47,34 @@ func FamilyKey(sortedProcNames []string) string {
 }
 
 // BuildSource reports how a cache miss obtained its engine: analyzed from
-// scratch, advanced from a version-chain ancestor, or decoded warm from
-// the persistent disk tier.
+// scratch, or advanced from a version-chain ancestor.
 type BuildSource int
 
 const (
 	BuildCold BuildSource = iota
 	BuildAdvance
-	BuildDisk
 )
 
 func (b BuildSource) String() string {
-	switch b {
-	case BuildAdvance:
+	if b == BuildAdvance {
 		return "advance"
-	case BuildDisk:
-		return "disk"
-	default:
-		return "cold"
 	}
+	return "cold"
 }
 
 // CacheStats is a snapshot of the engine cache's counters. The counters
 // satisfy Hits+Misses == lookups, Builds+BuildErrors+Deduped == Misses,
-// and Advances+ColdBuilds+DiskHits == Builds, which the server load tests
-// assert under concurrency. Hits counts RAM-warm lookups only; DiskHits
-// counts misses served by decoding a snapshot from the disk tier.
+// and Advances+ColdBuilds == Builds, which the server load tests assert
+// under concurrency.
 type CacheStats struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Deduped int64 `json:"builds_deduped"` // misses that joined an in-flight build
 	Builds  int64 `json:"builds"`         // completed engine builds
 	// Advances counts builds served by advancing a version-chain ancestor;
-	// ColdBuilds counts builds that analyzed the program from scratch;
-	// DiskHits counts builds served warm from the persistent store.
+	// ColdBuilds counts builds that analyzed the program from scratch.
 	Advances    int64 `json:"advances"`
 	ColdBuilds  int64 `json:"cold_builds"`
-	DiskHits    int64 `json:"disk_hits"`
 	BuildErrors int64 `json:"build_errors"`
 	Evictions   int64 `json:"evictions"`
 	InFlight    int64 `json:"in_flight_builds"` // gauge
@@ -142,15 +133,15 @@ func NewEngineCache(maxEntries int, maxBytes int64) *EngineCache {
 // miss. Build runs outside the cache lock; concurrent misses on one key
 // share a single build. On a miss whose family has a cached member, that
 // member's engine is passed to build as ancestor — the callback advances
-// it instead of cold-building and reports which path it took (advance,
-// disk-warm load, or cold build). Build errors are returned to every
-// waiter and are not cached — the next request retries.
+// it instead of cold-building and reports which path it took (advance or
+// cold build). Build errors are returned to every waiter and are not
+// cached — the next request retries.
 //
 // deduped reports that this call joined another request's in-flight build
 // instead of doing any work itself. Waiters still receive the builder's
 // source so callers can see how the engine came to exist, but response
-// attribution (advanced/disk_warm) belongs to the one request that did the
-// work — the deduped flag is what distinguishes them.
+// attribution (advanced) belongs to the one request that did the work —
+// the deduped flag is what distinguishes them.
 func (c *EngineCache) Get(key, family string, build func(ancestor *specslice.Engine) (*specslice.Engine, BuildSource, error)) (eng *specslice.Engine, hit, deduped bool, source BuildSource, err error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -192,12 +183,9 @@ func (c *EngineCache) Get(key, family string, build func(ancestor *specslice.Eng
 		c.stats.BuildErrors++
 	} else {
 		c.stats.Builds++
-		switch call.source {
-		case BuildAdvance:
+		if call.source == BuildAdvance {
 			c.stats.Advances++
-		case BuildDisk:
-			c.stats.DiskHits++
-		default:
+		} else {
 			c.stats.ColdBuilds++
 		}
 		el := c.lru.PushFront(&cacheEntry{key: key, family: family, eng: call.eng, bytes: bytes})

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"specslice"
-	"specslice/internal/store"
 )
 
 // Config tunes the service. Zero values take the documented defaults.
@@ -33,19 +32,6 @@ type Config struct {
 	// ShutdownGrace bounds the drain of in-flight requests on shutdown
 	// (default 10s).
 	ShutdownGrace time.Duration
-	// StoreDir, when non-empty, enables the persistent snapshot tier: built
-	// engines are encoded and written behind the request path, and a RAM
-	// miss tries a checksummed disk load before cold-building. The
-	// directory is created if absent and recovered (torn tails truncated,
-	// corrupt records quarantined) on startup.
-	StoreDir string
-	// StoreBudgetBytes bounds the disk tier's size; oldest segments are
-	// dropped past it (0 = unlimited).
-	StoreBudgetBytes int64
-	// StoreFS overrides the store's filesystem (tests inject store.MemFS /
-	// store.FaultFS). Ignored when StoreDir is empty; nil means the real
-	// filesystem.
-	StoreFS store.FS
 }
 
 func (c Config) withDefaults() Config {
@@ -76,16 +62,6 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	// store is the persistent snapshot tier (nil when StoreDir is empty).
-	// persistCh feeds the write-behind goroutine; snapshots are encoded and
-	// written off the request path so persistence never adds latency to a
-	// slice response.
-	store     *store.Store
-	persistCh chan persistReq
-	persistWG sync.WaitGroup
-	closeOnce sync.Once
-	closeErr  error
-
 	mu       sync.Mutex
 	batches  int64
 	requests int64
@@ -95,33 +71,14 @@ type Server struct {
 	// server built (cache misses that did not advance a version chain).
 	build       specslice.BuildStats
 	buildsTimed int64
-	// diskLoadsFailed counts snapshot loads that decoded or verified badly
-	// and fell back to a cold build (graceful degradation, never an error).
-	diskLoadsFailed int64
-	// persistDropped counts write-behind requests dropped because the
-	// persist queue was full (the cache stays correct; the entry is simply
-	// not disk-warm until rebuilt).
-	persistDropped int64
 	// encodeErrors counts responses whose JSON encoding failed after the
 	// status header was written — the client saw a truncated body. Counted
 	// (and logged) so broken responses are observable instead of silent.
 	encodeErrors int64
 }
 
-// persistReq asks the write-behind goroutine to snapshot eng under key and,
-// when fromKey is non-empty, record the version-chain advance fromKey→key.
-type persistReq struct {
-	key     string
-	family  string
-	fromKey string
-	eng     *specslice.Engine
-}
-
-// New returns a server with its routes installed. With a StoreDir
-// configured it opens (and if necessary recovers) the persistent snapshot
-// tier and starts the write-behind goroutine; an unrecoverable store —
-// e.g. an unwritable directory — fails construction rather than silently
-// serving without persistence.
+// New returns a server with its routes installed. The error is always
+// nil.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -129,20 +86,6 @@ func New(cfg Config) (*Server, error) {
 		cache: NewEngineCache(cfg.CacheMaxEntries, cfg.CacheMaxBytes),
 		mux:   http.NewServeMux(),
 		start: time.Now(),
-	}
-	if cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir, store.Options{
-			FS:          cfg.StoreFS,
-			BudgetBytes: cfg.StoreBudgetBytes,
-			Logf:        log.Printf,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: open store: %w", err)
-		}
-		s.store = st
-		s.persistCh = make(chan persistReq, 32)
-		s.persistWG.Add(1)
-		go s.persistLoop()
 	}
 	s.mux.HandleFunc("POST /v1/slice", s.handleSlice)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -156,98 +99,23 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Cache exposes the engine cache (stats endpoints, tests).
 func (s *Server) Cache() *EngineCache { return s.cache }
 
-// Store exposes the persistent tier (nil when disabled); tests use it to
-// assert on-disk state.
-func (s *Server) Store() *store.Store { return s.store }
-
-// Close flushes the write-behind queue and closes the persistent tier,
-// journaling its clean-shutdown marker. Safe to call more than once and
-// with persistence disabled.
-func (s *Server) Close() error {
-	s.closeOnce.Do(func() {
-		if s.store == nil {
-			return
-		}
-		close(s.persistCh)
-		s.persistWG.Wait()
-		s.closeErr = s.store.Close()
-	})
-	return s.closeErr
-}
-
-// Serve runs the server on ln until ctx is cancelled. Shutdown drains
-// in-flight requests for up to ShutdownGrace, flushes the persist queue,
-// then closes the persistent tier cleanly.
+// Serve runs the server on ln until ctx is cancelled, then drains
+// in-flight requests for up to ShutdownGrace.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case err := <-errc:
-		s.Close()
 		return err
 	case <-ctx.Done():
 		shutCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
 		defer cancel()
-		err := hs.Shutdown(shutCtx)
-		if cerr := s.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := hs.Shutdown(shutCtx); err != nil {
 			return fmt.Errorf("server: shutdown: %w", err)
 		}
 		return nil
 	}
-}
-
-// persistLoop is the write-behind goroutine: it encodes engine snapshots
-// and appends them to the store off the request path. Persistence failures
-// are logged and counted, never propagated — the disk tier is an
-// optimization, and a request that built an engine has already been
-// answered by the time its snapshot is attempted.
-func (s *Server) persistLoop() {
-	defer s.persistWG.Done()
-	for req := range s.persistCh {
-		data, err := req.eng.Snapshot()
-		if err != nil {
-			log.Printf("server: snapshot %s: %v", req.key[:min(12, len(req.key))], err)
-			continue
-		}
-		if err := s.store.Put(req.key, req.family, data); err != nil {
-			log.Printf("server: persist %s: %v", req.key[:min(12, len(req.key))], err)
-			continue
-		}
-		if req.fromKey != "" {
-			if err := s.store.Advance(req.family, req.fromKey, req.key); err != nil {
-				log.Printf("server: persist advance: %v", err)
-			}
-		}
-	}
-}
-
-// persist enqueues a write-behind snapshot, dropping it (with a counter)
-// when the queue is full — blocking the request path on disk is never
-// worth a warm restart.
-func (s *Server) persist(key, family, fromKey string, eng *specslice.Engine) {
-	if s.store == nil {
-		return
-	}
-	select {
-	case s.persistCh <- persistReq{key: key, family: family, fromKey: fromKey, eng: eng}:
-	default:
-		s.mu.Lock()
-		s.persistDropped++
-		s.mu.Unlock()
-	}
-}
-
-// noteDiskLoadFailure records a snapshot that failed to load or decode;
-// the caller falls back to building.
-func (s *Server) noteDiskLoadFailure(key string, err error) {
-	log.Printf("server: disk snapshot %s unusable, cold-building: %v", key[:min(12, len(key))], err)
-	s.mu.Lock()
-	s.diskLoadsFailed++
-	s.mu.Unlock()
 }
 
 // SliceRequest is the body of POST /v1/slice: one program and a batch of
@@ -312,19 +180,14 @@ type SliceResponse struct {
 	// CacheHit reports whether the engine was served warm from the cache.
 	CacheHit bool `json:"cache_hit"`
 	// Deduped reports that this request joined another request's in-flight
-	// build of the same engine and only waited for it. Advanced and
-	// DiskWarm are reserved for the request that did the work: a deduped
-	// waiter never claims them, no matter how the builder obtained the
-	// engine.
+	// build of the same engine and only waited for it. Advanced is reserved
+	// for the request that did the work: a deduped waiter never claims it,
+	// no matter how the builder obtained the engine.
 	Deduped bool `json:"deduped,omitempty"`
 	// Advanced reports that this request built the engine by advancing a
 	// cached ancestor version of the same program family instead of
 	// analyzing from scratch (version-chain semantics; see FamilyKey).
-	Advanced bool `json:"advanced,omitempty"`
-	// DiskWarm reports that this request decoded the engine from a
-	// checksummed snapshot in the persistent tier instead of analyzing (a
-	// RAM miss that did not cost a cold build).
-	DiskWarm bool          `json:"disk_warm,omitempty"`
+	Advanced bool          `json:"advanced,omitempty"`
 	Results  []SliceResult `json:"results"`
 	// Stats aggregates the batch, including the Fig. 21 phase breakdown.
 	Stats specslice.BatchStats `json:"stats"`
@@ -369,26 +232,6 @@ type StatsResponse struct {
 	// before, so their cache keys came from the raw-text key memo without
 	// a parse.
 	KeyMemoHits int64 `json:"key_memo_hits"`
-	// Store reports the persistent snapshot tier; omitted when disabled.
-	Store *StoreStatsResponse `json:"store,omitempty"`
-}
-
-// StoreStatsResponse is the persistent tier's block in GET /v1/stats.
-type StoreStatsResponse struct {
-	// DiskHits counts RAM misses served by decoding a disk snapshot
-	// (mirrors cache.disk_hits); DiskLoadsFailed counts snapshots that
-	// failed checksum/decode and fell back to a cold build.
-	DiskHits        int64 `json:"disk_hits"`
-	DiskLoadsFailed int64 `json:"disk_loads_failed"`
-	// CorruptRecords and RecoveredEntries describe the last recovery scan
-	// plus any read-time quarantines since.
-	CorruptRecords   int64 `json:"corrupt_records"`
-	RecoveredEntries int64 `json:"recovered_entries"`
-	RecoveredClean   bool  `json:"recovered_clean"`
-	Entries          int64 `json:"entries"`
-	BytesOnDisk      int64 `json:"bytes_on_disk"`
-	EvictedEntries   int64 `json:"evicted_entries"`
-	PersistDropped   int64 `json:"persist_dropped"`
 }
 
 type errorResponse struct {
@@ -437,26 +280,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		BuildsTimed: s.buildsTimed,
 	}
 	resp.ResponseEncodeErrors = s.encodeErrors
-	diskFailed := s.diskLoadsFailed
-	dropped := s.persistDropped
 	s.mu.Unlock()
 	resp.UptimeNS = int64(time.Since(s.start))
 	resp.KeyMemoHits = s.memo.Hits()
 	resp.Cache = s.cache.Stats()
-	if s.store != nil {
-		st := s.store.Stats()
-		resp.Store = &StoreStatsResponse{
-			DiskHits:         resp.Cache.DiskHits,
-			DiskLoadsFailed:  diskFailed,
-			CorruptRecords:   int64(st.CorruptRecords),
-			RecoveredEntries: int64(st.RecoveredEntries),
-			RecoveredClean:   st.RecoveredClean,
-			Entries:          int64(st.Entries),
-			BytesOnDisk:      st.BytesOnDisk,
-			EvictedEntries:   int64(st.EvictedEntries),
-			PersistDropped:   dropped,
-		}
-	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -508,47 +335,16 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, BuildCold, err
 		}
-		// Tier 1 — RAM ancestor: a near-miss key with a cached ancestor in
-		// the same family advances the ancestor's analysis state through
-		// the edit instead of cold-building. An advance failure (e.g. the
-		// transformed program acquired indirect-call dispatchers the
-		// ancestor lacks) falls through.
+		// A near-miss key with a cached ancestor in the same family
+		// advances the ancestor's analysis state through the edit instead
+		// of cold-building. An advance failure (e.g. the transformed
+		// program acquired indirect-call dispatchers the ancestor lacks)
+		// falls through to a cold build.
 		if ancestor != nil {
 			if neng, _, err := ancestor.Advance(p); err == nil {
-				s.persist(key, family, "", neng)
 				return neng, BuildAdvance, nil
 			}
 		}
-		if s.store != nil {
-			// Tier 2 — disk snapshot of this exact program. Any failure
-			// (store read error, checksum quarantine, snapshot decode) is
-			// graceful degradation: log, count, fall through to building.
-			if data, ok, derr := s.store.Get(key); derr != nil {
-				s.noteDiskLoadFailure(key, derr)
-			} else if ok {
-				if neng, lerr := specslice.LoadEngineSnapshot(data); lerr != nil {
-					s.noteDiskLoadFailure(key, lerr)
-				} else {
-					return neng, BuildDisk, nil
-				}
-			}
-			// Tier 3 — disk ancestor: the family's on-disk head, loaded and
-			// advanced through the edit. Still cheaper than a cold build
-			// for incremental edits, and it extends the on-disk chain.
-			if head, ok := s.store.FamilyHead(family); ok && head != key {
-				if data, ok, derr := s.store.Get(head); derr != nil {
-					s.noteDiskLoadFailure(head, derr)
-				} else if ok {
-					if anc, lerr := specslice.LoadEngineSnapshot(data); lerr != nil {
-						s.noteDiskLoadFailure(head, lerr)
-					} else if neng, _, aerr := anc.Advance(p); aerr == nil {
-						s.persist(key, family, head, neng)
-						return neng, BuildAdvance, nil
-					}
-				}
-			}
-		}
-		// Tier 4 — cold build from scratch.
 		neng, err := p.Engine()
 		if err == nil {
 			// This closure runs exactly once per distinct build
@@ -558,7 +354,6 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 			s.build.Add(neng.BuildStats())
 			s.buildsTimed++
 			s.mu.Unlock()
-			s.persist(key, family, "", neng)
 		}
 		return neng, BuildCold, err
 	})
@@ -587,11 +382,10 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		ProgramKey: key,
 		CacheHit:   hit,
 		Deduped:    deduped,
-		// Advanced/DiskWarm belong to the request whose closure did the
-		// work; a waiter that merely joined the in-flight build reports
-		// Deduped instead of claiming the builder's path.
+		// Advanced belongs to the request whose closure did the work; a
+		// waiter that merely joined the in-flight build reports Deduped
+		// instead of claiming the builder's path.
 		Advanced: source == BuildAdvance && !hit && !deduped,
-		DiskWarm: source == BuildDisk && !hit && !deduped,
 		Stats:    stats,
 	}
 	for i, res := range results {

@@ -23,10 +23,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 
@@ -353,7 +350,7 @@ func TestSliceValidation(t *testing.T) {
 
 // TestSliceDedupResponseAttribution: concurrent requests for one uncached
 // version share a single build; only the request whose closure did the
-// work may report advanced/disk_warm, every waiter reports deduped.
+// work may report advanced, every waiter reports deduped.
 // Regression test: waiters used to echo the builder's path, so several
 // responses claimed the same advance.
 func TestSliceDedupResponseAttribution(t *testing.T) {
@@ -396,10 +393,10 @@ func TestSliceDedupResponseAttribution(t *testing.T) {
 
 	var advanced, deduped, hits int64
 	for i, r := range responses {
-		if r.Deduped && (r.Advanced || r.DiskWarm || r.CacheHit) {
+		if r.Deduped && (r.Advanced || r.CacheHit) {
 			t.Errorf("client %d: deduped response claims the builder's work: %+v", i, r)
 		}
-		if r.CacheHit && (r.Advanced || r.DiskWarm) {
+		if r.CacheHit && r.Advanced {
 			t.Errorf("client %d: RAM hit claims a build path: %+v", i, r)
 		}
 		if r.Advanced {
@@ -582,9 +579,9 @@ func TestServerLoadConcurrent(t *testing.T) {
 	if st.Cache.Builds != int64(len(programs)) {
 		t.Errorf("builds = %d, want %d (one per distinct program)", st.Cache.Builds, len(programs))
 	}
-	if st.Cache.Advances+st.Cache.ColdBuilds+st.Cache.DiskHits != st.Cache.Builds {
-		t.Errorf("build accounting broken: advances %d + cold %d + disk %d != builds %d",
-			st.Cache.Advances, st.Cache.ColdBuilds, st.Cache.DiskHits, st.Cache.Builds)
+	if st.Cache.Advances+st.Cache.ColdBuilds != st.Cache.Builds {
+		t.Errorf("build accounting broken: advances %d + cold %d != builds %d",
+			st.Cache.Advances, st.Cache.ColdBuilds, st.Cache.Builds)
 	}
 	// After the first round every program is warm: hits must dominate.
 	if st.Cache.Hits <= st.Cache.Misses {

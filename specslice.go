@@ -456,25 +456,6 @@ func (e *Engine) BuildStats() BuildStats { return e.s.eng.BuildStats() }
 // engine caches by total bytes.
 func (e *Engine) Footprint() int64 { return e.s.eng.Footprint() }
 
-// Snapshot serializes the engine's SDG — normalized source plus the graph
-// structure, without summary edges — into the versioned binary format the
-// persistent store writes to disk.
-// LoadEngineSnapshot restores it; the restored engine serves slices
-// byte-identical to a cold build of the same program.
-func (e *Engine) Snapshot() ([]byte, error) { return e.s.eng.Snapshot() }
-
-// LoadEngineSnapshot reconstructs an engine from Engine.Snapshot bytes.
-// Corrupt or truncated input returns an error — the decoder validates
-// every index and never panics, so snapshots read back from untrusted
-// storage degrade to an error and a cold rebuild, not a crash.
-func LoadEngineSnapshot(data []byte) (*Engine, error) {
-	eng, err := engine.FromSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{s: &SDG{g: eng.Graph(), eng: eng}}, nil
-}
-
 // SpecializationSlice computes the paper's polyvariant executable slice
 // through the cached engine state.
 func (e *Engine) SpecializationSlice(c Criterion) (*Slice, error) {
