@@ -1,16 +1,42 @@
 package cfg
 
+import "slices"
+
+// Scratch is the working storage of Postdominators and ControlDeps, for a
+// caller that analyzes many graphs in turn: a call through a Scratch
+// reuses the arrays of the one before, and its result stays valid until
+// the next call on the same Scratch.
+type Scratch struct {
+	order, state, rpoNum, ipdom []int
+	stack                       []frame
+	pairs                       []pair
+	last, start, backing        []int
+	out                         [][]int
+}
+
+type frame struct{ node, next int }
+
+// pair is one control dependence: node v depends on node u.
+type pair struct{ v, u int }
+
 // Postdominators computes the immediate-postdominator array of g (indexed by
 // node ID; ipdom[Exit] == Exit). It uses the Cooper–Harvey–Kennedy iterative
 // algorithm on the reversed graph, considering both executable and pseudo
 // edges (the Ball–Horwitz augmented graph, on which every node reaches Exit).
 func Postdominators(g *Graph) []int {
+	var sc Scratch
+	return sc.Postdominators(g)
+}
+
+// Postdominators is the package function Postdominators, drawing its
+// arrays from sc.
+func (sc *Scratch) Postdominators(g *Graph) []int {
 	n := len(g.Nodes)
 	// Reverse postorder of the *reversed* graph, rooted at Exit.
-	order := make([]int, 0, n) // postorder of reverse graph
-	state := make([]int, n)    // 0 unvisited, 1 on stack, 2 done
-	type frame struct{ node, next int }
-	stack := []frame{{g.Exit.ID, 0}}
+	order := sc.order[:0]                     // postorder of reverse graph
+	state := slices.Grow(sc.state[:0], n)[:n] // 0 unvisited, 1 on stack, 2 done
+	clear(state)
+	stack := append(sc.stack[:0], frame{g.Exit.ID, 0})
 	state[g.Exit.ID] = 1
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -29,7 +55,7 @@ func Postdominators(g *Graph) []int {
 		stack = stack[:len(stack)-1]
 	}
 	// rpoNum: position in reverse postorder (root first).
-	rpoNum := make([]int, n)
+	rpoNum := slices.Grow(sc.rpoNum[:0], n)[:n]
 	for i := range rpoNum {
 		rpoNum[i] = -1
 	}
@@ -37,11 +63,12 @@ func Postdominators(g *Graph) []int {
 		rpoNum[id] = len(order) - 1 - i
 	}
 
-	ipdom := make([]int, n)
+	ipdom := slices.Grow(sc.ipdom[:0], n)[:n]
 	for i := range ipdom {
 		ipdom[i] = -1
 	}
 	ipdom[g.Exit.ID] = g.Exit.ID
+	sc.order, sc.stack, sc.state, sc.rpoNum, sc.ipdom = order, stack, state, rpoNum, ipdom
 
 	intersect := func(a, b int) int {
 		for a != b {
@@ -95,13 +122,19 @@ func Postdominators(g *Graph) []int {
 // into one backing. Every statement node ends up with at least one
 // controller (possibly Entry) thanks to the Entry→Exit augmented edge.
 func ControlDeps(g *Graph) [][]int {
-	ipdom := Postdominators(g)
+	var sc Scratch
+	return sc.ControlDeps(g)
+}
+
+// ControlDeps is the package function ControlDeps, drawing its arrays —
+// the result's included — from sc.
+func (sc *Scratch) ControlDeps(g *Graph) [][]int {
+	ipdom := sc.Postdominators(g)
 	n := len(g.Nodes)
 	// Collect (dependent, controller) pairs with u ascending; last[v]
 	// drops a second path from the same u to v.
-	type pair struct{ v, u int }
-	var pairs []pair
-	last := make([]int, n)
+	pairs := sc.pairs[:0]
+	last := slices.Grow(sc.last[:0], n)[:n]
 	for i := range last {
 		last[i] = -1
 	}
@@ -124,15 +157,17 @@ func ControlDeps(g *Graph) [][]int {
 		}
 	}
 	// Group by dependent, stably, so each list keeps u ascending.
-	start := make([]int, n+1)
+	start := slices.Grow(sc.start[:0], n+1)[:n+1]
+	clear(start)
 	for _, p := range pairs {
 		start[p.v+1]++
 	}
 	for v := 0; v < n; v++ {
 		start[v+1] += start[v]
 	}
-	backing := make([]int, len(pairs))
-	out := make([][]int, n)
+	backing := slices.Grow(sc.backing[:0], len(pairs))[:len(pairs)]
+	out := slices.Grow(sc.out[:0], n)[:n]
+	sc.pairs, sc.last, sc.start, sc.backing, sc.out = pairs, last, start, backing, out
 	for v := 0; v < n; v++ {
 		out[v] = backing[start[v]:start[v]:start[v+1]]
 	}

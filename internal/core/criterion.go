@@ -238,15 +238,17 @@ func (cg *liveCallGraph) contexts(e *Encoding, nl int, vs []sdg.VertexID) *fsa.F
 			order = append(order, p)
 		}
 	}
+	starts := 0
 	for _, v := range vs {
 		if cg.reaches(v) {
 			visit(int32(g.Vertices[v].Proc))
+			starts++
 		}
 	}
 	if len(order) == 0 {
 		return nil
 	}
-	trans := len(vs)
+	trans := starts
 	for i := 0; i < len(order); i++ {
 		callers := cg.callers(order[i])
 		trans += len(callers)
@@ -256,6 +258,10 @@ func (cg *liveCallGraph) contexts(e *Encoding, nl int, vs []sdg.VertexID) *fsa.F
 	}
 	a := fsa.New(nl + len(order))
 	a.Reserve(trans)
+	a.ReserveOut(0, starts)
+	for _, p := range order {
+		a.ReserveOut(int(state[p]), len(cg.callers(p)))
+	}
 	for _, v := range vs {
 		if cg.reaches(v) {
 			a.Add(0, e.VertexSym(v), int(state[g.Vertices[v].Proc]))

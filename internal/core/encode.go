@@ -63,7 +63,8 @@ func (e *Encoding) variantName(proc, ordinal int) string {
 	return s
 }
 
-// Prestar answers a pre* query through the encoding's cached rule indexes.
+// Prestar answers a pre* query through the encoding's cached rule indexes,
+// returning a fresh automaton; a is left as it was.
 func (e *Encoding) Prestar(a *fsa.FSA) *fsa.FSA { return e.prestar.Prestar(a) }
 
 // ScratchBytes estimates the heap the encoding's Prestar engine retains
@@ -143,41 +144,44 @@ func (e *Encoding) Alphabet() []fsa.Symbol {
 //	call edge c→e at site C:    <p, c> ↪ <p, e C>
 //	param-in edge a→f at C:     <p, a> ↪ <p, f C>
 //	param-out edge f→a at C:    <p, f> ↪ <p_f, ε> and <p_f, C> ↪ <p, a>
+//
+// The rules are one per edge plus one pop rule per formal-out with
+// param-out edges, counted first so the rule list is one exactly sized
+// array.
 func Encode(g *sdg.Graph) *Encoding {
-	e := &Encoding{G: g, LocOfFO: map[sdg.VertexID]int{}}
-	p := &pds.PDS{NumLocs: 1} // location 0 is p
-	locOf := func(fo sdg.VertexID) int {
-		if l, ok := e.LocOfFO[fo]; ok {
-			return l
+	edges := g.Edges()
+	// Edges are grouped by source vertex, so each formal-out's param-out
+	// edges are adjacent and a formal-out is new when its source changes.
+	nPop := 0
+	for i, last := 0, sdg.VertexID(-1); i < len(edges); i++ {
+		if edges[i].Kind == sdg.EdgeParamOut && edges[i].From != last {
+			last = edges[i].From
+			nPop++
 		}
-		l := p.NumLocs
-		p.NumLocs++
-		e.LocOfFO[fo] = l
-		// Pop rule <p, fo> ↪ <p_fo, ε>, added once per formal-out.
-		p.AddRule(pds.Rule{P: 0, G: e.VertexSym(fo), P2: l, W: nil})
-		return l
 	}
-	for _, edge := range g.Edges() {
+	e := &Encoding{G: g, LocOfFO: make(map[sdg.VertexID]int, nPop)}
+	p := &pds.PDS{NumLocs: 1, Rules: make([]pds.Rule, 0, len(edges)+nPop)} // location 0 is p
+	// Rules hold symbols as int32; vertex v is symbol v (VertexSym).
+	last, l := sdg.VertexID(-1), 0
+	for _, edge := range edges {
+		from, to := int32(edge.From), int32(edge.To)
 		switch edge.Kind {
 		case sdg.EdgeControl, sdg.EdgeFlow:
-			p.AddRule(pds.Rule{
-				P: 0, G: e.VertexSym(edge.From), P2: 0,
-				W: []fsa.Symbol{e.VertexSym(edge.To)},
-			})
+			p.AddRule(pds.Rule{P: 0, G: from, P2: 0, W: [2]int32{to}, N: 1})
 		case sdg.EdgeCall, sdg.EdgeParamIn:
-			site := g.Vertices[edge.From].Site
-			p.AddRule(pds.Rule{
-				P: 0, G: e.VertexSym(edge.From), P2: 0,
-				W: []fsa.Symbol{e.VertexSym(edge.To), e.SiteSym(site)},
-			})
+			site := int32(e.SiteSym(g.Vertices[edge.From].Site))
+			p.AddRule(pds.Rule{P: 0, G: from, P2: 0, W: [2]int32{to, site}, N: 2})
 		case sdg.EdgeParamOut:
 			// edge.From is the formal-out, edge.To the actual-out.
-			site := g.Vertices[edge.To].Site
-			l := locOf(edge.From)
-			p.AddRule(pds.Rule{
-				P: l, G: e.SiteSym(site), P2: 0,
-				W: []fsa.Symbol{e.VertexSym(edge.To)},
-			})
+			if edge.From != last {
+				// Pop rule <p, fo> ↪ <p_fo, ε>, added once per formal-out.
+				last, l = edge.From, p.NumLocs
+				p.NumLocs++
+				e.LocOfFO[edge.From] = l
+				p.AddRule(pds.Rule{P: 0, G: from, P2: int32(l)})
+			}
+			site := int32(e.SiteSym(g.Vertices[edge.To].Site))
+			p.AddRule(pds.Rule{P: int32(l), G: site, P2: 0, W: [2]int32{to}, N: 1})
 		default:
 			panic(fmt.Sprintf("core: unknown edge kind %v", edge.Kind))
 		}
@@ -189,12 +193,12 @@ func Encode(g *sdg.Graph) *Encoding {
 
 // PAutomatonToFSA converts a P-automaton into a plain FSA accepting the
 // stack language of control location p (state 0): the configurations
-// (p, w) the automaton accepts. RemoveEpsilon trims, so Prestar results
-// (always epsilon-free) cost one structural clone plus one trim here.
+// (p, w) the automaton accepts. It consumes a, which every caller builds
+// for the conversion: an epsilon-free a (every Prestar result) is trimmed
+// in place and returned, so the conversion copies nothing.
 func PAutomatonToFSA(a *fsa.FSA) *fsa.FSA {
-	c := a.Clone()
-	c.SetStart(0)
-	return c.RemoveEpsilon()
+	a.SetStart(0)
+	return a.RemoveEpsilonInPlace()
 }
 
 // FSAToQuery converts a plain FSA over encoding symbols into a P-automaton

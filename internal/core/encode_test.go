@@ -37,7 +37,7 @@ func TestEncodeRuleSchema(t *testing.T) {
 	}
 	var internal, push, pop int
 	for _, r := range enc.PDS.Rules {
-		switch len(r.W) {
+		switch r.N {
 		case 0:
 			pop++
 		case 1:
@@ -170,5 +170,29 @@ func TestSpecializeIsDeterministic(t *testing.T) {
 		if len(a.R.Procs[i].Vertices) != len(b.R.Procs[i].Vertices) {
 			t.Errorf("proc %d sizes differ", i)
 		}
+	}
+}
+
+// TestEncodeAllocs holds Encode to a number of allocations that does not
+// grow with the graph: each rule is a value in one exactly sized array
+// and NewPrestarEngine's index arrays are sized before they are filled,
+// so gzip (16,804 rules) allocates within a small constant of tcas (915).
+// A per-edge or per-rule allocation would show here as thousands more,
+// and a list grown by appending as a dozen or more.
+func TestEncodeAllocs(t *testing.T) {
+	allocs := func(name string) float64 {
+		for _, cfg := range workload.Benchmarks() {
+			if cfg.Name == name {
+				g := sdg.MustBuild(workload.Generate(cfg))
+				return testing.AllocsPerRun(5, func() { Encode(g) })
+			}
+		}
+		t.Fatalf("no %s suite", name)
+		return 0
+	}
+	small, large := allocs("tcas"), allocs("gzip")
+	t.Logf("Encode allocations: tcas %.0f, gzip %.0f", small, large)
+	if large > small+8 {
+		t.Errorf("Encode allocates %.0f times on gzip, %.0f on tcas: want within 8", large, small)
 	}
 }

@@ -71,7 +71,7 @@ func ClosureSlice(g *sdg.Graph, spec CriterionSpec) (*fsa.FSA, map[sdg.VertexID]
 	if err != nil {
 		return nil, nil, err
 	}
-	a1 := PAutomatonToFSA(enc.Prestar(a0))
+	a1 := PAutomatonToFSA(enc.prestar.PrestarInPlace(a0))
 	elems := map[sdg.VertexID]bool{}
 	a1.Each(func(t fsa.Transition) {
 		if a1.IsStart(t.From) && !enc.IsSiteSym(t.Sym) {
@@ -110,8 +110,10 @@ func SpecializeWithEncoding(enc *Encoding, spec CriterionSpec) (*Result, error) 
 		return nil, err
 	}
 
+	// The query and the Prestar result are this request's own, so the
+	// saturation and the conversion work in place.
 	t1 := time.Now()
-	a1 := enc.Prestar(a0)
+	a1 := enc.prestar.PrestarInPlace(a0)
 	res.Timings.Prestar = time.Since(t1)
 	res.A1 = PAutomatonToFSA(a1)
 

@@ -492,7 +492,12 @@ func computeModRef(prog *lang.Program, fns []*lang.FuncDecl, prev *ModRef, worke
 			copy(mr.row(mr.ueref, i), prev.row(prev.ueref, pi))
 		}
 	}
-	addressTaken := resolveAddressTaken(prog, mr.idx)
+	// The address-taken set only resolves indirect calls, so a program
+	// without one skips the walk over every expression it takes.
+	var addressTaken []int
+	if prog.HasIndirectCall() {
+		addressTaken = resolveAddressTaken(prog, mr.idx)
+	}
 	tIntern := time.Now()
 
 	if len(fns) > 0 {

@@ -126,11 +126,11 @@ func (e *Engine) Footprint() int64 {
 	// vertexBytes and edgeBytes come from the heap built graphs retain:
 	// on the 8 Siemens suites and gzip, once each edge is charged its two
 	// copies and sites and procedures their constants below, a vertex
-	// costs 85–110 bytes (130 on tcas, the smallest). ruleBytes and
+	// costs 86–108 bytes (117 on tcas, the smallest). ruleBytes and
 	// transBytes come from the heap the encoding and the reachable
-	// automaton alone retain on the same corpus: 84–98 bytes per rule (91
-	// overall; locations are under 1% of rules), and 40–55 bytes per
-	// transition beyond the live call graph (43 overall).
+	// automaton alone retain on the same corpus: 43–48 bytes per rule (44
+	// overall; locations are under 1% of rules), and 37–45 bytes per
+	// transition beyond the live call graph (39 overall).
 	// TestFootprintMatchesRetainedHeap holds the whole estimate within 25%
 	// of a warmed engine's heap. The HRB summary edges an engine computes
 	// later, on its first monovariant request, are not charged.
@@ -140,10 +140,10 @@ func (e *Engine) Footprint() int64 {
 		siteBytes   = 176 // *Site + struct
 		procBytes   = 176 // *Proc + struct
 		idBytes     = 8   // one VertexID/SiteID slot in a slice
-		ruleBytes   = 92  // Rule + its W + its Prestar CSR index entry
+		ruleBytes   = 44  // 24-byte Rule + its Prestar CSR index entry
 		locBytes    = 96  // LocOfFO entry + per-location bookkeeping
 		stateBytes  = 48  // out slice header + bitset slots
-		transBytes  = 44  // out entry + dedup index entry
+		transBytes  = 39  // out entry + dedup index entry
 	)
 	g := e.g
 	n := int64(g.NumVertices())*vertexBytes + int64(g.NumEdges())*edgeBytes

@@ -18,6 +18,8 @@ package fsa
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -99,7 +101,14 @@ func (a *FSA) Add(from int, sym Symbol, to int) bool {
 	if !a.index.add(t) {
 		return false
 	}
-	a.out[from] = append(a.out[from], t)
+	out := a.out[from]
+	if len(out) == cap(out) {
+		// Double: append grows long lists by about a quarter, and a
+		// saturation that adds thousands of transitions to one state
+		// would copy its list a few dozen times.
+		out = slices.Grow(out, max(len(out), 4))
+	}
+	a.out[from] = append(out, t)
 	if sym != Epsilon {
 		a.alpha.set(int(sym))
 	}
@@ -110,6 +119,10 @@ func (a *FSA) Add(from int, sym Symbol, to int) bool {
 // avoiding rehash churn when the caller knows the transition count up
 // front (bulk construction of queries, reversals, quotients).
 func (a *FSA) Reserve(m int) { a.index.reserve(m) }
+
+// ReserveOut makes room for m more transitions leaving s, for a caller
+// that knows how many it will add there.
+func (a *FSA) ReserveOut(s, m int) { a.out[s] = slices.Grow(a.out[s], m) }
 
 // Has reports whether the transition exists.
 func (a *FSA) Has(from int, sym Symbol, to int) bool {
@@ -237,15 +250,24 @@ func (a *FSA) Reverse() *FSA {
 }
 
 // RemoveEpsilon returns an equivalent automaton without epsilon
-// transitions, trimmed. Already-epsilon-free automata take a copy-free
-// fast path.
+// transitions, trimmed. Already-epsilon-free automata are only trimmed.
 func (a *FSA) RemoveEpsilon() *FSA {
+	if !a.hasEpsilon() {
+		return a.Trim()
+	}
+	return a.RemoveEpsilonInPlace()
+}
+
+// RemoveEpsilonInPlace is RemoveEpsilon for a caller that does not use a
+// again: an epsilon-free a is trimmed in place and returned, so the
+// conversion copies nothing.
+func (a *FSA) RemoveEpsilonInPlace() *FSA {
+	if !a.hasEpsilon() {
+		return a.trimInPlace()
+	}
 	ar := getArena()
 	defer putArena(ar)
 	adj := buildAdjacency(a, false, ar)
-	if !adj.hasEps {
-		return a.Trim()
-	}
 	r := New(a.numStates)
 	r.Reserve(a.index.n)
 	w := bitsWords(a.numStates)
@@ -264,7 +286,19 @@ func (a *FSA) RemoveEpsilon() *FSA {
 		})
 	}
 	r.starts = a.starts.clone()
-	return r.Trim()
+	return r.trimInPlace()
+}
+
+// hasEpsilon reports whether some transition is an epsilon transition.
+func (a *FSA) hasEpsilon() bool {
+	for _, ts := range a.out {
+		for _, t := range ts {
+			if t.Sym == Epsilon {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // distinctNonEps reports whether the automaton has no epsilon transitions
@@ -323,7 +357,13 @@ func (a *FSA) IsReverseDeterministic() bool {
 
 // Trim removes states that are not both reachable from a start state and
 // able to reach a final state, remapping state indices.
-func (a *FSA) Trim() *FSA {
+func (a *FSA) Trim() *FSA { return a.Clone().trimInPlace() }
+
+// trimInPlace is Trim on a's own storage: the kept states are renumbered
+// in order, each out list is filtered where it lies, and the transition
+// index, alphabet, start and final sets are rebuilt over the kept
+// transitions. It returns a.
+func (a *FSA) trimInPlace() *FSA {
 	ar := getArena()
 	defer putArena(ar)
 	n := a.numStates
@@ -386,25 +426,57 @@ func (a *FSA) Trim() *FSA {
 			n2++
 		}
 	}
-	r := New(n2)
-	r.Reserve(a.index.n)
-	a.each(func(t Transition) {
-		f, g := keep[t.From], keep[t.To]
-		if f > 0 && g > 0 {
-			r.Add(int(f-1), t.Sym, int(g-1))
+
+	// Kept states only move down, and in order, so state s's list lands in
+	// a slot whose own list has already been moved or dropped.
+	clear(a.index.slots)
+	a.index.n, a.index.wide = 0, nil
+	clear(a.alpha)
+	for s := 0; s < n; s++ {
+		ts := a.out[s]
+		a.out[s] = nil
+		if keep[s] == 0 {
+			continue
 		}
-	})
-	a.starts.forEach(func(s int) {
-		if keep[s] > 0 {
-			r.SetStart(int(keep[s] - 1))
+		f := int(keep[s] - 1)
+		kept := ts[:0]
+		for _, t := range ts {
+			if g := keep[t.To]; g > 0 {
+				t = Transition{From: f, Sym: t.Sym, To: int(g - 1)}
+				a.index.add(t)
+				if t.Sym != Epsilon {
+					a.alpha.set(int(t.Sym))
+				}
+				kept = append(kept, t)
+			}
 		}
-	})
-	a.finals.forEach(func(s int) {
-		if keep[s] > 0 {
-			r.SetFinal(int(keep[s] - 1))
+		if len(kept) > 0 {
+			a.out[f] = kept
 		}
-	})
-	return r
+	}
+	clear(a.out[n2:])
+	a.out = a.out[:n2]
+	a.numStates = n2
+	a.starts = remapBits(a.starts, keep, n2)
+	a.finals = remapBits(a.finals, keep, n2)
+	return a
+}
+
+// remapBits renumbers the members of b by keep (new state + 1, 0 for a
+// dropped state) in place, for a result of n states. Kept states only
+// move down, so each word is read out before any bit lands in it.
+func remapBits(b bitset, keep []int32, n int) bitset {
+	for wi, w := range b {
+		b[wi] = 0
+		for w != 0 {
+			i := bits.TrailingZeros64(w)
+			w &^= 1 << uint(i)
+			if g := int(keep[wi<<6+i]) - 1; g >= 0 {
+				b[g>>6] |= 1 << (uint(g) & 63)
+			}
+		}
+	}
+	return b[:min(len(b), bitsWords(n))]
 }
 
 // IsEmpty reports whether the language is empty.

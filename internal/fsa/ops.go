@@ -7,11 +7,12 @@ import "sort"
 // deterministic, trim, and unique up to state renaming. Minimization is
 // Hopcroft's partition refinement over transitions (see pipeline.go).
 func (a *FSA) Minimize() *FSA {
-	d := a
-	if !d.IsDeterministic() {
-		d = d.RemoveEpsilon().Determinize()
+	var d *FSA
+	if a.IsDeterministic() {
+		d = a.Trim()
+	} else {
+		d = a.RemoveEpsilon().Determinize().trimInPlace()
 	}
-	d = d.Trim()
 	if d.numStates == 0 {
 		return d
 	}
@@ -119,7 +120,7 @@ func (a *FSA) MinimizeMoore() *FSA {
 			m.SetFinal(fb)
 		}
 	}
-	return m.Trim()
+	return m.trimInPlace()
 }
 
 func itoa(x int) string {
@@ -172,7 +173,7 @@ func Intersect(a, b *FSA) *FSA {
 			}
 		}
 	}
-	return r.Trim()
+	return r.trimInPlace()
 }
 
 // Union returns an automaton accepting L(a) ∪ L(b).

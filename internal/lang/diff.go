@@ -1,9 +1,6 @@
 package lang
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "sort"
 
 // ProcHash returns a normalization-stable content hash of one function: the
 // FNV-64a of its pretty-printed source. Because Print renders the normalized
@@ -14,28 +11,48 @@ import (
 // that merely shift a procedure's lines leave its hash untouched.
 func ProcHash(f *FuncDecl) uint64 {
 	var p printer
+	return p.procHash(f)
+}
+
+// procHash prints f into p's emptied buffer and hashes the printed bytes
+// where they lie, so one printer and one buffer serve every procedure of
+// a program.
+func (p *printer) procHash(f *FuncDecl) uint64 {
+	p.sb.reset()
 	p.fn(f)
-	h := fnv.New64a()
-	h.Write([]byte(p.sb.String()))
-	return h.Sum64()
+	h := newFNV()
+	h.str(p.sb.String())
+	return uint64(h)
 }
 
 // GlobalsHash returns a content hash of the program's global declarations
 // (names, order, and fnptr-ness), in the same normalization-stable sense as
 // ProcHash.
 func GlobalsHash(p *Program) uint64 {
-	h := fnv.New64a()
+	h := newFNV()
 	for _, g := range p.Globals {
-		ty := "int"
 		if g.IsFnPtr {
-			ty = "fnptr"
+			h.str("fnptr")
+		} else {
+			h.str("int")
 		}
-		h.Write([]byte(ty))
-		h.Write([]byte{' '})
-		h.Write([]byte(g.Name))
-		h.Write([]byte{';'})
+		h.str(" ")
+		h.str(g.Name)
+		h.str(";")
 	}
-	return h.Sum64()
+	return uint64(h)
+}
+
+// fnv64 is 64-bit FNV-1a, the hash hash/fnv's New64a computes, held by
+// value so that hashing allocates nothing.
+type fnv64 uint64
+
+func newFNV() fnv64 { return 14695981039346656037 }
+
+func (h *fnv64) str(s string) {
+	for i := 0; i < len(s); i++ {
+		*h = (*h ^ fnv64(s[i])) * 1099511628211
+	}
 }
 
 // ProgramDiff classifies an edit between two program versions at procedure
@@ -64,13 +81,14 @@ func (d ProgramDiff) HasChanges() bool {
 }
 
 // ProgramHashes returns the ProcHash of every function, keyed by name —
-// one full print pass. Incremental consumers compute it once per version
-// and reuse it for both the diff and downstream build signatures instead
-// of re-hashing the same ASTs.
+// one full print pass, through one printer. Incremental consumers compute
+// it once per version and reuse it for both the diff and downstream build
+// signatures instead of re-hashing the same ASTs.
 func ProgramHashes(p *Program) map[string]uint64 {
 	out := make(map[string]uint64, len(p.Funcs))
+	var pr printer
 	for _, f := range p.Funcs {
-		out[f.Name] = ProcHash(f)
+		out[f.Name] = pr.procHash(f)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package lang
 import (
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Print renders the program as MicroC source text. The output reparses to an
@@ -62,14 +63,34 @@ func ExprString(e Expr) string {
 	return p.sb.String()
 }
 
-// printer appends MicroC source text to one builder. With canon set
+// printer appends MicroC source text to one buffer. With canon set
 // (Canonicalize), it also numbers and positions the program it prints.
 type printer struct {
-	sb    strings.Builder
+	sb    textBuf
 	canon *Program
 	line  int // the lines ended in sb[:seen]
 	seen  int
 }
+
+// textBuf is the printer's output buffer. Like strings.Builder it hands
+// out its text without a copy, and unlike it it can be emptied and
+// refilled in its own storage, so ProgramHashes prints procedure after
+// procedure into one buffer.
+type textBuf struct{ b []byte }
+
+func (t *textBuf) WriteString(s string) { t.b = append(t.b, s...) }
+func (t *textBuf) WriteByte(c byte) error {
+	t.b = append(t.b, c)
+	return nil
+}
+func (t *textBuf) Write(b []byte) { t.b = append(t.b, b...) }
+
+// String returns the text written so far, sharing the buffer's storage:
+// it is valid until the next reset.
+func (t *textBuf) String() string { return unsafe.String(unsafe.SliceData(t.b), len(t.b)) }
+
+// reset empties the buffer, keeping its storage.
+func (t *textBuf) reset() { t.b = t.b[:0] }
 
 // at returns the position of column col on the line being written.
 func (p *printer) at(col int) Pos {

@@ -35,6 +35,16 @@ func Workers(requested int) int {
 // count. workers <= 1 (or n <= 1) runs everything inline on the caller's
 // goroutine.
 func ForWeighted(workers, n int, weight func(i int) int, f func(i int)) {
+	ForChunks(workers, n, weight, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f(i)
+		}
+	})
+}
+
+// ForChunks is ForWeighted handing each chunk [lo, hi) to one call of f,
+// so a caller can keep per-chunk scratch across the items of a chunk.
+func ForChunks(workers, n int, weight func(i int) int, f func(lo, hi int)) {
 	if n == 0 {
 		return
 	}
@@ -43,9 +53,7 @@ func ForWeighted(workers, n int, weight func(i int) int, f func(i int)) {
 		workers = n
 	}
 	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
+		f(0, n)
 		return
 	}
 	totalW := 0
@@ -70,9 +78,7 @@ func ForWeighted(workers, n int, weight func(i int) int, f func(i int)) {
 	}
 	chunks = append(chunks, span{start, n})
 	if len(chunks) <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
+		f(0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -80,9 +86,7 @@ func ForWeighted(workers, n int, weight func(i int) int, f func(i int)) {
 		wg.Add(1)
 		go func(c span) {
 			defer wg.Done()
-			for i := c.start; i < c.end; i++ {
-				f(i)
-			}
+			f(c.start, c.end)
 		}(c)
 	}
 	wg.Wait()

@@ -20,17 +20,21 @@ import (
 	"specslice/internal/fsa"
 )
 
-// Rule is a pushdown rule <P, G> ↪ <P2, W> with |W| ≤ 2:
-// |W| = 0 is a pop rule, 1 an internal rule, 2 a push rule.
+// Rule is a pushdown rule <P, G> ↪ <P2, W[:N]> with N ≤ 2: N = 0 is a pop
+// rule, 1 an internal rule, 2 a push rule. G and W hold fsa.Symbol values.
+// The right-hand stack word is held inline and every field is an int32,
+// which an encoding's control locations and stack symbols fit, so a rule
+// is 24 bytes with no pointer and a rule list is one flat array the
+// garbage collector does not scan.
 type Rule struct {
-	P  int
-	G  fsa.Symbol
-	P2 int
-	W  []fsa.Symbol
+	P, P2 int32
+	G     int32
+	W     [2]int32
+	N     int32
 }
 
 func (r Rule) String() string {
-	return fmt.Sprintf("<%d,%d> -> <%d,%v>", r.P, r.G, r.P2, r.W)
+	return fmt.Sprintf("<%d,%d> -> <%d,%v>", r.P, r.G, r.P2, r.W[:min(max(r.N, 0), 2)])
 }
 
 // PDS is a pushdown system with NumLocs control locations (0..NumLocs-1).
@@ -41,7 +45,7 @@ type PDS struct {
 
 // AddRule appends a rule, validating its shape.
 func (p *PDS) AddRule(r Rule) {
-	if len(r.W) > 2 {
+	if r.N < 0 || r.N > 2 {
 		panic("pds: rule with more than two right-hand stack symbols")
 	}
 	p.Rules = append(p.Rules, r)
@@ -110,7 +114,7 @@ type PrestarEngine struct {
 
 type internalRule struct {
 	p2, p int32 // RHS and LHS control locations
-	g     fsa.Symbol
+	g     int32 // LHS stack symbol
 }
 
 type pushRule struct {
@@ -125,7 +129,7 @@ type pushRule struct {
 type dynClass struct {
 	p  int32
 	w1 int32 // symbol id of W[1]
-	g  fsa.Symbol
+	g  int32
 }
 
 // NewPrestarEngine indexes the rules of p for repeated Prestar queries. It
@@ -135,36 +139,48 @@ func NewPrestarEngine(p *PDS) *PrestarEngine {
 	// Symbols below limit index the per-symbol tables directly, which keeps
 	// those tables (and each arena's qSym) O(|rules|) long.
 	limit := 4*len(p.Rules) + 64
-	for _, r := range p.Rules {
-		if r.P < 0 || r.P >= p.NumLocs || r.P2 < 0 || r.P2 >= p.NumLocs {
-			panic(fmt.Sprintf("pds: rule %v names a location outside [0, %d)", r, p.NumLocs))
+	var nPop, nPush int
+	for i := range p.Rules {
+		r := &p.Rules[i]
+		if r.P < 0 || int(r.P) >= p.NumLocs || r.P2 < 0 || int(r.P2) >= p.NumLocs {
+			panic(fmt.Sprintf("pds: rule %v names a location outside [0, %d)", *r, p.NumLocs))
 		}
-		for _, s := range r.W {
+		switch r.N {
+		case 0:
+			nPop++
+		case 2:
+			nPush++
+		}
+		for _, s := range r.W[:r.N] {
 			if s >= 0 && int(s) < limit {
 				e.nDense = max(e.nDense, int(s)+1)
 			} else {
-				e.wide = append(e.wide, s)
+				e.wide = append(e.wide, fsa.Symbol(s))
 			}
 		}
 	}
 	slices.Sort(e.wide)
 	e.wide = slices.Compact(e.wide)
 	n := e.nDense + len(e.wide)
-	e.intOff = make([]int32, n+1)
-	e.pushOff = make([]int32, n+1)
+	offs := make([]int32, 2*(n+1))
+	e.intOff, e.pushOff = offs[:n+1:n+1], offs[n+1:]
 	e.isW1 = make([]bool, n)
+	e.pops = make([]fsa.Transition, 0, nPop)
 
-	var pushes []int // rule indexes of the push rules
-	for i, r := range p.Rules {
-		switch len(r.W) {
+	// pushes[k] is the k-th push rule in rule order, with its ordinal k.
+	type pushOrd struct{ rule, ord int32 }
+	pushes := make([]pushOrd, 0, nPush)
+	for i := range p.Rules {
+		r := &p.Rules[i]
+		switch r.N {
 		case 0:
-			e.pops = append(e.pops, fsa.Transition{From: r.P, Sym: r.G, To: r.P2})
+			e.pops = append(e.pops, fsa.Transition{From: int(r.P), Sym: fsa.Symbol(r.G), To: int(r.P2)})
 		case 1:
-			e.intOff[e.symID(r.W[0])+1]++
+			e.intOff[e.symID(fsa.Symbol(r.W[0]))+1]++
 		case 2:
-			e.pushOff[e.symID(r.W[0])+1]++
-			e.isW1[e.symID(r.W[1])] = true
-			pushes = append(pushes, i)
+			e.pushOff[e.symID(fsa.Symbol(r.W[0]))+1]++
+			e.isW1[e.symID(fsa.Symbol(r.W[1]))] = true
+			pushes = append(pushes, pushOrd{rule: int32(i), ord: int32(len(pushes))})
 		}
 	}
 	for s := range n {
@@ -172,37 +188,52 @@ func NewPrestarEngine(p *PDS) *PrestarEngine {
 		e.pushOff[s+1] += e.pushOff[s]
 	}
 
-	shape := func(i int) dynClass {
-		r := p.Rules[i]
-		return dynClass{p: int32(r.P), w1: int32(e.symID(r.W[1])), g: r.G}
+	shape := func(i int32) dynClass {
+		r := &p.Rules[i]
+		return dynClass{p: r.P, w1: int32(e.symID(fsa.Symbol(r.W[1]))), g: r.G}
 	}
-	slices.SortFunc(pushes, func(i, j int) int {
-		a, b := shape(i), shape(j)
+	slices.SortFunc(pushes, func(x, y pushOrd) int {
+		a, b := shape(x.rule), shape(y.rule)
 		return cmp.Or(cmp.Compare(a.p, b.p), cmp.Compare(a.g, b.g), cmp.Compare(a.w1, b.w1))
 	})
-	classOf := make([]int32, len(p.Rules))
-	for k, i := range pushes {
-		if c := shape(i); k == 0 || c != e.classes[len(e.classes)-1] {
+	nClasses := 0
+	for k, x := range pushes {
+		if k == 0 || shape(x.rule) != shape(pushes[k-1].rule) {
+			nClasses++
+		}
+	}
+	e.classes = make([]dynClass, 0, nClasses)
+	classOf := make([]int32, len(pushes)) // by push ordinal
+	for k, x := range pushes {
+		if c := shape(x.rule); k == 0 || c != e.classes[len(e.classes)-1] {
 			e.classes = append(e.classes, c)
 		}
-		classOf[i] = int32(len(e.classes) - 1)
+		classOf[x.ord] = int32(len(e.classes) - 1)
 	}
 
+	// Place each rule at its bucket's cursor, the bucket's start advanced
+	// past the rules already placed; shifting the offsets by one slot
+	// afterwards restores the starts.
 	e.internal = make([]internalRule, e.intOff[n])
 	e.push = make([]pushRule, e.pushOff[n])
-	intAt, pushAt := slices.Clone(e.intOff[:n]), slices.Clone(e.pushOff[:n])
-	for i, r := range p.Rules {
-		switch len(r.W) {
+	k := 0
+	for i := range p.Rules {
+		r := &p.Rules[i]
+		switch r.N {
 		case 1:
-			s := e.symID(r.W[0])
-			e.internal[intAt[s]] = internalRule{p2: int32(r.P2), p: int32(r.P), g: r.G}
-			intAt[s]++
+			s := e.symID(fsa.Symbol(r.W[0]))
+			e.internal[e.intOff[s]] = internalRule{p2: r.P2, p: r.P, g: r.G}
+			e.intOff[s]++
 		case 2:
-			s := e.symID(r.W[0])
-			e.push[pushAt[s]] = pushRule{p2: int32(r.P2), class: classOf[i]}
-			pushAt[s]++
+			s := e.symID(fsa.Symbol(r.W[0]))
+			e.push[e.pushOff[s]] = pushRule{p2: r.P2, class: classOf[k]}
+			e.pushOff[s]++
+			k++
 		}
 	}
+	copy(e.intOff[1:], e.intOff[:n])
+	copy(e.pushOff[1:], e.pushOff[:n])
+	e.intOff[0], e.pushOff[0] = 0, 0
 	return e
 }
 
@@ -331,9 +362,13 @@ func (e *PrestarEngine) ScratchProvision() int64 {
 }
 
 // Prestar runs the saturation against query automaton a, returning a fresh
-// result automaton.
-func (e *PrestarEngine) Prestar(a *fsa.FSA) *fsa.FSA {
-	res := a.Clone()
+// result automaton; a is left as it was.
+func (e *PrestarEngine) Prestar(a *fsa.FSA) *fsa.FSA { return e.PrestarInPlace(a.Clone()) }
+
+// PrestarInPlace is Prestar for a caller that does not read the query
+// again: it saturates a itself and returns it.
+func (e *PrestarEngine) PrestarInPlace(a *fsa.FSA) *fsa.FSA {
+	res := a
 	for res.NumStates() < e.p.NumLocs {
 		res.AddState()
 	}
@@ -346,7 +381,8 @@ func (e *PrestarEngine) Prestar(a *fsa.FSA) *fsa.FSA {
 
 	// The worklist is LIFO and the query's transitions go in first, so
 	// they sit below everything else; they are taken from qs, last first,
-	// whenever work runs dry.
+	// whenever work runs dry. They are read before the saturation adds
+	// any.
 	a.Each(func(t fsa.Transition) { ar.qs = append(ar.qs, t) })
 	slices.SortFunc(ar.qs, cmpTransition)
 	ar.qDone = slices.Grow(ar.qDone[:0], len(ar.qs))[:len(ar.qs)]
@@ -436,13 +472,13 @@ func (s *saturation) process(t fsa.Transition) {
 	}
 	for _, r := range e.internal[e.intOff[id]:e.intOff[id+1]] {
 		if int(r.p2) == t.From {
-			s.push(fsa.Transition{From: int(r.p), Sym: r.g, To: t.To})
+			s.push(fsa.Transition{From: int(r.p), Sym: fsa.Symbol(r.g), To: t.To})
 		}
 	}
 	if k >= 0 {
 		for n := ar.lists[k].dyn.head; n >= 0; n = ar.nodes[n].next {
 			c := &e.classes[ar.nodes[n].val]
-			s.push(fsa.Transition{From: int(c.p), Sym: c.g, To: t.To})
+			s.push(fsa.Transition{From: int(c.p), Sym: fsa.Symbol(c.g), To: t.To})
 		}
 	}
 	for _, r := range e.push[e.pushOff[id]:e.pushOff[id+1]] {
@@ -457,7 +493,7 @@ func (s *saturation) process(t fsa.Transition) {
 		dk := ar.pair(t.To, int(c.w1))
 		ar.lists[dk].dyn.add(&ar.nodes, r.class)
 		for n := ar.lists[dk].rel.head; n >= 0; n = ar.nodes[n].next {
-			s.push(fsa.Transition{From: int(c.p), Sym: c.g, To: int(ar.nodes[n].val)})
+			s.push(fsa.Transition{From: int(c.p), Sym: fsa.Symbol(c.g), To: int(ar.nodes[n].val)})
 		}
 	}
 }
@@ -572,8 +608,8 @@ func (p *PDS) Poststar(a *fsa.FSA) *fsa.FSA {
 	// Phase I: one new state per (p′, γ′) of a push rule.
 	mid := map[locSym]int{}
 	for _, r := range p.Rules {
-		if len(r.W) == 2 {
-			k := locSym{r.P2, r.W[0]}
+		if r.N == 2 {
+			k := locSym{int(r.P2), fsa.Symbol(r.W[0])}
 			if _, ok := mid[k]; !ok {
 				mid[k] = res.AddState()
 			}
@@ -583,7 +619,7 @@ func (p *PDS) Poststar(a *fsa.FSA) *fsa.FSA {
 	// Index rules by LHS (p, γ).
 	byLHS := map[locSym][]Rule{}
 	for _, r := range p.Rules {
-		k := locSym{r.P, r.G}
+		k := locSym{int(r.P), fsa.Symbol(r.G)}
 		byLHS[k] = append(byLHS[k], r)
 	}
 
@@ -621,15 +657,16 @@ func (p *PDS) Poststar(a *fsa.FSA) *fsa.FSA {
 		if t.Sym != fsa.Epsilon {
 			relFrom[t.From] = append(relFrom[t.From], symTo{t.Sym, t.To})
 			for _, r := range byLHS[locSym{t.From, t.Sym}] {
-				switch len(r.W) {
+				p2, w0, w1 := int(r.P2), fsa.Symbol(r.W[0]), fsa.Symbol(r.W[1])
+				switch r.N {
 				case 0:
-					pushT(fsa.Transition{From: r.P2, Sym: fsa.Epsilon, To: t.To})
+					pushT(fsa.Transition{From: p2, Sym: fsa.Epsilon, To: t.To})
 				case 1:
-					pushT(fsa.Transition{From: r.P2, Sym: r.W[0], To: t.To})
+					pushT(fsa.Transition{From: p2, Sym: w0, To: t.To})
 				case 2:
-					m := mid[locSym{r.P2, r.W[0]}]
-					pushT(fsa.Transition{From: r.P2, Sym: r.W[0], To: m})
-					pushT(fsa.Transition{From: m, Sym: r.W[1], To: t.To})
+					m := mid[locSym{p2, w0}]
+					pushT(fsa.Transition{From: p2, Sym: w0, To: m})
+					pushT(fsa.Transition{From: m, Sym: w1, To: t.To})
 				}
 			}
 			// Compose with earlier epsilon transitions ending at t.From.

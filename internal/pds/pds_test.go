@@ -23,14 +23,14 @@ func step(p *PDS, c config) []config {
 	rest := c.stack[1:]
 	var out []config
 	for _, r := range p.Rules {
-		if r.P != c.loc || r.G != top {
+		if int(r.P) != c.loc || fsa.Symbol(r.G) != top {
 			continue
 		}
 		ns := ""
-		for _, s := range r.W {
+		for _, s := range r.W[:r.N] {
 			ns += string(byte(s))
 		}
-		out = append(out, config{r.P2, ns + rest})
+		out = append(out, config{int(r.P2), ns + rest})
 	}
 	return out
 }
@@ -155,16 +155,16 @@ func randomPDS(rng *rand.Rand) *PDS {
 	nrules := 3 + rng.Intn(8)
 	for i := 0; i < nrules; i++ {
 		r := Rule{
-			P:  rng.Intn(p.NumLocs),
-			G:  fsa.Symbol(1 + rng.Intn(nsym)),
-			P2: rng.Intn(p.NumLocs),
+			P:  int32(rng.Intn(p.NumLocs)),
+			G:  int32(1 + rng.Intn(nsym)),
+			P2: int32(rng.Intn(p.NumLocs)),
 		}
 		switch rng.Intn(3) {
 		case 0: // pop
 		case 1:
-			r.W = []fsa.Symbol{fsa.Symbol(1 + rng.Intn(nsym))}
+			r.W, r.N = [2]int32{int32(1 + rng.Intn(nsym))}, 1
 		case 2:
-			r.W = []fsa.Symbol{fsa.Symbol(1 + rng.Intn(nsym)), fsa.Symbol(1 + rng.Intn(nsym))}
+			r.W, r.N = [2]int32{int32(1 + rng.Intn(nsym)), int32(1 + rng.Intn(nsym))}, 2
 		}
 		p.AddRule(r)
 	}
@@ -241,8 +241,8 @@ func TestPrestarRecursiveLanguage(t *testing.T) {
 	// Rules: <0,e> -> <0, e C>   (recursive call)
 	//        <0,e> -> <0, t>     (reach target)
 	p := &PDS{NumLocs: 1}
-	p.AddRule(Rule{P: 0, G: 1, P2: 0, W: []fsa.Symbol{1, 2}})
-	p.AddRule(Rule{P: 0, G: 1, P2: 0, W: []fsa.Symbol{3}})
+	p.AddRule(Rule{P: 0, G: 1, P2: 0, W: [2]int32{1, 2}, N: 2})
+	p.AddRule(Rule{P: 0, G: 1, P2: 0, W: [2]int32{3}, N: 1})
 	// Criterion: (0, t) — target with empty remaining stack.
 	q := fsa.New(1)
 	f := q.AddState()
@@ -261,8 +261,8 @@ func TestPrestarRecursiveLanguage(t *testing.T) {
 	}
 	// Now add a pop rule <0,t> -> <0,ε> and <0,C> -> <0,t>: then t pops and
 	// C converts to t, so (e, C^k) reaches (t, ε).
-	p.AddRule(Rule{P: 0, G: 3, P2: 0, W: nil})
-	p.AddRule(Rule{P: 0, G: 2, P2: 0, W: []fsa.Symbol{3}})
+	p.AddRule(Rule{P: 0, G: 3, P2: 0})
+	p.AddRule(Rule{P: 0, G: 2, P2: 0, W: [2]int32{3}, N: 1})
 	pre = p.Prestar(q)
 	for k := 0; k <= 6; k++ {
 		w := []fsa.Symbol{1}
@@ -278,7 +278,7 @@ func TestPrestarRecursiveLanguage(t *testing.T) {
 func ExamplePDS_Prestar() {
 	// One control location, symbols a=1, b=2; rule <0,a> -> <0,ε> pops a.
 	p := &PDS{NumLocs: 1}
-	p.AddRule(Rule{P: 0, G: 1, P2: 0, W: nil})
+	p.AddRule(Rule{P: 0, G: 1, P2: 0})
 	// Criterion: (0, b).
 	q := fsa.New(1)
 	f := q.AddState()

@@ -88,10 +88,9 @@ func TestPrestarDifferential(t *testing.T) {
 			p := randomPDS(rng)
 			for i := range p.Rules {
 				r := &p.Rules[i]
-				r.G = wide[r.G]
-				r.W = slices.Clone(r.W)
-				for j := range r.W {
-					r.W[j] = wide[r.W[j]]
+				r.G = int32(wide[r.G])
+				for j := range r.W[:r.N] {
+					r.W[j] = int32(wide[r.W[j]])
 				}
 			}
 			small := randomQuery(rng, p, 4)
@@ -119,9 +118,10 @@ func TestPrestarConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	p := &PDS{NumLocs: 3}
 	for range 60 {
-		r := Rule{P: rng.Intn(3), G: fsa.Symbol(1 + rng.Intn(6)), P2: rng.Intn(3)}
-		for range rng.Intn(3) {
-			r.W = append(r.W, fsa.Symbol(1+rng.Intn(6)))
+		r := Rule{P: int32(rng.Intn(3)), G: int32(1 + rng.Intn(6)), P2: int32(rng.Intn(3))}
+		r.N = int32(rng.Intn(3))
+		for j := range r.N {
+			r.W[j] = int32(1 + rng.Intn(6))
 		}
 		p.AddRule(r)
 	}

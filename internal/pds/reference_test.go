@@ -76,14 +76,14 @@ func NewReferencePrestarEngine(p *PDS) *ReferencePrestarEngine {
 		push:     map[locSym][]Rule{},
 	}
 	for _, r := range p.Rules {
-		switch len(r.W) {
+		switch r.N {
 		case 0:
 			e.pops = append(e.pops, r)
 		case 1:
-			k := locSym{r.P2, r.W[0]}
+			k := locSym{int(r.P2), fsa.Symbol(r.W[0])}
 			e.internal[k] = append(e.internal[k], r)
 		case 2:
-			k := locSym{r.P2, r.W[0]}
+			k := locSym{int(r.P2), fsa.Symbol(r.W[0])}
 			e.push[k] = append(e.push[k], r)
 		}
 	}
@@ -112,7 +112,7 @@ func (e *ReferencePrestarEngine) Prestar(a *fsa.FSA) *fsa.FSA {
 		pushT(t)
 	}
 	for _, r := range e.pops {
-		pushT(fsa.Transition{From: r.P, Sym: r.G, To: r.P2})
+		pushT(fsa.Transition{From: int(r.P), Sym: fsa.Symbol(r.G), To: int(r.P2)})
 	}
 
 	for len(work) > 0 {
@@ -127,20 +127,20 @@ func (e *ReferencePrestarEngine) Prestar(a *fsa.FSA) *fsa.FSA {
 		relBySrc[k] = append(relBySrc[k], t.To)
 
 		for _, r := range e.internal[k] {
-			pushT(fsa.Transition{From: r.P, Sym: r.G, To: t.To})
+			pushT(fsa.Transition{From: int(r.P), Sym: fsa.Symbol(r.G), To: t.To})
 		}
 		for _, d := range dynRules[k] {
 			pushT(fsa.Transition{From: d.p1, Sym: d.g1, To: t.To})
 		}
 		for _, r := range e.push[k] {
 			// Register Δ′ rule <r.P, r.G> → <t.To, r.W[1]>.
-			key := [4]int{r.P, int(r.G), t.To, int(r.W[1])}
+			key := [4]int{int(r.P), int(r.G), t.To, int(r.W[1])}
 			if !dynSeen[key] {
 				dynSeen[key] = true
-				dk := locSym{t.To, r.W[1]}
-				dynRules[dk] = append(dynRules[dk], refDyn{r.P, r.G})
+				dk := locSym{t.To, fsa.Symbol(r.W[1])}
+				dynRules[dk] = append(dynRules[dk], refDyn{int(r.P), fsa.Symbol(r.G)})
 				for _, q2 := range relBySrc[dk] {
-					pushT(fsa.Transition{From: r.P, Sym: r.G, To: q2})
+					pushT(fsa.Transition{From: int(r.P), Sym: fsa.Symbol(r.G), To: q2})
 				}
 			}
 		}

@@ -88,6 +88,7 @@ func Advance(old *Graph, newProg *lang.Program) (*Graph, *DeltaStats, error) {
 	// Phase B: bodies, in procedure order. An unchanged procedure's body
 	// is copied as blocks from old; the rest are rebuilt.
 	var cp bodyCopier
+	var sc bodyScratch
 	for _, p := range b.g.Procs {
 		if oi, ok := old.ProcByName[p.Name]; ok && old.buildSigs[p.Name] == sigs[p.Name] {
 			if b.copyBody(old, old.Procs[oi], p, &cp) {
@@ -98,13 +99,13 @@ func Advance(old *Graph, newProg *lang.Program) (*Graph, *DeltaStats, error) {
 			// collision): fall back to an ordinary rebuild. copyBody has
 			// left nothing behind for this procedure.
 		}
-		if err := b.buildProcBody(p); err != nil {
+		if err := b.buildProcBody(p, &sc); err != nil {
 			return nil, nil, err
 		}
 		st.ProcsRebuilt++
 	}
 	b.connectProcs()
-	b.finish()
+	b.finish(b.edges)
 	return b.g, st, nil
 }
 
@@ -322,19 +323,12 @@ func (b *builder) copyBody(old *Graph, po, pn *Proc, c *bodyCopier) bool {
 }
 
 // computeBuildSigsWorkers derives each procedure's build signature from
-// the normalized program and its mod/ref analysis (see the file comment)
-// over a worker pool: the per-procedure hashes (dominated by printing each
-// body) are independent. It also returns the raw per-procedure content
-// hashes so the graph can retain them for later diffing.
+// the normalized program and its mod/ref analysis (see the file comment),
+// with the interface and signature hashes over a worker pool. It also
+// returns the raw per-procedure content hashes, printed through one
+// printer, so the graph can retain them for later diffing.
 func computeBuildSigsWorkers(prog *lang.Program, mr *dataflow.ModRef, workers int) (sigs, hashes map[string]uint64) {
-	hashSlots := make([]uint64, len(prog.Funcs))
-	par.For(workers, len(prog.Funcs), func(i int) {
-		hashSlots[i] = lang.ProcHash(prog.Funcs[i])
-	})
-	hashes = make(map[string]uint64, len(prog.Funcs))
-	for i, fn := range prog.Funcs {
-		hashes[fn.Name] = hashSlots[i]
-	}
+	hashes = lang.ProgramHashes(prog)
 	return computeBuildSigsFromHashes(prog, mr, hashes, workers), hashes
 }
 

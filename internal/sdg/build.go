@@ -25,11 +25,13 @@ func Build(prog *lang.Program) (*Graph, error) { return BuildWorkers(prog, 0) }
 // signatures, and the per-procedure dependence-graph bodies (control
 // dependence, reaching definitions) — across a worker pool of the given
 // size (<= 0 means GOMAXPROCS, mirroring engine.BatchOptions.Workers).
-// Bodies are built into per-procedure buffers and merged in procedure
-// order, so the resulting graph — vertex and site numbering included — is
-// byte-identical for every worker count; the sequential-vs-parallel
-// identity test and the incremental oracle (Advance merges each rebuilt
-// body as soon as it is built) hold it there.
+// Each body's vertex, site and actual counts are fixed by its CFG and the
+// mod/ref interfaces of its callees, so bodies are laid out in procedure
+// order before any is built and each writes its vertices and sites
+// straight into its own slots. The resulting graph — vertex and site
+// numbering included — is byte-identical for every worker count; the
+// sequential-vs-parallel identity test and the incremental oracle hold it
+// there.
 func BuildWorkers(prog *lang.Program, workers int) (*Graph, error) {
 	if err := checkDirectCalls(prog); err != nil {
 		return nil, err
@@ -42,43 +44,67 @@ func BuildWorkers(prog *lang.Program, workers int) (*Graph, error) {
 	sigs, hashes := computeBuildSigsWorkers(prog, mr, workers)
 	b := newBuilder(prog, mr, sigs, hashes)
 	tModRef := time.Now()
+
+	// Layout: all skeletons in procedure order, then all bodies in
+	// procedure order, each body's sites in statement order.
+	nv, ns, na := 0, 0, 0
+	for _, p := range b.g.Procs {
+		nv += 1 + b.numFormals(p)
+	}
+	bufs := make([]bodyBuf, len(b.g.Procs))
+	for i := range bufs {
+		bb := &bufs[i]
+		bb.shape = b.shapeOf(cfgs[i])
+		bb.skelBase, bb.siteBase = VertexID(nv), SiteID(ns)
+		nv, ns, na = nv+bb.shape.verts, ns+bb.shape.sites, na+bb.shape.acts
+	}
+	b.g.Vertices = make([]Vertex, 0, nv)
 	b.buildSkeletons()
+	verts, acts := b.g.Vertices[:nv], make([]VertexID, na)
+	b.sites = make([]Site, ns)
+	for i := range bufs {
+		bb := &bufs[i]
+		bb.verts = verts[bb.skelBase : bb.skelBase : int(bb.skelBase)+bb.shape.verts]
+		bb.sites = b.sites[bb.siteBase : bb.siteBase : int(bb.siteBase)+bb.shape.sites]
+		bb.acts, acts = acts[:0:bb.shape.acts], acts[bb.shape.acts:]
+	}
 
 	// Bodies: each procedure's control dependence and reaching
-	// definitions run independently into a buffer; the deterministic
-	// merge below appends them in procedure order, reproducing the exact
-	// vertex, site, and edge order of a fully sequential build. The
-	// fan-out is chunked by CFG size so small procedures ride along with
-	// big ones instead of each paying a scheduling round-trip.
-	skelBase := VertexID(len(b.g.Vertices))
-	bufs := make([]bodyBuf, len(b.g.Procs))
-	par.ForWeighted(workers, len(b.g.Procs),
+	// definitions run independently. A worker takes a contiguous run of
+	// procedures, chunked by CFG size so small procedures ride along with
+	// big ones, and reuses one scratch across them; each body's edges are
+	// kept as their own segment, in the order a sequential build emits
+	// them.
+	par.ForChunks(workers, len(b.g.Procs),
 		func(i int) int { return len(cfgs[i].Nodes) },
-		func(i int) {
-			bufs[i].skelBase = skelBase
-			bufs[i].err = b.buildBody(b.g.Procs[i], cfgs[i], &bufs[i])
+		func(lo, hi int) {
+			sc := &bodyScratch{}
+			for i := lo; i < hi; i++ {
+				bb := &bufs[i]
+				bb.sc, bb.edges = sc, sc.edges[:0]
+				bb.err = b.buildBody(b.g.Procs[i], cfgs[i], bb)
+				sc.edges = bb.edges[:0]
+				bb.edges, bb.sc = slices.Clone(bb.edges), nil
+			}
 		})
-	var nv, ns, ne int
+	segs := make([][]Edge, 0, len(bufs)+2)
+	segs = append(segs, b.edges) // the skeletons'
 	for i := range bufs {
 		if err := bufs[i].err; err != nil {
 			return nil, err
 		}
-		nv += len(bufs[i].verts)
-		ns += len(bufs[i].sites)
-		ne += len(bufs[i].edges)
-		for j := range bufs[i].sites {
-			ne += connectBound(&bufs[i].sites[j])
-		}
+		segs = append(segs, bufs[i].edges)
+		b.bodies[i] = bufs[i].span()
 	}
-	b.g.Vertices = slices.Grow(b.g.Vertices, nv)
-	b.sites = slices.Grow(b.sites, ns)
-	b.edges = slices.Grow(b.edges, ne)
-	for i, p := range b.g.Procs {
-		b.mergeBody(p, &bufs[i])
-	}
+	b.g.Vertices = verts
 	tPDG := time.Now()
+	nc := 0
+	for i := range b.sites {
+		nc += connectBound(&b.sites[i])
+	}
+	b.edges = make([]Edge, 0, nc)
 	b.connectProcs()
-	b.finish()
+	b.finish(append(segs, b.edges)...)
 	tConnect := time.Now()
 	mrStats := mr.Stats()
 	b.g.buildStats = BuildStats{
@@ -134,9 +160,11 @@ func MustBuildWorkers(prog *lang.Program, workers int) *Graph {
 type builder struct {
 	g  *Graph
 	mr *dataflow.ModRef
-	// edges is the edge stream: skeletons, then bodies in procedure
-	// order, then the interprocedural wiring. finish lays it out as the
-	// graph's out and in lists.
+	// edges is the builder's own edge stream. Advance emits every edge
+	// into it: skeletons, then bodies in procedure order, then the
+	// interprocedural wiring. Build keeps each body's edges as a segment
+	// of their own and passes finish the skeleton stream, the body
+	// segments and the wiring in that order.
 	edges []Edge
 	// sites holds the call sites by value, in ID order; finish points
 	// Graph.Sites into it.
@@ -231,30 +259,40 @@ func (b *builder) buildProcSkeleton(p *Proc) {
 // p, numbered consecutively from p.Entry.
 func skeletonSize(p *Proc) int { return 1 + len(p.FormalIns) + len(p.FormalOuts) }
 
-// bodyBuf collects one procedure body's vertices, call sites, and edges
-// locally, in creation order, for mergeBody to append to the graph.
-// Vertex references at or above skelBase denote the buffer's own vertices
-// (skelBase + local index); references below it are global vertices, which
-// are already numbered. Site IDs and vertex Site fields are buffer-local.
+// bodyBuf receives one procedure body as it is built. Its vertices are
+// numbered from skelBase and appended to verts, its call sites numbered
+// from siteBase and appended to sites, and the sites' actual lists are
+// carved from acts. Build and Advance point verts, sites and acts at the
+// body's own slots of the graph, with exactly the capacity of its shape,
+// so the appends write the final graph in place; with no slots they
+// allocate.
 type bodyBuf struct {
+	shape    bodyShape
 	skelBase VertexID
 	verts    []Vertex
+	siteBase SiteID
 	sites    []Site
+	acts     []VertexID
 	edges    []Edge
 	err      error
+	// sc is the scratch the body's construction draws on.
+	sc *bodyScratch
 }
 
 func (bb *bodyBuf) addVertex(v Vertex) VertexID {
+	v.ID = bb.skelBase + VertexID(len(bb.verts))
 	bb.verts = append(bb.verts, v)
-	return bb.skelBase + VertexID(len(bb.verts)-1)
+	return v.ID
 }
 
 // addSite appends a call site whose actual lists have room for nIn and
 // nOut vertices, and returns it; it stays valid until the next addSite.
 func (bb *bodyBuf) addSite(s Site, nIn, nOut int) *Site {
-	s.ID = SiteID(len(bb.sites))
-	acts := make([]VertexID, 0, nIn+nOut)
-	s.ActualIns, s.ActualOuts = acts[:0:nIn], acts[nIn:nIn]
+	s.ID = bb.siteBase + SiteID(len(bb.sites))
+	a := len(bb.acts)
+	bb.acts = slices.Grow(bb.acts, nIn+nOut)[:a+nIn+nOut]
+	s.ActualIns = bb.acts[a : a : a+nIn]
+	s.ActualOuts = bb.acts[a+nIn : a+nIn : a+nIn+nOut]
 	bb.sites = append(bb.sites, s)
 	return &bb.sites[len(bb.sites)-1]
 }
@@ -263,51 +301,91 @@ func (bb *bodyBuf) addEdge(from, to VertexID, kind EdgeKind) {
 	bb.edges = append(bb.edges, Edge{From: from, To: to, Kind: kind})
 }
 
-// mergeBody appends a buffered body to the graph: its sites (their
-// global IDs are contiguous per procedure), its vertices as one block
-// (renumbered from the buffer-local range), then its edges in recorded
-// order — the numbering and edge order of a fully sequential build.
-func (b *builder) mergeBody(p *Proc, buf *bodyBuf) {
-	siteBase := SiteID(len(b.sites))
-	vertBase := VertexID(len(b.g.Vertices))
-	dec := func(ref VertexID) VertexID {
-		if ref >= buf.skelBase {
-			return vertBase + (ref - buf.skelBase)
-		}
-		return ref
+// check reports a body whose counts differ from the shape it was laid out
+// with: it would have written past its slots or left some unfilled.
+func (bb *bodyBuf) check() error {
+	if sh := bb.shape; len(bb.verts) != sh.verts || len(bb.sites) != sh.sites || len(bb.acts) != sh.acts {
+		return fmt.Errorf("sdg: internal error: body built %d vertices, %d sites, %d actuals; laid out %d, %d, %d",
+			len(bb.verts), len(bb.sites), len(bb.acts), sh.verts, sh.sites, sh.acts)
 	}
-	for i := range buf.sites {
-		site := &buf.sites[i]
-		site.ID += siteBase
-		site.CallVertex = dec(site.CallVertex)
-		for j := range site.ActualIns {
-			site.ActualIns[j] = dec(site.ActualIns[j])
-		}
-		for j := range site.ActualOuts {
-			site.ActualOuts[j] = dec(site.ActualOuts[j])
-		}
-	}
-	b.sites = append(b.sites, buf.sites...)
-	b.g.Vertices = append(b.g.Vertices, buf.verts...)
-	vs := b.g.Vertices[vertBase:]
-	for i := range vs {
-		vs[i].ID = vertBase + VertexID(i)
-		if vs[i].Site >= 0 {
-			vs[i].Site += siteBase
-		}
-	}
-	for _, e := range buf.edges {
-		b.addEdge(dec(e.From), dec(e.To), e.Kind)
-	}
-	b.bodies[p.Index] = bodySpan{
-		lo: vertBase, hi: VertexID(len(b.g.Vertices)),
-		siteLo: siteBase, siteHi: SiteID(len(b.sites)),
+	return nil
+}
+
+// span returns the vertex and site ranges the body fills.
+func (bb *bodyBuf) span() bodySpan {
+	return bodySpan{
+		lo: bb.skelBase, hi: bb.skelBase + VertexID(len(bb.verts)),
+		siteLo: bb.siteBase, siteHi: bb.siteBase + SiteID(len(bb.sites)),
 	}
 }
 
+// bodyShape is the vertex, call-site and actual-vertex counts of one
+// procedure body.
+type bodyShape struct{ verts, sites, acts int }
+
+// shapeOf counts the body bodyVertices builds over graph: one vertex per
+// statement node that gets one, and per call site its call vertex plus
+// its actuals, which the call's arguments and the callee's mod/ref
+// interface fix.
+func (b *builder) shapeOf(graph *cfg.Graph) bodyShape {
+	var sh bodyShape
+	for _, node := range graph.Nodes {
+		if node.Kind == cfg.KindEntry || node.Kind == cfg.KindExit {
+			continue
+		}
+		switch x := node.Stmt.(type) {
+		case *lang.DeclStmt:
+			if x.Init != nil {
+				sh.verts++
+			}
+		case *lang.CallStmt:
+			nIn, nOut := b.callActuals(x)
+			sh.verts += 1 + nIn + nOut
+			sh.sites++
+			sh.acts += nIn + nOut
+		case *lang.PrintfStmt:
+			sh.verts += 1 + len(x.Args)
+			sh.sites++
+			sh.acts += len(x.Args)
+		case *lang.ScanfStmt:
+			sh.verts += 2
+			sh.sites++
+			sh.acts++
+		default:
+			sh.verts++
+		}
+	}
+	return sh
+}
+
+// callActuals returns the actual-in and actual-out counts of call site x:
+// one actual-in per argument and per formal-in global of the callee, one
+// actual-out per global the callee may modify, plus the return value's
+// when the call assigns it.
+func (b *builder) callActuals(x *lang.CallStmt) (nIn, nOut int) {
+	nIn = len(x.Args) + len(b.mr.FormalInGlobalNames(x.Callee))
+	nOut = len(b.mr.GMODNames(x.Callee))
+	if x.Target != "" && b.g.Procs[b.g.ProcByName[x.Callee]].Fn.ReturnsValue {
+		nOut++
+	}
+	return nIn, nOut
+}
+
+// bodyScratch is the working storage of one body's construction, reused
+// across the procedures one worker builds: its edge stream before the
+// edges are kept, its dataflow events, the reaching-definitions solver's
+// tables and the control-dependence arrays.
+type bodyScratch struct {
+	edges []Edge
+	ev    bodyEvents
+	flow  flowScratch
+	deps  cfg.Scratch
+}
+
 // finish lists each procedure's vertices and sites, points Graph.Sites at
-// the site values, and installs the edge stream.
-func (b *builder) finish() {
+// the site values, and installs the edge stream, given as its segments in
+// order.
+func (b *builder) finish(segs ...[]Edge) {
 	g := b.g
 	g.Sites = make([]*Site, len(b.sites))
 	sids := make([]SiteID, len(b.sites))
@@ -328,7 +406,7 @@ func (b *builder) finish() {
 		p.Vertices = ids[start:len(ids):len(ids)]
 		p.Sites = sids[body.siteLo:body.siteHi:body.siteHi]
 	}
-	g.InstallEdges(b.edges)
+	g.InstallEdges(segs...)
 }
 
 // defEvent / useEvent attribute a variable definition or use to a vertex.
@@ -352,6 +430,7 @@ type bodyEvents struct {
 	defs               []defEvent
 	uses               []useEvent
 	defStart, useStart []int32
+	starts             []int32 // the backing of defStart and useStart
 }
 
 func (ev *bodyEvents) def(v VertexID, vr string, kills bool) {
@@ -385,20 +464,37 @@ func appendUses(uses []useEvent, from int, v VertexID, e lang.Expr) []useEvent {
 	return uses
 }
 
-// buildProcBody builds p's CFG and body into a buffer and merges it at
-// once — the Advance rebuild path, which runs procedures strictly in
-// order.
-func (b *builder) buildProcBody(p *Proc) error {
-	buf := bodyBuf{skelBase: VertexID(len(b.g.Vertices))}
-	if err := b.buildBody(p, cfg.Build(p.Fn), &buf); err != nil {
+// buildProcBody builds p's CFG and body at the end of the graph — the
+// Advance rebuild path, which runs procedures strictly in order: its
+// vertices and sites are appended to the graph's and its edges to the
+// builder's stream.
+func (b *builder) buildProcBody(p *Proc, sc *bodyScratch) error {
+	graph := cfg.Build(p.Fn)
+	sh := b.shapeOf(graph)
+	nv, ns := len(b.g.Vertices), len(b.sites)
+	b.g.Vertices = slices.Grow(b.g.Vertices, sh.verts)
+	b.sites = slices.Grow(b.sites, sh.sites)
+	bb := bodyBuf{
+		shape:    sh,
+		skelBase: VertexID(nv), verts: b.g.Vertices[nv : nv : nv+sh.verts],
+		siteBase: SiteID(ns), sites: b.sites[ns : ns : ns+sh.sites],
+		acts:  make([]VertexID, 0, sh.acts),
+		edges: b.edges,
+		sc:    sc,
+	}
+	if err := b.buildBody(p, graph, &bb); err != nil {
 		return err
 	}
-	b.mergeBody(p, &buf)
+	b.g.Vertices = b.g.Vertices[:nv+sh.verts]
+	b.sites = b.sites[:ns+sh.sites]
+	b.edges = bb.edges
+	b.bodies[p.Index] = bb.span()
 	return nil
 }
 
 // buildBody builds p's body over its CFG graph — statement and call-site
-// vertices, control and flow dependences — into em.
+// vertices, control and flow dependences — into em, laid out for its
+// shape.
 func (b *builder) buildBody(p *Proc, graph *cfg.Graph, em *bodyBuf) error {
 	ev, err := b.bodyVertices(p, graph, em)
 	if err != nil {
@@ -406,7 +502,7 @@ func (b *builder) buildBody(p *Proc, graph *cfg.Graph, em *bodyBuf) error {
 	}
 
 	// Control dependence edges (Ball–Horwitz augmented CFG).
-	for nodeID, controllers := range cfg.ControlDeps(graph) {
+	for nodeID, controllers := range em.sc.deps.ControlDeps(graph) {
 		dep := ev.vertex[nodeID]
 		if dep < 0 {
 			continue
@@ -420,7 +516,7 @@ func (b *builder) buildBody(p *Proc, graph *cfg.Graph, em *bodyBuf) error {
 
 	// Flow dependence via reaching definitions over executable edges.
 	flowEdges(graph, ev, em)
-	return nil
+	return em.check()
 }
 
 // bodyVertices creates p's statement and call-site vertices, with the
@@ -429,13 +525,11 @@ func (b *builder) buildBody(p *Proc, graph *cfg.Graph, em *bodyBuf) error {
 func (b *builder) bodyVertices(p *Proc, graph *cfg.Graph, em *bodyBuf) (*bodyEvents, error) {
 	fn := p.Fn
 	n := len(graph.Nodes)
-	starts := make([]int32, 2*(n+1))
-	ev := &bodyEvents{
-		vertex:   make([]VertexID, n),
-		defStart: starts[: n+1 : n+1],
-		useStart: starts[n+1:],
-	}
-	em.verts = slices.Grow(em.verts, n)
+	ev := &em.sc.ev
+	ev.vertex = slices.Grow(ev.vertex[:0], n)[:n]
+	ev.starts = slices.Grow(ev.starts[:0], 2*(n+1))[:2*(n+1)]
+	ev.defStart, ev.useStart = ev.starts[:n+1:n+1], ev.starts[n+1:]
+	ev.defs, ev.uses = ev.defs[:0], ev.uses[:0]
 	for _, node := range graph.Nodes {
 		ev.defStart[node.ID] = int32(len(ev.defs))
 		ev.useStart[node.ID] = int32(len(ev.uses))
@@ -533,14 +627,10 @@ func (b *builder) bodyVertices(p *Proc, graph *cfg.Graph, em *bodyBuf) (*bodyEve
 }
 
 func (b *builder) buildCallSite(p *Proc, x *lang.CallStmt, em *bodyBuf, ev *bodyEvents) {
-	calleeFn := b.g.Procs[b.g.ProcByName[x.Callee]].Fn
 	ins, outs := b.mr.FormalInGlobalNames(x.Callee), b.mr.GMODNames(x.Callee)
-	ret := x.Target != "" && calleeFn.ReturnsValue
-	nOut := len(outs)
-	if ret {
-		nOut++
-	}
-	site := em.addSite(Site{CallerProc: p.Index, Callee: x.Callee, Stmt: x}, len(x.Args)+len(ins), nOut)
+	nIn, nOut := b.callActuals(x)
+	ret := nOut > len(outs) // the call assigns the callee's return value
+	site := em.addSite(Site{CallerProc: p.Index, Callee: x.Callee, Stmt: x}, nIn, nOut)
 	actual := func(kind VertexKind, param int, vr string, isRet bool) VertexID {
 		v := em.addVertex(Vertex{Kind: kind, Proc: p.Index, Stmt: x, Site: site.ID, Param: param, Var: vr, IsReturn: isRet})
 		if kind == KindActualIn {
@@ -567,6 +657,15 @@ func (b *builder) buildCallSite(p *Proc, x *lang.CallStmt, em *bodyBuf, ev *body
 	}
 }
 
+// flowScratch holds flowEdges' tables between the bodies one worker
+// builds.
+type flowScratch struct {
+	varOf                            map[string]int32
+	defVar, defsStart, defsOf, queue []int32
+	sets                             []uint64
+	queued                           []bool
+}
+
 // flowEdges solves reaching definitions over the executable CFG and adds
 // flow-dependence edges from reaching defs to uses. Definitions are
 // numbered in node order and the body's defined variables interned once,
@@ -578,10 +677,15 @@ func flowEdges(graph *cfg.Graph, ev *bodyEvents, em *bodyBuf) {
 	if nd == 0 {
 		return
 	}
+	fs := &em.sc.flow
 	// defVar[d] is definition d's variable; defsOf[defsStart[x]:defsStart[x+1]]
 	// lists variable x's definitions in ascending order.
-	varOf := make(map[string]int32, nd)
-	defVar := make([]int32, nd)
+	if fs.varOf == nil {
+		fs.varOf = make(map[string]int32, nd)
+	}
+	varOf := fs.varOf
+	clear(varOf)
+	defVar := slices.Grow(fs.defVar[:0], nd)[:nd]
 	for d := range ev.defs {
 		x, ok := varOf[ev.defs[d].vr]
 		if !ok {
@@ -590,23 +694,29 @@ func flowEdges(graph *cfg.Graph, ev *bodyEvents, em *bodyBuf) {
 		}
 		defVar[d] = x
 	}
-	defsStart := make([]int32, len(varOf)+1)
+	nx := len(varOf)
+	defsStart := slices.Grow(fs.defsStart[:0], nx+1)[:nx+1]
+	clear(defsStart)
 	for _, x := range defVar {
 		defsStart[x+1]++
 	}
 	for x := 1; x < len(defsStart); x++ {
 		defsStart[x] += defsStart[x-1]
 	}
-	defsOf := make([]int32, nd)
-	fill := append([]int32(nil), defsStart[:len(defsStart)-1]...)
+	// Place each definition at its variable's cursor, then shift the
+	// cursors back by one slot to restore the starts.
+	defsOf := slices.Grow(fs.defsOf[:0], nd)[:nd]
 	for d, x := range defVar {
-		defsOf[fill[x]] = int32(d)
-		fill[x]++
+		defsOf[defsStart[x]] = int32(d)
+		defsStart[x]++
 	}
+	copy(defsStart[1:], defsStart[:nx])
+	defsStart[0] = 0
 
 	n := len(graph.Nodes)
 	words := (nd + 63) / 64
-	sets := make([]uint64, 4*n*words)
+	sets := slices.Grow(fs.sets[:0], 4*n*words)[:4*n*words]
+	clear(sets)
 	row := func(set, node int) []uint64 {
 		off := (set*n + node) * words
 		return sets[off : off+words : off+words]
@@ -627,8 +737,9 @@ func flowEdges(graph *cfg.Graph, ev *bodyEvents, em *bodyBuf) {
 
 	// A FIFO worklist over a ring of n slots, seeded with every node; a
 	// node is queued at most once at a time.
-	queue := make([]int32, n)
-	queued := make([]bool, n)
+	queue := slices.Grow(fs.queue[:0], n)[:n]
+	queued := slices.Grow(fs.queued[:0], n)[:n]
+	fs.defVar, fs.defsStart, fs.defsOf, fs.sets, fs.queue, fs.queued = defVar, defsStart, defsOf, sets, queue, queued
 	for i := range queue {
 		queue[i] = int32(i)
 		queued[i] = true

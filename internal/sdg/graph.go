@@ -287,42 +287,51 @@ func (g *Graph) AddVertex(v Vertex) VertexID {
 }
 
 // InstallEdges sets the graph's adjacency to the given edge stream, which
-// must be duplicate-free and reference only existing vertices. It is the
-// only way a graph gets edges. Two stable counting sorts, by source and by
-// target, lay the stream out as the out and in lists, so each list keeps
-// the stream's order.
-func (g *Graph) InstallEdges(edges []Edge) {
-	n, m := len(g.Vertices), len(edges)
+// must be duplicate-free and reference only existing vertices; the stream
+// may come as several segments, read in order. It is the only way a graph
+// gets edges. Two stable counting sorts, by source and by target, lay the
+// stream out as the out and in lists, so each list keeps the stream's
+// order.
+func (g *Graph) InstallEdges(segs ...[]Edge) {
+	n, m := len(g.Vertices), 0
+	for _, seg := range segs {
+		m += len(seg)
+	}
 	starts := make([]int32, 2*(n+1))
 	g.outStart, g.inStart = starts[:n+1:n+1], starts[n+1:]
 	backing := make([]Edge, 2*m)
 	g.out, g.in = backing[:m:m], backing[m:]
-	csr(edges, g.out, g.outStart, false)
-	csr(edges, g.in, g.inStart, true)
+	csr(segs, g.out, g.outStart, false)
+	csr(segs, g.in, g.inStart, true)
 }
 
-// csr places edges into dst grouped by source (or, with byTo, by target)
-// vertex, stably, and leaves start[v] at the first slot of v's group
-// (start has one entry per vertex plus a final one holding len(dst)).
-func csr(edges, dst []Edge, start []int32, byTo bool) {
+// csr places the edges of segs, in order, into dst grouped by source (or,
+// with byTo, by target) vertex, stably, and leaves start[v] at the first
+// slot of v's group (start has one entry per vertex plus a final one
+// holding len(dst)).
+func csr(segs [][]Edge, dst []Edge, start []int32, byTo bool) {
 	key := func(e *Edge) VertexID {
 		if byTo {
 			return e.To
 		}
 		return e.From
 	}
-	for i := range edges {
-		start[key(&edges[i])+1]++
+	for _, edges := range segs {
+		for i := range edges {
+			start[key(&edges[i])+1]++
+		}
 	}
 	for v := 1; v < len(start); v++ {
 		start[v] += start[v-1]
 	}
 	// start[v] is now the end of v-1's group; placing advances it to the
 	// end of v's, so shifting by one afterwards restores the beginnings.
-	for i := range edges {
-		k := key(&edges[i])
-		dst[start[k]] = edges[i]
-		start[k]++
+	for _, edges := range segs {
+		for i := range edges {
+			k := key(&edges[i])
+			dst[start[k]] = edges[i]
+			start[k]++
+		}
 	}
 	copy(start[1:], start[:len(start)-1])
 	start[0] = 0

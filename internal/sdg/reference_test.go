@@ -247,12 +247,12 @@ func TestFlowEdgesMatchReference(t *testing.T) {
 		b.buildSkeletons()
 		for _, p := range b.g.Procs {
 			graph := cfg.Build(p.Fn)
-			body := bodyBuf{skelBase: VertexID(len(b.g.Vertices))}
+			body := bodyBuf{skelBase: VertexID(len(b.g.Vertices)), sc: &bodyScratch{}}
 			ev, err := b.bodyVertices(p, graph, &body)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", pc.name, p.Name, err)
 			}
-			var got, want bodyBuf
+			got, want := bodyBuf{sc: body.sc}, bodyBuf{}
 			flowEdges(graph, ev, &got)
 			refFlowEdges(graph, ev, &want)
 			if !slices.Equal(got.edges, want.edges) {
