@@ -10,6 +10,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -370,8 +371,8 @@ func (rt *Router) handleSlice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, 2*rt.cfg.MaxProgramBytes+int64(rt.cfg.MaxCriteria)*maxCriterionWireBytes+1<<16)
-	body, err := io.ReadAll(r.Body)
+	limit := rt.bodyLimit()
+	body, err := server.ReadBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -381,7 +382,7 @@ func (rt *Router) handleSlice(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	req, err := server.DecodeSliceRequest(bytes.NewReader(body))
+	req, err := server.DecodeSliceRequest(body)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -463,6 +464,7 @@ func (rt *Router) handleSlice(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set(k, v)
 			}
 		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(respBody)))
 		w.WriteHeader(status)
 		w.Write(respBody)
 		return
@@ -488,11 +490,19 @@ func (rt *Router) forward(ctx context.Context, ws *workerState, body []byte) (in
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	// A worker's declared length is trusted for the allocation as far as a
+	// client's is; a longer response is read as it arrives.
+	respBody, err := server.ReadBody(resp.Body, resp.ContentLength, rt.bodyLimit())
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	return resp.StatusCode, resp.Header, respBody, nil
+}
+
+// bodyLimit is the request envelope: the largest body a worker could
+// accept, sized as the worker sizes it.
+func (rt *Router) bodyLimit() int64 {
+	return 2*rt.cfg.MaxProgramBytes + int64(rt.cfg.MaxCriteria)*maxCriterionWireBytes + 1<<16
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {

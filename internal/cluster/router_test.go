@@ -1,14 +1,17 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -705,5 +708,107 @@ func TestRouterRejectsTrailingBody(t *testing.T) {
 	}
 	if n := forwarded.Load(); n != 1 {
 		t.Fatalf("%d requests forwarded, want 1", n)
+	}
+}
+
+// rawPost sends a POST /v1/slice whose header declares declared bytes,
+// then body, then closes its side of the connection, and returns the
+// response status.
+func rawPost(t *testing.T, baseURL string, declared int64, body []byte) int {
+	t.Helper()
+	addr := strings.TrimPrefix(baseURL, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		fmt.Fprintf(conn, "POST /v1/slice HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", addr, declared)
+		conn.Write(body)
+		conn.(*net.TCPConn).CloseWrite()
+	}()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestRouterHugeContentLength: at the router, a request declaring 1 TiB
+// gets a 400 over a short body and a 413 over one past the envelope,
+// nothing is forwarded, and the declared length is never allocated: the
+// short body costs the process less than the envelope.
+func TestRouterHugeContentLength(t *testing.T) {
+	var forwarded atomic.Int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		forwarded.Add(1)
+	}))
+	defer worker.Close()
+	rt := NewRouter(Config{})
+	rt.AddWorker("w0", worker.URL)
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	const declared = 1 << 40
+	envelope := rt.bodyLimit()
+	valid := mustSliceBody(t, testProgram("huge", 1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status := rawPost(t, ts.URL, declared, valid)
+	runtime.ReadMemStats(&after)
+	if status != http.StatusBadRequest {
+		t.Errorf("short body: status %d, want 400", status)
+	}
+	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc >= envelope {
+		t.Errorf("short body: %d bytes allocated, envelope %d", alloc, envelope)
+	}
+	long := append(valid, bytes.Repeat([]byte(" "), int(envelope))...)
+	if status := rawPost(t, ts.URL, declared, long); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("long body: status %d, want 413", status)
+	}
+	if n := forwarded.Load(); n != 0 {
+		t.Errorf("%d requests forwarded, want 0", n)
+	}
+}
+
+// TestRouterReplyContentLength: the router relays a worker's response
+// with its length, whether the worker declared one or streamed its body
+// in chunks.
+func TestRouterReplyContentLength(t *testing.T) {
+	reply := `{"program_key":"fake","results":[],"stats":{}}` + "\n"
+	for _, chunked := range []bool{false, true} {
+		worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			if chunked {
+				io.WriteString(w, reply[:10])
+				w.(http.Flusher).Flush()
+				io.WriteString(w, reply[10:])
+				return
+			}
+			w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+			io.WriteString(w, reply)
+		}))
+		rt := NewRouter(Config{})
+		rt.AddWorker("w0", worker.URL)
+		ts := httptest.NewServer(rt.Handler())
+		resp, err := http.Post(ts.URL+"/v1/slice", "application/json", bytes.NewReader(mustSliceBody(t, testProgram("length", 1))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		worker.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || string(body) != reply {
+			t.Errorf("chunked=%v: status %d, body %q", chunked, resp.StatusCode, body)
+		}
+		if resp.ContentLength != int64(len(reply)) {
+			t.Errorf("chunked=%v: Content-Length %d, want %d", chunked, resp.ContentLength, len(reply))
+		}
 	}
 }

@@ -407,6 +407,11 @@ type procLocal struct {
 	// preds[i] lists the executable (non-pseudo) predecessors of node i.
 	preds [][]int
 
+	// order lists the nodes reachable from entry over executable edges,
+	// entry first, in reverse postorder: the order in which a forward
+	// sweep meets every node after its predecessors, back edges aside.
+	order []int32
+
 	callees []int // unique callee proc indexes, ascending (call graph)
 }
 
@@ -627,6 +632,7 @@ func (s *solver) buildLocal(k int, addressTaken []int) {
 		}
 		loc.preds[ni] = preds[lo:len(preds):len(preds)]
 	}
+	loc.order = reversePostorder(g)
 
 	// The interner holds exactly the non-fnptr globals, so an ID lookup
 	// doubles as the is-global test (name-based, like the map solver: a
@@ -963,14 +969,16 @@ func (s *solver) mustDefOuts(k int, outs []uint64) {
 		}
 	}
 
+	// Sweep in reverse postorder: cfg.Build numbers statements back to
+	// front, so a sweep in ID order would carry a fact one statement a
+	// sweep. Nodes not reachable from entry keep ⊤, their fixpoint value:
+	// every predecessor of one is unreachable too.
 	in := make([]uint64, words)
 	meet := make([]uint64, words)
 	for changed := true; changed; {
 		changed = false
-		for ni := 0; ni < n; ni++ {
-			if g.Nodes[ni].Kind == cfg.KindEntry {
-				continue
-			}
+		for _, v := range loc.order[1:] {
+			ni := int(v)
 			s.mustDefIn(loc, outs, ni, in)
 			// gen: the node's direct definite assignments, plus — for call
 			// nodes — the meet of the callees' MustMod rows.
@@ -994,6 +1002,34 @@ func (s *solver) mustDefOuts(k int, outs []uint64) {
 			}
 		}
 	}
+}
+
+// reversePostorder returns the nodes of g reachable from its entry over
+// executable edges, in reverse postorder, entry first.
+func reversePostorder(g *cfg.Graph) []int32 {
+	n := len(g.Nodes)
+	buf := make([]int32, 2*n)
+	stack, post := buf[:0:n], buf[n:n]
+	// next[v] is 1 + the index of v's next successor to visit, and 0
+	// while v is unvisited; a node has at most two successors.
+	next := make([]uint8, n)
+	next[g.Entry.ID] = 1
+	stack = append(stack, int32(g.Entry.ID))
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		if k := int(next[v]) - 1; k < len(g.Succs[v]) {
+			next[v]++
+			if e := g.Succs[v][k]; !e.Pseudo && next[e.To] == 0 {
+				next[e.To] = 1
+				stack = append(stack, int32(e.To))
+			}
+			continue
+		}
+		stack = stack[:len(stack)-1]
+		post = append(post, v)
+	}
+	slices.Reverse(post)
+	return post
 }
 
 // addressTakenFuncs returns the functions whose address is taken anywhere in

@@ -266,6 +266,13 @@ type prestarArena struct {
 	lists   []pairLists
 	nodes   []listNode
 	dynSeen stampTable // (Δ′ class, target state) registered
+
+	// trans and out0 are the transition count of the arena's previous
+	// result and the length of its location 0's out list, where most
+	// saturated transitions start (in the SDG encoding, every rule but the
+	// formal-out pops): the next run reserves both up front instead of
+	// growing them a transition at a time.
+	trans, out0 int
 }
 
 func (ar *prestarArena) reset() {
@@ -378,6 +385,10 @@ func (e *PrestarEngine) PrestarInPlace(a *fsa.FSA) *fsa.FSA {
 	ar := e.getArena()
 	defer e.putArena(ar)
 	s := saturation{e: e, ar: ar, res: res}
+	res.Reserve(ar.trans)
+	if e.p.NumLocs > 0 {
+		res.ReserveOut(0, max(0, ar.out0-len(res.Out(0))))
+	}
 
 	// The worklist is LIFO and the query's transitions go in first, so
 	// they sit below everything else; they are taken from qs, last first,
@@ -415,6 +426,10 @@ func (e *PrestarEngine) PrestarInPlace(a *fsa.FSA) *fsa.FSA {
 			s.done(next)
 			t = ar.qs[next]
 		} else {
+			ar.trans = res.NumTransitions()
+			if e.p.NumLocs > 0 {
+				ar.out0 = len(res.Out(0))
+			}
 			return res
 		}
 		s.process(t)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"specslice/internal/lang"
@@ -104,5 +105,84 @@ func BenchmarkColdMiss(b *testing.B) {
 	b.StopTimer()
 	if got := s.Cache().Stats().ColdBuilds - before; got != int64(b.N) {
 		b.Fatalf("cold_builds grew by %d over %d requests, want %d", got, b.N, b.N)
+	}
+}
+
+// BenchmarkDecodeSliceRequest decodes the 8 Siemens request bodies with
+// the one-pass decoder and with the encoding/json reference it replaced.
+// Run with -benchmem; bytes/s is request bytes decoded.
+func BenchmarkDecodeSliceRequest(b *testing.B) {
+	bodies := coldMissBodies(b)
+	total := 0
+	for _, body := range bodies {
+		total += len(body)
+	}
+	for _, bc := range []struct {
+		name   string
+		decode func([]byte) (SliceRequest, error)
+	}{
+		{"onepass", DecodeSliceRequest},
+		{"reference", func(body []byte) (SliceRequest, error) {
+			return referenceDecodeSliceRequest(bytes.NewReader(body))
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(total))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, body := range bodies {
+					if _, err := bc.decode(body); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMixedWarmHit drives warm POST /v1/slice requests that rotate
+// over the 8 Siemens suites and six criterion sets each (main's printf and
+// every printf, polyvariant and monovariant, and two statement lines), so
+// each engine's queries differ from one request to the next. Run with
+// -benchmem.
+func BenchmarkMixedWarmHit(b *testing.B) {
+	s, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var bodies [][]byte
+	for _, cfg := range workload.SmallBenchmarks() {
+		src := workload.GenerateSource(cfg)
+		lines := strings.Count(src, "\n")
+		for _, c := range []CriterionRequest{
+			{Kind: "printf", Proc: "main"},
+			{Kind: "printf"},
+			{Kind: "printf", Proc: "main", Mode: "mono"},
+			{Kind: "printf", Mode: "mono"},
+			{Kind: "line", Line: lines / 3},
+			{Kind: "line", Line: 2 * lines / 3},
+		} {
+			body, err := json.Marshal(SliceRequest{Program: src, Criteria: []CriterionRequest{c}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	h := s.Handler()
+	serve := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/slice", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	for _, body := range bodies {
+		serve(body) // build every engine
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(bodies[i%len(bodies)])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"specslice"
 )
@@ -42,7 +43,8 @@ type KeyMemo struct {
 // are recorded only when the parse succeeds, so an unparseable text
 // returns its parse error on every call.
 func (km *KeyMemo) Keys(raw string) (keys ProgramKeys, prog *specslice.Program, err error) {
-	digest := sha256.Sum256([]byte(raw))
+	// Hash the text in place: sha256 only reads its input.
+	digest := sha256.Sum256(unsafe.Slice(unsafe.StringData(raw), len(raw)))
 	km.mu.Lock()
 	keys, ok := km.m[digest]
 	km.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -71,9 +72,10 @@ type Server struct {
 	// server built (cache misses that did not advance a version chain).
 	build       specslice.BuildStats
 	buildsTimed int64
-	// encodeErrors counts responses whose JSON encoding failed after the
-	// status header was written — the client saw a truncated body. Counted
-	// (and logged) so broken responses are observable instead of silent.
+	// encodeErrors counts responses whose JSON encoding or body write
+	// failed after the status header was written — the client saw a
+	// truncated body. Counted (and logged) so broken responses are
+	// observable instead of silent.
 	encodeErrors int64
 }
 
@@ -130,29 +132,6 @@ type SliceRequest struct {
 	// NoSource omits the emitted program text from results (stats-only
 	// clients, e.g. dashboards polling slice sizes).
 	NoSource bool `json:"no_source,omitempty"`
-}
-
-// DecodeSliceRequest reads exactly one SliceRequest JSON object from r,
-// the body of POST /v1/slice at a worker and at the router: unknown fields
-// are errors, and so is anything but whitespace after the object — a
-// second object, a stray brace or trailing garbage. Read errors, such as
-// an *http.MaxBytesError from a capped body, are returned as they are.
-func DecodeSliceRequest(r io.Reader) (SliceRequest, error) {
-	var req SliceRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, err
-	}
-	_, err := dec.Token()
-	var syntax *json.SyntaxError
-	switch {
-	case err == io.EOF:
-		return req, nil
-	case err == nil || errors.As(err, &syntax):
-		return req, errors.New("data after the request's JSON object")
-	}
-	return req, err
 }
 
 // CriterionRequest selects one slice of the program.
@@ -224,9 +203,9 @@ type StatsResponse struct {
 	// the engines this server cold-built; BuildsTimed counts them.
 	Build       specslice.BuildStats `json:"build"`
 	BuildsTimed int64                `json:"builds_timed"`
-	// ResponseEncodeErrors counts responses whose JSON encoding failed
-	// after the status header was written (the client saw a truncated
-	// body); non-zero means broken responses went out.
+	// ResponseEncodeErrors counts responses whose JSON encoding or body
+	// write failed after the status header was written (the client saw a
+	// truncated body); non-zero means broken responses went out.
 	ResponseEncodeErrors int64 `json:"response_encode_errors"`
 	// KeyMemoHits counts requests whose exact program text had been seen
 	// before, so their cache keys came from the raw-text key memo without
@@ -293,8 +272,14 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	// carries statement texts and labels of its own, so the envelope is
 	// sized from both plus fixed slack; validate() stays the authoritative
 	// program-size and batch-size check.
-	r.Body = http.MaxBytesReader(w, r.Body, 2*s.cfg.MaxProgramBytes+int64(s.cfg.MaxCriteria)*maxCriterionWireBytes+1<<16)
-	req, err := DecodeSliceRequest(r.Body)
+	limit := 2*s.cfg.MaxProgramBytes + int64(s.cfg.MaxCriteria)*maxCriterionWireBytes + 1<<16
+	body, readErr := ReadBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+	req, err := decodeSliceRequest(body, readErr != nil)
+	if readErr != nil && (err == nil || err == io.EOF || err == io.ErrUnexpectedEOF) {
+		// The bytes read so far hold no error: the read error decides, as
+		// it did when the body was decoded as it arrived.
+		err = readErr
+	}
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -386,6 +371,7 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		// waiter that merely joined the in-flight build reports Deduped
 		// instead of claiming the builder's path.
 		Advanced: source == BuildAdvance && !hit && !deduped,
+		Results:  make([]SliceResult, 0, len(results)),
 		Stats:    stats,
 	}
 	for i, res := range results {
@@ -427,7 +413,24 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	s.phases.Add(stats.Phases)
 	s.mu.Unlock()
 
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeSlice(w, &resp)
+}
+
+// writeSlice writes a successful slice response, with its length, in one
+// write. A failed write is logged and counted as writeJSON counts a
+// failed encode: the client saw a truncated body.
+func (s *Server) writeSlice(w http.ResponseWriter, resp *SliceResponse) {
+	b := appendSliceResponse(make([]byte, 0, sliceResponseSize(resp)), resp)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(b); err != nil {
+		log.Printf("server: response write failed after status %d: %v", http.StatusOK, err)
+		s.mu.Lock()
+		s.encodeErrors++
+		s.mu.Unlock()
+	}
 }
 
 func (s *Server) validate(req *SliceRequest) error {

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -481,6 +485,115 @@ func TestWriteJSONEncodeFailureCounted(t *testing.T) {
 	s.writeJSON(httptest.NewRecorder(), http.StatusOK, map[string]int{"ok": 1})
 	if st := getStats(t, ts.URL); st.ResponseEncodeErrors != 1 {
 		t.Errorf("counter moved on a successful encode: %d", st.ResponseEncodeErrors)
+	}
+}
+
+// failingWriter is a ResponseWriter whose body writes fail, as they do
+// once the client has gone.
+type failingWriter struct{ *httptest.ResponseRecorder }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestSliceWriteFailureCounted: a slice response whose body write fails
+// raises response_encode_errors by exactly 1, as a failed encode does: the
+// client saw a truncated body.
+func TestSliceWriteFailureCounted(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body, err := json.Marshal(SliceRequest{Program: workload.Fig1Source, Criteria: []CriterionRequest{{Kind: "printf"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := failingWriter{httptest.NewRecorder()}
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/slice", bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200", w.Code)
+	}
+	if st := getStats(t, ts.URL); st.ResponseEncodeErrors != 1 {
+		t.Errorf("response_encode_errors = %d, want 1", st.ResponseEncodeErrors)
+	}
+}
+
+// rawPost sends a POST /v1/slice whose header declares declared bytes,
+// then body, then closes its side of the connection, and returns the
+// response status.
+func rawPost(t *testing.T, baseURL string, declared int64, body []byte) int {
+	t.Helper()
+	addr := strings.TrimPrefix(baseURL, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		fmt.Fprintf(conn, "POST /v1/slice HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", addr, declared)
+		conn.Write(body)
+		conn.(*net.TCPConn).CloseWrite()
+	}()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestHugeContentLength: a request declaring 1 TiB gets a 400 over a short
+// body and a 413 over one past the envelope, and the declared length is
+// never allocated: the short body costs the process less than the
+// envelope.
+func TestHugeContentLength(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const declared = 1 << 40
+	envelope := int64(2<<20 + 256*maxCriterionWireBytes + 1<<16) // the defaults' cap
+	valid, err := json.Marshal(SliceRequest{Program: workload.Fig1Source, Criteria: []CriterionRequest{{Kind: "printf"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status := rawPost(t, ts.URL, declared, valid)
+	runtime.ReadMemStats(&after)
+	if status != http.StatusBadRequest {
+		t.Errorf("short body: status %d, want 400", status)
+	}
+	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc >= envelope {
+		t.Errorf("short body: %d bytes allocated, envelope %d", alloc, envelope)
+	}
+	long := append(valid, bytes.Repeat([]byte(" "), int(envelope))...)
+	if status := rawPost(t, ts.URL, declared, long); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("long body: status %d, want 413", status)
+	}
+}
+
+// TestOverCapBodyStatus: a body past the envelope is a 413, unless the
+// bytes before the cap already hold a malformed request, which is a 400 as
+// when the body was decoded as it arrived.
+func TestOverCapBodyStatus(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxProgramBytes: 1024, MaxCriteria: 1})
+	pad := strings.Repeat(" ", 80<<10) // past the 70 KiB envelope
+	valid, err := json.Marshal(SliceRequest{Program: "int main() { return 0; }", Criteria: []CriterionRequest{{Kind: "printf"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"malformed", "{nope" + pad, http.StatusBadRequest},
+		{"unknown field", `{"bogus":1}` + pad, http.StatusBadRequest},
+		{"data after", string(valid) + " x" + pad, http.StatusBadRequest},
+		{"whitespace", string(valid) + pad, http.StatusRequestEntityTooLarge},
+		{"long program", `{"program":"` + pad, http.StatusRequestEntityTooLarge},
+		{"string after", string(valid) + ` "` + pad, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/slice", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
 	}
 }
 
