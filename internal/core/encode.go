@@ -74,6 +74,12 @@ func (e *Encoding) Prestar(a *fsa.FSA) *fsa.FSA { return e.prestar.Prestar(a) }
 func (e *Encoding) ScratchBytes() int64     { return e.prestar.ScratchBytes() }
 func (e *Encoding) ScratchProvision() int64 { return e.prestar.ScratchProvision() }
 
+// PrestarSizes reports the high-water marks of the encoding's Prestar
+// runs, and SizePrestar hands such marks, from the encoding of an earlier
+// version of the program, to this encoding's first run (pds.ArenaSizes).
+func (e *Encoding) PrestarSizes() pds.ArenaSizes     { return e.prestar.Sizes() }
+func (e *Encoding) SizePrestar(sizes pds.ArenaSizes) { e.prestar.SizeFrom(sizes) }
+
 // Reachable returns the cached reachable-configuration automaton, a plain
 // FSA accepting the stack word of every configuration of the unrolled SDG
 // reachable along dependence edges from main's entry: the language of

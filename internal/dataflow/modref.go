@@ -230,7 +230,7 @@ func rowsEqualFor(a, b *ModRef, name string) bool {
 // transformed by the funcptr package contain no indirect calls and get
 // precise results.
 func ComputeModRef(prog *lang.Program) *ModRef {
-	mr, _ := computeModRef(prog, prog.Funcs, nil, 1)
+	mr, _ := computeModRef(prog, 1)
 	return mr
 }
 
@@ -242,45 +242,140 @@ func ComputeModRef(prog *lang.Program) *ModRef {
 // for each procedure, indexed like prog.Funcs, so the SDG builder does not
 // build them a second time. Its Stats().Local covers their construction.
 func ComputeModRefCFGs(prog *lang.Program, workers int) (*ModRef, []*cfg.Graph) {
-	return computeModRef(prog, prog.Funcs, nil, workers)
+	return computeModRef(prog, workers)
 }
 
 // AdvanceModRef computes newProg's summaries incrementally against a
-// previous version: a procedure's four relations depend only on its own
-// statements and its (transitive) callees' summaries, so every procedure
-// whose call subtree is textually unchanged keeps its old rows, and the
-// fixpoints re-run only over the dirty region — the edited procedures, the
-// members of any call cycle they sit in, and their transitive callers. old
-// is only read (its rows are copied, never aliased), so the previous
-// version may keep serving concurrently. Falls back to a full computation
-// when the global declarations changed (a program-wide input to every
-// summary) or either version has an indirect call.
+// previous version (see AdvanceEdit), deriving the edit itself: it diffs
+// and walks both programs, so it serves tests and callers that hold no
+// better description of the edit. Falls back to a full computation when
+// either version has an indirect call.
 func AdvanceModRef(newProg, oldProg *lang.Program, old *ModRef) *ModRef {
 	if old == nil || oldProg == nil {
 		return ComputeModRef(newProg)
 	}
-	return AdvanceModRefDiff(newProg, oldProg, old, lang.DiffPrograms(oldProg, newProg))
-}
-
-// AdvanceModRefDiff is AdvanceModRef against a precomputed program diff,
-// for callers (sdg.Advance) that already diffed the versions through
-// retained per-procedure hashes and should not pay a second print pass.
-func AdvanceModRefDiff(newProg, oldProg *lang.Program, old *ModRef, diff lang.ProgramDiff) *ModRef {
-	if old == nil || oldProg == nil {
-		return ComputeModRef(newProg)
-	}
-	// The caller-cutoff logic below tracks dependencies through direct
-	// calls only, so programs still containing indirect calls (callers
-	// invisible in the reverse call graph) get the full recomputation.
-	// That also makes the address-taken set irrelevant from here on: it
-	// only resolves indirect calls.
+	// The caller-cutoff logic tracks dependencies through direct calls
+	// only, so programs still containing indirect calls (callers invisible
+	// in the reverse call graph) get the full recomputation.
 	if newProg.HasIndirectCall() || oldProg.HasIndirectCall() {
 		return ComputeModRef(newProg)
 	}
+	return AdvanceEdit(newProg, old, EditOf(oldProg, newProg)).ModRef
+}
+
+// EditOf describes the edit from oldProg to newProg for AdvanceEdit, by
+// diffing the two and walking every procedure of newProg for its callees.
+func EditOf(oldProg, newProg *lang.Program) *Edit {
+	n := len(newProg.Funcs)
+	ed := &Edit{
+		OldIndex:       make([]int32, n),
+		Changed:        make([]bool, n),
+		CallStart:      make([]int32, n+1),
+		GlobalsChanged: lang.GlobalsHash(oldProg) != lang.GlobalsHash(newProg),
+	}
+	oldIdx := make(map[string]int, len(oldProg.Funcs))
+	for i, fn := range oldProg.Funcs {
+		oldIdx[fn.Name] = i
+	}
+	newIdx := make(map[string]int32, n)
+	for i, fn := range newProg.Funcs {
+		newIdx[fn.Name] = int32(i)
+	}
+	oldHashes, newHashes := lang.ProcHashes(oldProg), lang.ProcHashes(newProg)
+	for i, fn := range newProg.Funcs {
+		oi, ok := oldIdx[fn.Name]
+		ed.OldIndex[i] = int32(oi)
+		if !ok {
+			ed.OldIndex[i] = -1
+		}
+		ed.Changed[i] = !ok || oldHashes[oi] != newHashes[i]
+		lang.WalkStmts(fn.Body, func(s lang.Stmt) {
+			if c, ok := s.(*lang.CallStmt); ok && !c.Indirect {
+				if j, ok := newIdx[c.Callee]; ok {
+					ed.Callees = append(ed.Callees, j)
+				}
+			}
+		})
+		ed.CallStart[i+1] = int32(len(ed.Callees))
+	}
+	return ed
+}
+
+// Edit relates a program version to the version an earlier analysis
+// covered, procedure by procedure: the input of AdvanceEdit.
+type Edit struct {
+	// OldIndex[i] is the old program's index of new procedure i, matched
+	// by name, or -1 for a procedure the old program lacks.
+	OldIndex []int32
+	// Changed[i] reports that procedure i's normalized text differs from
+	// its old version's; a procedure the old program lacks counts as
+	// changed.
+	Changed []bool
+	// Procedure i calls Callees[CallStart[i]:CallStart[i+1]]: the new
+	// program's indexes of its direct callees, repeats allowed.
+	CallStart, Callees []int32
+	// GlobalsChanged reports that the global declarations differ.
+	GlobalsChanged bool
+}
+
+// The reasons AdvanceEdit recomputes every procedure's summaries.
+const (
+	FallbackGlobals  = "globals"      // the global declarations changed
+	FallbackIndirect = "indirect"     // a version has an indirect call
+	FallbackNoState  = "no old state" // there is no old analysis
+)
+
+// AdvanceStats says how AdvanceEdit went.
+type AdvanceStats struct {
+	// Fallback names why the summaries were recomputed for the whole
+	// program, or is empty when they advanced incrementally.
+	Fallback string
+	// Resolved counts the procedures whose summaries were re-solved, and
+	// Rounds the caller rounds that widened that set after a re-solved
+	// procedure's summary changed.
+	Resolved, Rounds int
+}
+
+// Advanced is AdvanceEdit's result.
+type Advanced struct {
+	ModRef *ModRef
+	// Solved[i] reports that procedure i's summaries were re-solved; the
+	// rest were copied from the old analysis. CFGs[i] is the CFG the solve
+	// built for procedure i, nil for a procedure not solved.
+	Solved []bool
+	CFGs   []*cfg.Graph
+	Stats  AdvanceStats
+}
+
+// AdvanceEdit computes the summaries of newProg, which holds no indirect
+// call, incrementally against old, the analysis of the version ed relates
+// it to: a procedure's four relations depend only on its own statements
+// and its (transitive) callees' summaries, so every procedure whose call
+// subtree is textually unchanged keeps its old rows, and the fixpoints
+// re-run only over the dirty region — the edited procedures, the members
+// of any call cycle they sit in, and, round by round, the callers of
+// procedures whose summaries changed. The call structure comes from ed,
+// so no procedure outside the dirty region is walked. old is only read:
+// its rows are copied, and what it holds immutably (the interner, name
+// lists of unchanged summaries) is shared. Falls back to a full
+// computation when the global declarations changed or old is nil.
+func AdvanceEdit(newProg *lang.Program, old *ModRef, ed *Edit) *Advanced {
+	n := len(newProg.Funcs)
+	full := func(reason string) *Advanced {
+		mr, cfgs := computeModRef(newProg, 1)
+		solved := make([]bool, n)
+		for i := range solved {
+			solved[i] = true
+		}
+		return &Advanced{ModRef: mr, Solved: solved, CFGs: cfgs, Stats: AdvanceStats{Fallback: reason, Resolved: n}}
+	}
+	if old == nil {
+		return full(FallbackNoState)
+	}
 	// Globals unchanged ⇒ the old interner covers the new program, so old
 	// rows copy verbatim and the change cutoff is a word comparison.
-	if diff.GlobalsChanged {
-		return ComputeModRef(newProg)
+	if ed.GlobalsChanged {
+		return full(FallbackGlobals)
 	}
 
 	// Dirty: textually changed or added procedures. Removed procedures
@@ -289,75 +384,32 @@ func AdvanceModRefDiff(newProg, oldProg *lang.Program, old *ModRef, diff lang.Pr
 	// change-driven: only when a dirty procedure's recomputed rows
 	// actually differ from its old ones (the common statement edit
 	// preserves the summaries, and then no caller is ever reanalyzed).
-	dirty := map[string]bool{}
-	for _, name := range diff.Changed {
-		dirty[name] = true
-	}
-	for _, name := range diff.Added {
-		dirty[name] = true
-	}
-	oldHas := map[string]bool{}
-	for _, fn := range oldProg.Funcs {
-		oldHas[fn.Name] = true
-	}
-	// Reverse call graph of the new program (all calls are direct here —
-	// indirect-call programs took the full-recompute path above), plus its
-	// forward edges by procedure index for the SCC condensation.
-	idx := make(map[string]int, len(newProg.Funcs))
-	for i, fn := range newProg.Funcs {
-		idx[fn.Name] = i
-	}
-	callers := map[string][]string{}
-	succs := make([][]int, len(newProg.Funcs))
-	for i, fn := range newProg.Funcs {
-		seen := map[string]bool{}
-		for _, s := range fn.Stmts() {
-			if c, ok := s.(*lang.CallStmt); ok && !c.Indirect && !seen[c.Callee] {
-				seen[c.Callee] = true
-				callers[c.Callee] = append(callers[c.Callee], fn.Name)
-				if j, ok := idx[c.Callee]; ok {
-					succs[i] = append(succs[i], j)
-				}
-			}
-		}
-	}
+	dirty := slices.Clone(ed.Changed)
 	// The solver treats every procedure outside the dirty set as final, but
 	// inside a call cycle each member's rows depend on every other member's:
 	// the old rows of an untouched member were solved against the edited
 	// member's old rows and are stale the moment those change. So the dirty
 	// set is kept closed under the new program's SCCs — initially and after
 	// every round that pulls callers in.
-	var cycles [][]int
-	for _, comps := range sccLevels(len(newProg.Funcs), succs) {
-		for _, members := range comps {
-			if len(members) > 1 {
-				cycles = append(cycles, members)
+	comp, compSize := components(n, ed.CallStart, ed.Callees)
+	compDirty := make([]bool, len(compSize))
+	closeUnderCycles := func() {
+		for i, d := range dirty {
+			if d && compSize[comp[i]] > 1 {
+				compDirty[comp[i]] = true
 			}
 		}
-	}
-	closeUnderCycles := func() {
-		for _, members := range cycles {
-			touched := false
-			for _, i := range members {
-				touched = touched || dirty[newProg.Funcs[i].Name]
-			}
-			if touched {
-				for _, i := range members {
-					dirty[newProg.Funcs[i].Name] = true
-				}
-			}
+		for i, c := range comp {
+			dirty[i] = dirty[i] || compDirty[c]
 		}
 	}
 	closeUnderCycles()
 
+	st := &incremental{prog: newProg, old: old, oldIndex: ed.OldIndex, locals: make([]*procLocal, n)}
+	var callerStart, callers []int32 // the reverse call graph, built on first need
+	rounds := 0
 	for {
-		var dirtyFns []*lang.FuncDecl
-		for _, fn := range newProg.Funcs {
-			if dirty[fn.Name] {
-				dirtyFns = append(dirtyFns, fn)
-			}
-		}
-		mr, _ := computeModRef(newProg, dirtyFns, old, 1)
+		mr := st.solve(dirty)
 
 		// Cutoff check: if every dirty procedure's rows match its old
 		// ones, the callers outside the dirty set — computed against
@@ -365,23 +417,212 @@ func AdvanceModRefDiff(newProg, oldProg *lang.Program, old *ModRef, diff lang.Pr
 		// affected callers in and rerun; the set only grows, so this
 		// terminates.
 		grew := false
-		for _, fn := range dirtyFns {
-			name := fn.Name
-			if !oldHas[name] || rowsEqualFor(old, mr, name) {
+		for i, d := range dirty {
+			oi := ed.OldIndex[i]
+			if !d || oi < 0 || st.rowsMatchOld(mr, i) {
 				continue
 			}
-			for _, caller := range callers[name] {
-				if !dirty[caller] {
-					dirty[caller] = true
+			if callers == nil {
+				callerStart, callers = reverse(n, ed.CallStart, ed.Callees)
+			}
+			for _, c := range callers[callerStart[i]:callerStart[i+1]] {
+				if !dirty[c] {
+					dirty[c] = true
 					grew = true
 				}
 			}
 		}
 		if !grew {
-			return mr
+			st.names(mr, dirty)
+			res := &Advanced{ModRef: mr, Solved: dirty, CFGs: make([]*cfg.Graph, n), Stats: AdvanceStats{Rounds: rounds}}
+			for i, loc := range st.locals {
+				if loc != nil && dirty[i] {
+					res.CFGs[i] = loc.graph
+					res.Stats.Resolved++
+				}
+			}
+			return res
 		}
+		rounds++
 		closeUnderCycles()
 	}
+}
+
+// incremental carries AdvanceEdit's state across its rounds: each
+// procedure's local dataflow view, built once, the first round it is
+// dirty.
+type incremental struct {
+	prog     *lang.Program
+	old      *ModRef
+	oldIndex []int32
+	locals   []*procLocal // by procedure index
+}
+
+// solve returns the analysis with the dirty procedures' rows re-solved and
+// every other procedure's copied from the old analysis.
+func (st *incremental) solve(dirty []bool) *ModRef {
+	old, prog := st.old, st.prog
+	n := len(prog.Funcs)
+	mr := &ModRef{in: old.in, words: old.words, top: old.top}
+	same := n == len(old.procs)
+	for i := 0; same && i < n; i++ {
+		same = st.oldIndex[i] == int32(i)
+	}
+	if same {
+		// The procedure list is the old one: share its name table.
+		mr.procs, mr.idx = old.procs, old.idx
+	} else {
+		mr.procs, mr.idx = make([]string, n), make(map[string]int, n)
+		for i, fn := range prog.Funcs {
+			mr.procs[i] = fn.Name
+			mr.idx[fn.Name] = i
+		}
+	}
+	w := mr.words
+	rows := make([]uint64, 4*n*w)
+	mr.gmod, mr.gref, mr.mustmod, mr.ueref = rows[:n*w:n*w], rows[n*w:2*n*w:2*n*w], rows[2*n*w:3*n*w:3*n*w], rows[3*n*w:]
+	var fns []*lang.FuncDecl
+	for i, fn := range prog.Funcs {
+		if dirty[i] {
+			fns = append(fns, fn)
+			continue
+		}
+		// Copied, never aliased: old may be serving concurrent readers.
+		oi := int(st.oldIndex[i])
+		copy(mr.row(mr.gmod, i), old.row(old.gmod, oi))
+		copy(mr.row(mr.gref, i), old.row(old.gref, oi))
+		copy(mr.row(mr.mustmod, i), old.row(old.mustmod, oi))
+		copy(mr.row(mr.ueref, i), old.row(old.ueref, oi))
+	}
+	s := newSolver(prog, mr, fns)
+	for k, pi := range s.fnProc {
+		if st.locals[pi] == nil {
+			st.locals[pi] = s.buildLocal(k, nil)
+		}
+		s.locals[k] = st.locals[pi]
+	}
+	s.solveLevels(1)
+	return mr
+}
+
+// rowsMatchOld reports whether procedure i's four rows in mr equal its old
+// version's.
+func (st *incremental) rowsMatchOld(mr *ModRef, i int) bool {
+	old, oi := st.old, int(st.oldIndex[i])
+	return rowEqual(mr.row(mr.gmod, i), old.row(old.gmod, oi)) &&
+		rowEqual(mr.row(mr.gref, i), old.row(old.gref, oi)) &&
+		rowEqual(mr.row(mr.mustmod, i), old.row(old.mustmod, oi)) &&
+		rowEqual(mr.row(mr.ueref, i), old.row(old.ueref, oi))
+}
+
+// names fills mr's sorted-name views. A procedure whose rows are its old
+// version's shares the old lists, which are immutable; only re-solved
+// procedures whose rows moved are decoded.
+func (st *incremental) names(mr *ModRef, solved []bool) {
+	n := len(mr.procs)
+	views := make([][]string, 3*n)
+	mr.formalInNames, mr.gmodNames, mr.mustModNames = views[:n:n], views[n:2*n:2*n], views[2*n:]
+	var scratch []uint64
+	for i := 0; i < n; i++ {
+		if oi := int(st.oldIndex[i]); oi >= 0 && (!solved[i] || st.rowsMatchOld(mr, i)) {
+			mr.formalInNames[i] = st.old.formalInNames[oi]
+			mr.gmodNames[i] = st.old.gmodNames[oi]
+			mr.mustModNames[i] = st.old.mustModNames[oi]
+			continue
+		}
+		if scratch == nil {
+			scratch = make([]uint64, mr.words)
+		}
+		mr.decodeNames(i, scratch)
+	}
+}
+
+// components returns the strongly connected component of each of n
+// procedures in the call graph whose procedure i calls
+// adj[start[i]:start[i+1]] (Tarjan, iterative), and each component's
+// member count.
+func components(n int, start, adj []int32) (comp, size []int32) {
+	const unvisited = -1
+	buf := make([]int32, 4*n)
+	index, low, stack, comp := buf[:n:n], buf[n:2*n:2*n], buf[2*n:2*n:3*n], buf[3*n:]
+	for i := range index {
+		index[i] = unvisited
+	}
+	onStack := make([]bool, n)
+	type frame struct{ v, next int32 }
+	var frames []frame
+	next := int32(0)
+	for root := 0; root < n; root++ {
+		if index[root] != unvisited {
+			continue
+		}
+		frames = append(frames[:0], frame{int32(root), start[root]})
+		index[root], low[root] = next, next
+		next++
+		stack = append(stack, int32(root))
+		onStack[root] = true
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			v := f.v
+			if f.next < start[v+1] {
+				w := adj[f.next]
+				f.next++
+				if index[w] == unvisited {
+					index[w], low[w] = next, next
+					next++
+					stack = append(stack, w)
+					onStack[w] = true
+					frames = append(frames, frame{w, start[w]})
+				} else if onStack[w] && index[w] < low[v] {
+					low[v] = index[w]
+				}
+				continue
+			}
+			if low[v] == index[v] {
+				c := int32(len(size))
+				size = append(size, 0)
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onStack[w] = false
+					comp[w] = c
+					size[c]++
+					if w == v {
+						break
+					}
+				}
+			}
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				if p := frames[len(frames)-1].v; low[v] < low[p] {
+					low[p] = low[v]
+				}
+			}
+		}
+	}
+	return comp, size
+}
+
+// reverse returns the reverse of the call graph components reads: the
+// procedures calling procedure i are callers[callerStart[i]:callerStart[i+1]],
+// with a caller repeated once per call.
+func reverse(n int, start, adj []int32) (callerStart, callers []int32) {
+	callerStart = make([]int32, n+1)
+	for _, c := range adj {
+		callerStart[c+1]++
+	}
+	for i := 1; i <= n; i++ {
+		callerStart[i] += callerStart[i-1]
+	}
+	callers = make([]int32, len(adj))
+	fill := slices.Clone(callerStart[:n])
+	for i := 0; i < n; i++ {
+		for _, c := range adj[start[i]:start[i+1]] {
+			callers[fill[c]] = int32(i)
+			fill[c]++
+		}
+	}
+	return callerStart, callers
 }
 
 // procLocal is the precomputed dataflow view of one procedure being
@@ -415,37 +656,46 @@ type procLocal struct {
 	callees []int // unique callee proc indexes, ascending (call graph)
 }
 
-// solver carries the shared state of one computeModRef run. Rows are
-// indexed by program-wide procedure index; a worker only writes the rows
-// of its own component and only reads rows of strictly lower condensation
-// levels (already final) or its own component, so row access is race-free
+// solver carries the shared state of one solve. Rows are indexed by
+// program-wide procedure index; a worker only writes the rows of its own
+// component and only reads rows of strictly lower condensation levels
+// (already final) or its own component, so row access is race-free
 // without locks.
 type solver struct {
 	prog    *lang.Program
 	mr      *ModRef
-	fns     []*lang.FuncDecl // the dirty subset being solved
+	fns     []*lang.FuncDecl // the subset being solved
 	fnProc  []int            // fns index -> procedure index
 	solveAt []int            // procedure index -> fns index, -1 if final
-	locals  []procLocal      // by fns index
+	locals  []*procLocal     // by fns index
 }
 
-// computeModRef solves the four relations over prog. fns is the subset to
-// (re)solve; prev supplies final rows, by name, for every procedure
-// outside fns (nil means fns covers the whole program). Restricting the
-// iteration is sound because the caller keeps the fns set closed under
-// callers: every procedure outside fns has final rows in prev, and
-// summaries only flow callee → caller. prev must be encoded over the same
-// global declarations (the advance path guarantees this by falling back
-// to a full computation when globals change). It also returns the CFG it
-// built for each of fns, in order.
-func computeModRef(prog *lang.Program, fns []*lang.FuncDecl, prev *ModRef, workers int) (*ModRef, []*cfg.Graph) {
-	t0 := time.Now()
-	var in *Interner
-	if prev != nil {
-		in = prev.in
-	} else {
-		in = InternGlobals(prog)
+func newSolver(prog *lang.Program, mr *ModRef, fns []*lang.FuncDecl) *solver {
+	s := &solver{
+		prog:    prog,
+		mr:      mr,
+		fns:     fns,
+		fnProc:  make([]int, len(fns)),
+		solveAt: make([]int, len(prog.Funcs)),
+		locals:  make([]*procLocal, len(fns)),
 	}
+	for i := range s.solveAt {
+		s.solveAt[i] = -1
+	}
+	for k, fn := range fns {
+		pi := mr.idx[fn.Name]
+		s.fnProc[k] = pi
+		s.solveAt[pi] = k
+	}
+	return s
+}
+
+// computeModRef solves the four relations over every procedure of prog.
+// It also returns the CFG it built for each procedure, indexed like
+// prog.Funcs.
+func computeModRef(prog *lang.Program, workers int) (*ModRef, []*cfg.Graph) {
+	t0 := time.Now()
+	in := InternGlobals(prog)
 	n := len(prog.Funcs)
 	words := in.Words()
 	mr := &ModRef{
@@ -466,37 +716,7 @@ func computeModRef(prog *lang.Program, fns []*lang.FuncDecl, prev *ModRef, worke
 		mr.procs[i] = fn.Name
 		mr.idx[fn.Name] = i
 	}
-
-	s := &solver{
-		prog:    prog,
-		mr:      mr,
-		fns:     fns,
-		fnProc:  make([]int, len(fns)),
-		solveAt: make([]int, n),
-		locals:  make([]procLocal, len(fns)),
-	}
-	for i := range s.solveAt {
-		s.solveAt[i] = -1
-	}
-	for k, fn := range fns {
-		pi := mr.idx[fn.Name]
-		s.fnProc[k] = pi
-		s.solveAt[pi] = k
-	}
-	// Procedures outside fns keep their previous rows, copied (never
-	// aliased — prev may be serving concurrent readers).
-	if prev != nil {
-		for i, name := range mr.procs {
-			if s.solveAt[i] >= 0 {
-				continue
-			}
-			pi := prev.idx[name]
-			copy(mr.row(mr.gmod, i), prev.row(prev.gmod, pi))
-			copy(mr.row(mr.gref, i), prev.row(prev.gref, pi))
-			copy(mr.row(mr.mustmod, i), prev.row(prev.mustmod, pi))
-			copy(mr.row(mr.ueref, i), prev.row(prev.ueref, pi))
-		}
-	}
+	s := newSolver(prog, mr, prog.Funcs)
 	// The address-taken set only resolves indirect calls, so a program
 	// without one skips the walk over every expression it takes.
 	var addressTaken []int
@@ -505,69 +725,27 @@ func computeModRef(prog *lang.Program, fns []*lang.FuncDecl, prev *ModRef, worke
 	}
 	tIntern := time.Now()
 
-	if len(fns) > 0 {
+	if n > 0 {
 		// Local phase: per-procedure CFG + effect-bit extraction, sharded
 		// in chunks balanced by statement count.
-		sizes := make([]int, len(fns))
-		for k, fn := range fns {
+		sizes := make([]int, n)
+		for k, fn := range prog.Funcs {
 			sizes[k] = fn.NumStmts()
 		}
-		par.ForWeighted(parWorkers(workers, total(sizes)), len(fns),
+		par.ForWeighted(parWorkers(workers, total(sizes)), n,
 			func(k int) int { return sizes[k] },
-			func(k int) { s.buildLocal(k, addressTaken) })
+			func(k int) { s.locals[k] = s.buildLocal(k, addressTaken) })
 	}
 	tLocal := time.Now()
-
-	if len(fns) > 0 {
-		// Call graph restricted to fns, condensed into SCCs, grouped into
-		// levels (level = 1 + max callee level), callees first.
-		succs := make([][]int, len(fns))
-		for k := range s.locals {
-			for _, pi := range s.locals[k].callees {
-				if j := s.solveAt[pi]; j >= 0 {
-					succs[k] = append(succs[k], j)
-				}
-			}
-		}
-		levels := sccLevels(len(fns), succs)
-
-		// Solve levels bottom-up; components within a level are
-		// independent (a callee is always strictly lower-level) and fan
-		// out in statement-count-balanced chunks.
-		for _, comps := range levels {
-			comps := comps
-			weight := func(ci int) int {
-				w := 0
-				for _, k := range comps[ci] {
-					w += s.locals[k].size
-				}
-				return w
-			}
-			lw := 0
-			for ci := range comps {
-				lw += weight(ci)
-			}
-			par.ForWeighted(parWorkers(workers, lw), len(comps), weight,
-				func(ci int) { s.solveComponent(comps[ci]) })
-		}
-	}
+	s.solveLevels(workers)
 
 	// Precompute the sorted-name views the SDG builder reads per skeleton
 	// and per call site: FormalInGlobals = UEREF ∪ (GMOD − MustMod).
-	mr.formalInNames = make([][]string, n)
-	mr.gmodNames = make([][]string, n)
-	mr.mustModNames = make([][]string, n)
+	views := make([][]string, 3*n)
+	mr.formalInNames, mr.gmodNames, mr.mustModNames = views[:n:n], views[n:2*n:2*n], views[2*n:]
 	scratch := make([]uint64, words)
 	for i := 0; i < n; i++ {
-		gm := mr.row(mr.gmod, i)
-		mm := mr.row(mr.mustmod, i)
-		ue := mr.row(mr.ueref, i)
-		for w := 0; w < words; w++ {
-			scratch[w] = ue[w] | (gm[w] &^ mm[w])
-		}
-		mr.formalInNames[i] = in.decodeNames(scratch)
-		mr.gmodNames[i] = in.decodeNames(gm)
-		mr.mustModNames[i] = in.decodeNames(mm)
+		mr.decodeNames(i, scratch)
 	}
 	tFix := time.Now()
 	mr.stats = ModRefStats{
@@ -575,11 +753,63 @@ func computeModRef(prog *lang.Program, fns []*lang.FuncDecl, prev *ModRef, worke
 		Local:    tLocal.Sub(tIntern),
 		Fixpoint: tFix.Sub(tLocal),
 	}
-	graphs := make([]*cfg.Graph, len(fns))
+	graphs := make([]*cfg.Graph, n)
 	for k := range s.locals {
 		graphs[k] = s.locals[k].graph
 	}
 	return mr, graphs
+}
+
+// decodeNames fills procedure i's sorted-name views from its rows, with
+// scratch one row of working space.
+func (mr *ModRef) decodeNames(i int, scratch []uint64) {
+	gm := mr.row(mr.gmod, i)
+	mm := mr.row(mr.mustmod, i)
+	ue := mr.row(mr.ueref, i)
+	for w := range scratch {
+		scratch[w] = ue[w] | (gm[w] &^ mm[w])
+	}
+	mr.formalInNames[i] = mr.in.decodeNames(scratch)
+	mr.gmodNames[i] = mr.in.decodeNames(gm)
+	mr.mustModNames[i] = mr.in.decodeNames(mm)
+}
+
+// solveLevels solves the procedures of s.fns, whose locals are built: the
+// call graph restricted to them, condensed into SCCs and grouped into
+// levels (level = 1 + max callee level), is solved callees first.
+func (s *solver) solveLevels(workers int) {
+	if len(s.fns) == 0 {
+		return
+	}
+	succs := make([][]int, len(s.fns))
+	for k := range s.locals {
+		for _, pi := range s.locals[k].callees {
+			if j := s.solveAt[pi]; j >= 0 {
+				succs[k] = append(succs[k], j)
+			}
+		}
+	}
+	levels := sccLevels(len(s.fns), succs)
+
+	// Solve levels bottom-up; components within a level are independent
+	// (a callee is always strictly lower-level) and fan out in
+	// statement-count-balanced chunks.
+	for _, comps := range levels {
+		comps := comps
+		weight := func(ci int) int {
+			w := 0
+			for _, k := range comps[ci] {
+				w += s.locals[k].size
+			}
+			return w
+		}
+		lw := 0
+		for ci := range comps {
+			lw += weight(ci)
+		}
+		par.ForWeighted(parWorkers(workers, lw), len(comps), weight,
+			func(ci int) { s.solveComponent(comps[ci]) })
+	}
 }
 
 // parMinStmts is the statement-count floor below which a phase runs
@@ -603,13 +833,12 @@ func total(xs []int) int {
 }
 
 // buildLocal extracts fns[k]'s CFG and direct effect bits.
-func (s *solver) buildLocal(k int, addressTaken []int) {
+func (s *solver) buildLocal(k int, addressTaken []int) *procLocal {
 	fn := s.fns[k]
 	mr := s.mr
 	words := mr.words
 	g := cfg.Build(fn)
-	loc := &s.locals[k]
-	loc.graph = g
+	loc := &procLocal{graph: g}
 	nn := len(g.Nodes)
 	loc.size = nn - 2 // every statement is one node, besides entry and exit
 	rows := make([]uint64, (2+2*nn)*words)
@@ -681,6 +910,7 @@ func (s *solver) buildLocal(k int, addressTaken []int) {
 	}
 	sort.Ints(loc.callees)
 	loc.callees = slices.Compact(loc.callees)
+	return loc
 }
 
 // refExpr sets, in both rows, the bit of every global e references.
@@ -896,7 +1126,7 @@ func (s *solver) solveComponent(members []int) {
 	for {
 		changed := false
 		for mi, k := range members {
-			loc := &s.locals[k]
+			loc := s.locals[k]
 			pi := s.fnProc[k]
 			ue := mr.row(mr.ueref, pi)
 			out := outs[mi]
@@ -953,7 +1183,7 @@ func (s *solver) mustDefIn(loc *procLocal, outs []uint64, ni int, in []uint64) {
 func (s *solver) mustDefOuts(k int, outs []uint64) {
 	mr := s.mr
 	words := mr.words
-	loc := &s.locals[k]
+	loc := s.locals[k]
 	g := loc.graph
 	n := len(g.Nodes)
 	// out[i] = globals definitely assigned on every path from entry to the

@@ -11,6 +11,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"specslice/internal/core"
@@ -18,6 +19,7 @@ import (
 	"specslice/internal/lang"
 	"specslice/internal/mono"
 	"specslice/internal/par"
+	"specslice/internal/pds"
 	"specslice/internal/sdg"
 	"specslice/internal/slice"
 )
@@ -30,6 +32,11 @@ type Engine struct {
 
 	encOnce sync.Once
 	enc     *core.Encoding
+	// built is enc once encOnce has set it, for readers that must not
+	// build it; sizes are the Prestar high-water marks of the engine this
+	// one advanced from, which its encoding's first query reserves.
+	built atomic.Pointer[core.Encoding]
+	sizes pds.ArenaSizes
 
 	sumOnce sync.Once
 	sums    *slice.Summaries
@@ -51,7 +58,14 @@ func (e *Engine) Advance(newProg *lang.Program) (*Engine, *sdg.DeltaStats, error
 	if err != nil {
 		return nil, nil, err
 	}
-	return New(g2), delta, nil
+	next := New(g2)
+	// A version chain serves about one query per version, so hand the
+	// next engine this one's Prestar sizes, or the ones it inherited.
+	next.sizes = e.sizes
+	if enc := e.built.Load(); enc != nil {
+		next.sizes = enc.PrestarSizes()
+	}
+	return next, delta, nil
 }
 
 // Graph returns the underlying SDG.
@@ -64,7 +78,11 @@ func (e *Engine) BuildStats() sdg.BuildStats { return e.g.BuildStats() }
 
 // Encoding returns the cached PDS encoding, building it on first use.
 func (e *Engine) Encoding() *core.Encoding {
-	e.encOnce.Do(func() { e.enc = core.Encode(e.g) })
+	e.encOnce.Do(func() {
+		e.enc = core.Encode(e.g)
+		e.enc.SizePrestar(e.sizes)
+		e.built.Store(e.enc)
+	})
 	return e.enc
 }
 

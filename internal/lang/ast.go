@@ -33,6 +33,19 @@ type Program struct {
 	Funcs   []*FuncDecl
 
 	nextID NodeID
+
+	// canon is what Canonicalize recorded while printing the program; nil
+	// for a program it has not printed. CloneProgram and NewProgram never
+	// carry it.
+	canon *canonRecord
+}
+
+// canonRecord holds the per-version facts Canonicalize learns in its one
+// walk: each function's ProcHash, indexed like Funcs, and whether any call
+// is indirect.
+type canonRecord struct {
+	hashes   []uint64
+	indirect bool
 }
 
 // NewProgram returns an empty program ready for programmatic construction.
@@ -55,8 +68,12 @@ func (p *Program) Func(name string) *FuncDecl {
 }
 
 // HasIndirectCall reports whether any call statement of p calls through a
-// function pointer.
+// function pointer. A program Canonicalize printed answers from its
+// record; any other is walked.
 func (p *Program) HasIndirectCall() bool {
+	if p.canon != nil {
+		return p.canon.indirect
+	}
 	found := false
 	for _, f := range p.Funcs {
 		WalkStmts(f.Body, func(s Stmt) {

@@ -55,6 +55,12 @@ func (h *fnv64) str(s string) {
 	}
 }
 
+func (h *fnv64) bytes(b []byte) {
+	for _, c := range b {
+		*h = (*h ^ fnv64(c)) * 1099511628211
+	}
+}
+
 // ProgramDiff classifies an edit between two program versions at procedure
 // granularity. Procedures are matched by name: a rename therefore shows up
 // as one removal plus one addition, which is exactly how a
@@ -80,15 +86,18 @@ func (d ProgramDiff) HasChanges() bool {
 	return len(d.Changed)+len(d.Added)+len(d.Removed) > 0 || d.GlobalsChanged
 }
 
-// ProgramHashes returns the ProcHash of every function, keyed by name —
-// one full print pass, through one printer. Incremental consumers compute
-// it once per version and reuse it for both the diff and downstream build
-// signatures instead of re-hashing the same ASTs.
-func ProgramHashes(p *Program) map[string]uint64 {
-	out := make(map[string]uint64, len(p.Funcs))
+// ProcHashes returns the ProcHash of every function, indexed like
+// p.Funcs. A program Canonicalize printed answers from its record, which
+// the caller must not modify; any other is printed once, through one
+// printer.
+func ProcHashes(p *Program) []uint64 {
+	if p.canon != nil && len(p.canon.hashes) == len(p.Funcs) {
+		return p.canon.hashes
+	}
+	out := make([]uint64, len(p.Funcs))
 	var pr printer
-	for _, f := range p.Funcs {
-		out[f.Name] = pr.procHash(f)
+	for i, f := range p.Funcs {
+		out[i] = pr.procHash(f)
 	}
 	return out
 }
@@ -99,23 +108,20 @@ func ProgramHashes(p *Program) map[string]uint64 {
 // effects (mod/ref interfaces) to decide which procedure dependence graphs
 // can be reused.
 func DiffPrograms(old, new *Program) ProgramDiff {
-	return DiffProgramsHashed(old, new, ProgramHashes(old), ProgramHashes(new))
-}
-
-// DiffProgramsHashed is DiffPrograms against precomputed per-procedure
-// hashes (ProgramHashes of each version), so callers that already hold
-// them — e.g. an engine advancing a version chain, whose previous graph
-// retains its hashes — diff without printing either program again.
-func DiffProgramsHashed(old, new *Program, oldHashes, newHashes map[string]uint64) ProgramDiff {
 	var d ProgramDiff
+	oldHashes := make(map[string]uint64, len(old.Funcs))
+	for i, h := range ProcHashes(old) {
+		oldHashes[old.Funcs[i].Name] = h
+	}
+	newHashes := ProcHashes(new)
 	seen := map[string]bool{}
-	for _, f := range new.Funcs {
+	for i, f := range new.Funcs {
 		seen[f.Name] = true
 		h, ok := oldHashes[f.Name]
 		switch {
 		case !ok:
 			d.Added = append(d.Added, f.Name)
-		case h == newHashes[f.Name]:
+		case h == newHashes[i]:
 			d.Unchanged = append(d.Unchanged, f.Name)
 		default:
 			d.Changed = append(d.Changed, f.Name)

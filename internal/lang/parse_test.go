@@ -105,6 +105,18 @@ func checkCanonical(t *testing.T, src string) bool {
 	if err != nil {
 		t.Fatalf("canonical text does not parse: %v\n%s", err, norm)
 	}
+	// The record Canonicalize leaves must answer as the walks would; the
+	// program itself, record aside, must be Parse's.
+	rec := p.canon
+	p.canon = nil
+	for i, f := range p.Funcs {
+		if h := ProcHash(f); rec.hashes[i] != h {
+			t.Fatalf("Canonicalize recorded hash %x for %s, ProcHash %x:\n%s", rec.hashes[i], f.Name, h, norm)
+		}
+	}
+	if walked := p.HasIndirectCall(); rec.indirect != walked {
+		t.Fatalf("Canonicalize recorded indirect=%v, the walk says %v:\n%s", rec.indirect, walked, norm)
+	}
 	if !reflect.DeepEqual(p, q) {
 		t.Fatalf("Canonicalize(p) leaves p unlike Parse of its text:\ninput:\n%s\ncanonical:\n%s\n%s", src, norm, firstStmtDiff(p, q))
 	}

@@ -17,7 +17,7 @@ import (
 // must not change.
 func Print(prog *Program) string {
 	var p printer
-	p.program(prog)
+	p.program(prog, nil)
 	return p.sb.String()
 }
 
@@ -28,14 +28,25 @@ func Print(prog *Program) string {
 // Parse(Canonicalize(prog)), so a caller holding a parsed program gets
 // its normalized source and the normalized program without a second
 // parse.
+//
+// The walk also records, on prog, each function's ProcHash (the FNV-1a of
+// the bytes it printed for the function) and whether any call is
+// indirect, so ProcHashes and HasIndirectCall answer without another
+// pass. The record describes the program as printed: a caller must not
+// edit prog's AST afterwards.
 func Canonicalize(prog *Program) string {
 	p := printer{canon: prog}
 	prog.nextID = 0
-	p.program(prog)
+	prog.canon = nil
+	rec := &canonRecord{hashes: make([]uint64, len(prog.Funcs))}
+	p.program(prog, rec)
+	prog.canon = rec
 	return p.sb.String()
 }
 
-func (p *printer) program(prog *Program) {
+// program prints prog; with rec set it records each function's hash and
+// whether a call is indirect.
+func (p *printer) program(prog *Program, rec *canonRecord) {
 	for _, g := range prog.Globals {
 		if p.canon != nil {
 			g.Pos = p.at(typeWidth(g.IsFnPtr) + 2)
@@ -52,7 +63,16 @@ func (p *printer) program(prog *Program) {
 		if i > 0 {
 			p.sb.WriteByte('\n')
 		}
+		start := len(p.sb.b)
 		p.fn(f)
+		if rec != nil {
+			h := newFNV()
+			h.bytes(p.sb.b[start:])
+			rec.hashes[i] = uint64(h)
+		}
+	}
+	if rec != nil {
+		rec.indirect = p.indirect
 	}
 }
 
@@ -70,11 +90,13 @@ type printer struct {
 	canon *Program
 	line  int // the lines ended in sb[:seen]
 	seen  int
+	// indirect records that a call through a function pointer was printed.
+	indirect bool
 }
 
 // textBuf is the printer's output buffer. Like strings.Builder it hands
 // out its text without a copy, and unlike it it can be emptied and
-// refilled in its own storage, so ProgramHashes prints procedure after
+// refilled in its own storage, so ProcHashes prints procedure after
 // procedure into one buffer.
 type textBuf struct{ b []byte }
 
@@ -189,6 +211,7 @@ func (p *printer) stmt(s Stmt, depth int) {
 		p.sb.WriteString(" = ")
 		p.expr(x.RHS, 0)
 	case *CallStmt:
+		p.indirect = p.indirect || x.Indirect
 		if x.Target != "" {
 			p.sb.WriteString(x.Target)
 			p.sb.WriteString(" = ")

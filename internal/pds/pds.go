@@ -110,6 +110,47 @@ type PrestarEngine struct {
 
 	mu   sync.Mutex
 	free []*prestarArena
+	// sizes, set by SizeFrom, is what an arena built before any run has
+	// reserved: another engine's high-water marks.
+	sizes ArenaSizes
+}
+
+// ArenaSizes are the high-water marks of a Prestar run: its result's
+// transition count and location 0's out-list length, its (state, symbol)
+// pairs and list nodes, and its registered Δ′ classes. A few integers,
+// they let an engine over a nearly identical PDS — the next version of an
+// edited program — reserve its first run's scratch and result at once
+// instead of growing them from nothing.
+type ArenaSizes struct {
+	Trans, Out0, Pairs, Nodes, DynSeen int
+}
+
+func (s ArenaSizes) max(o ArenaSizes) ArenaSizes {
+	return ArenaSizes{
+		Trans: max(s.Trans, o.Trans), Out0: max(s.Out0, o.Out0), Pairs: max(s.Pairs, o.Pairs),
+		Nodes: max(s.Nodes, o.Nodes), DynSeen: max(s.DynSeen, o.DynSeen),
+	}
+}
+
+// Sizes returns the largest high-water marks of the engine's finished
+// runs, or, before any, what SizeFrom handed it.
+func (e *PrestarEngine) Sizes() ArenaSizes {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	s := e.sizes
+	for _, ar := range e.free {
+		s = s.max(ar.last)
+	}
+	return s
+}
+
+// SizeFrom has the engine's first arena reserve sizes: call it before the
+// engine's first query. Only the numbers pass between engines; each keeps
+// its own arenas.
+func (e *PrestarEngine) SizeFrom(sizes ArenaSizes) {
+	e.mu.Lock()
+	e.sizes = sizes
+	e.mu.Unlock()
 }
 
 type internalRule struct {
@@ -267,12 +308,12 @@ type prestarArena struct {
 	nodes   []listNode
 	dynSeen stampTable // (Δ′ class, target state) registered
 
-	// trans and out0 are the transition count of the arena's previous
-	// result and the length of its location 0's out list, where most
-	// saturated transitions start (in the SDG encoding, every rule but the
-	// formal-out pops): the next run reserves both up front instead of
-	// growing them a transition at a time.
-	trans, out0 int
+	// last holds the high-water marks of the arena's previous run. Its
+	// result's transition count and location 0's out-list length, where
+	// most saturated transitions start (in the SDG encoding, every rule but
+	// the formal-out pops), are what the next run reserves up front instead
+	// of growing them a transition at a time.
+	last ArenaSizes
 }
 
 func (ar *prestarArena) reset() {
@@ -327,7 +368,14 @@ func (e *PrestarEngine) getArena() *prestarArena {
 		e.free = e.free[:n-1]
 		return ar
 	}
-	return &prestarArena{qSym: make([]int32, e.nDense)}
+	ar := &prestarArena{qSym: make([]int32, e.nDense), last: e.sizes}
+	if sz := e.sizes; sz.Pairs > 0 {
+		ar.pairs.reserve(sz.Pairs)
+		ar.dynSeen.reserve(sz.DynSeen)
+		ar.lists = make([]pairLists, 0, sz.Pairs)
+		ar.nodes = make([]listNode, 0, sz.Nodes)
+	}
+	return ar
 }
 
 func (e *PrestarEngine) putArena(ar *prestarArena) {
@@ -385,9 +433,9 @@ func (e *PrestarEngine) PrestarInPlace(a *fsa.FSA) *fsa.FSA {
 	ar := e.getArena()
 	defer e.putArena(ar)
 	s := saturation{e: e, ar: ar, res: res}
-	res.Reserve(ar.trans)
+	res.Reserve(ar.last.Trans)
 	if e.p.NumLocs > 0 {
-		res.ReserveOut(0, max(0, ar.out0-len(res.Out(0))))
+		res.ReserveOut(0, max(0, ar.last.Out0-len(res.Out(0))))
 	}
 
 	// The worklist is LIFO and the query's transitions go in first, so
@@ -426,9 +474,9 @@ func (e *PrestarEngine) PrestarInPlace(a *fsa.FSA) *fsa.FSA {
 			s.done(next)
 			t = ar.qs[next]
 		} else {
-			ar.trans = res.NumTransitions()
+			ar.last = ArenaSizes{Trans: res.NumTransitions(), Pairs: ar.pairs.n, Nodes: len(ar.nodes), DynSeen: ar.dynSeen.n}
 			if e.p.NumLocs > 0 {
-				ar.out0 = len(res.Out(0))
+				ar.last.Out0 = len(res.Out(0))
 			}
 			return res
 		}
@@ -560,6 +608,16 @@ func (t *stampTable) upsert(key uint64, val int32) (int32, bool) {
 			return s.val, false
 		}
 	}
+}
+
+// reserve sizes an empty table for n entries without growing.
+func (t *stampTable) reserve(n int) {
+	size := 64
+	for 4*(n+1) > 3*size {
+		size *= 2
+	}
+	t.slots = make([]stampSlot, size)
+	t.gen = max(t.gen, 1)
 }
 
 // grow doubles the slot array and re-inserts the live slots.

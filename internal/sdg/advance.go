@@ -4,35 +4,44 @@ import (
 	"reflect"
 	"slices"
 
+	"specslice/internal/cfg"
 	"specslice/internal/dataflow"
 	"specslice/internal/lang"
-	"specslice/internal/par"
 )
 
 // This file implements procedure-granular incremental SDG construction:
-// Advance builds the graph of an edited program by replaying the procedure
+// Advance builds the graph of an edited program by copying the procedure
 // dependence graphs of untouched procedures from the previous version and
 // rebuilding only the procedures an edit actually affects.
 //
-// The unit of reuse is the "build signature" of a procedure — a hash of
-// every input its PDG construction reads:
+// A procedure's PDG is a function of three inputs:
 //
 //   - its own normalized source (lang.ProcHash), which covers the
 //     signature, body statements, CFG shape, and intraprocedural dataflow;
-//   - its own mod/ref interface (formal-in globals and GMOD), which shapes
-//     its formal vertices;
+//   - its own mod/ref interface (ifaceHash: formal-in globals, GMOD and
+//     MustMod), which shapes its formal vertices;
 //   - the mod/ref interface, return-ness, and arity of every procedure it
 //     calls, which shape its call-site actual vertices and kill sets.
 //
-// If the signature is unchanged between versions, a full rebuild of that
-// procedure would produce a structurally identical PDG, so Advance copies
-// it. Crucially, the replay creates vertices and call sites in exactly the
-// order Build would (all skeletons in procedure order, then all bodies in
-// procedure order, sites in statement order), so the advanced graph's
-// vertex and site numbering — and therefore every downstream artifact, PDS
-// encoding, automaton, and emitted slice — is identical to a from-scratch
-// build of the new program. The incremental equivalence oracle
-// (TESTING.md, Layer 4) holds Advance to exactly that standard.
+// Each graph retains every procedure's source hash and interface hash. If
+// a procedure's source hash, its interface hash and its callees'
+// interface hashes are all unchanged between versions, a full rebuild of
+// that procedure would produce a structurally identical PDG, so Advance
+// copies it. Crucially, the copy creates vertices and call sites in
+// exactly the order Build would (all skeletons in procedure order, then
+// all bodies in procedure order, sites in statement order), and every
+// out and in list in Build's order, so the advanced graph's numbering —
+// and therefore every downstream artifact, PDS encoding, automaton, and
+// emitted slice — is identical to a from-scratch build of the new
+// program. The incremental equivalence oracle (TESTING.md, Layer 4)
+// holds Advance to exactly that standard.
+//
+// An unchanged procedure costs Advance a block copy of its vertices, sites
+// and intraprocedural edges with an ID offset, and no walk beyond pairing
+// its old and new statements; everything else — the mod/ref re-solve, the
+// rebuilt bodies, the interface hashes — scales with the procedures the
+// edit touches. The interprocedural wiring is re-derived for every call
+// site.
 
 // DeltaStats reports what Advance reused and what it had to rebuild.
 type DeltaStats struct {
@@ -41,78 +50,184 @@ type DeltaStats struct {
 	ProcsRebuilt int
 	// ProcsRemoved counts old procedures with no same-name successor.
 	ProcsRemoved int
+	// ModRefFallback names why mod/ref was recomputed for the whole
+	// program (dataflow.FallbackGlobals, FallbackIndirect or
+	// FallbackNoState), and is empty when it advanced incrementally.
+	// ModRefResolved counts the procedures whose summaries were re-solved,
+	// and ModRefRounds the caller rounds that widened that set.
+	ModRefFallback string
+	ModRefResolved int
+	ModRefRounds   int
 }
 
 // Advance constructs the SDG of newProg, reusing the PDGs of every
-// procedure whose build signature is unchanged from old. The result is
-// indistinguishable from Build(newProg) — same vertices, same numbering,
-// same edges — but unchanged procedures skip CFG construction, control
-// dependence, and the reaching-definitions dataflow. old is only read; it
-// may be in use by concurrent readers.
+// procedure whose inputs are unchanged from old (see the file comment).
+// The result is indistinguishable from Build(newProg) — same vertices,
+// same numbering, same edges in the same list order — but unchanged
+// procedures skip CFG construction, control dependence, the
+// reaching-definitions dataflow and the mod/ref solve. old is only read;
+// it may be in use by concurrent readers.
 func Advance(old *Graph, newProg *lang.Program) (*Graph, *DeltaStats, error) {
 	if err := checkDirectCalls(newProg); err != nil {
 		return nil, nil, err
 	}
-	// Hash the new version once; the old version's hashes were retained by
-	// its own build, so the diff needs no second print pass.
-	newHashes := lang.ProgramHashes(newProg)
-	oldHashes := old.procHashes
-	if oldHashes == nil {
-		oldHashes = lang.ProgramHashes(old.Prog)
+	n := len(newProg.Funcs)
+	// A graph not made by Build or Advance retains nothing to reuse.
+	retained := old.modref != nil && len(old.procHashes) == len(old.Procs) && old.Prog != nil
+	hashes := lang.ProcHashes(newProg)
+	sameProcs := retained && len(old.Procs) == n
+	for i := 0; sameProcs && i < n; i++ {
+		sameProcs = old.Procs[i].Name == newProg.Funcs[i].Name
 	}
-	diff := lang.DiffProgramsHashed(old.Prog, newProg, oldHashes, newHashes)
+	var byName map[string]int
+	if sameProcs {
+		byName = old.ProcByName
+	}
+	b := newBuilder(newProg, nil, byName)
+	g := b.g
+	g.procHashes = hashes
+	st := &DeltaStats{ProcsRemoved: len(old.Procs)}
+
+	// Relate the versions procedure by procedure. A textually unchanged
+	// procedure's callees are its old call sites'; only the others are
+	// walked.
+	ed := &dataflow.Edit{
+		OldIndex:  make([]int32, n),
+		Changed:   make([]bool, n),
+		CallStart: make([]int32, n+1),
+	}
+	ed.Callees = make([]int32, 0, len(old.Sites))
+	for i, fn := range newProg.Funcs {
+		oi, ok := i, sameProcs
+		if !sameProcs && retained {
+			oi, ok = old.ProcByName[fn.Name]
+		}
+		ed.OldIndex[i] = -1
+		if ok {
+			ed.OldIndex[i] = int32(oi)
+			st.ProcsRemoved--
+		}
+		ed.Changed[i] = !ok || old.procHashes[oi] != hashes[i]
+		if ed.Changed[i] {
+			lang.WalkStmts(fn.Body, func(s lang.Stmt) {
+				if c, ok := s.(*lang.CallStmt); ok {
+					ed.Callees = append(ed.Callees, int32(g.ProcByName[c.Callee]))
+				}
+			})
+		} else {
+			for _, sid := range old.Procs[oi].Sites {
+				if s := old.Sites[sid]; !s.Lib {
+					ed.Callees = append(ed.Callees, int32(g.ProcByName[s.Callee]))
+				}
+			}
+		}
+		ed.CallStart[i+1] = int32(len(ed.Callees))
+	}
+	var oldMR *dataflow.ModRef
+	if retained {
+		oldMR = old.modref
+		ed.GlobalsChanged = lang.GlobalsHash(old.Prog) != lang.GlobalsHash(newProg)
+	}
 	// Mod/ref is itself advanced procedure-granularly: summaries of procs
 	// whose call subtree is textually unchanged are inherited, and the
 	// fixpoints re-run only over edited procs and their callers.
-	mr := dataflow.AdvanceModRefDiff(newProg, old.Prog, old.modref, diff)
-	sigs := computeBuildSigsFromHashes(newProg, mr, newHashes, 1)
-	b := newBuilder(newProg, mr, sigs, newHashes)
-	b.g.Vertices = make([]Vertex, 0, old.NumVertices())
-	b.sites = make([]Site, 0, len(old.Sites))
-	b.edges = make([]Edge, 0, old.NumEdges())
+	adv := dataflow.AdvanceEdit(newProg, oldMR, ed)
+	mr := adv.ModRef
+	b.mr, g.modref = mr, mr
+	st.ModRefFallback, st.ModRefResolved, st.ModRefRounds = adv.Stats.Fallback, adv.Stats.Resolved, adv.Stats.Rounds
 
-	st := &DeltaStats{}
-	for name := range old.ProcByName {
-		if _, ok := b.g.ProcByName[name]; !ok {
-			st.ProcsRemoved++
+	// Interfaces: a procedure whose source and summaries are its old
+	// version's keeps its old interface hash.
+	g.ifaces = make([]uint64, n)
+	moved := make([]bool, n)
+	anyMoved := false
+	for i, fn := range newProg.Funcs {
+		oi := ed.OldIndex[i]
+		if oi >= 0 && !ed.Changed[i] && !adv.Solved[i] {
+			g.ifaces[i] = old.ifaces[oi]
+			continue
+		}
+		g.ifaces[i] = ifaceHash(fn, mr)
+		moved[i] = oi < 0 || g.ifaces[i] != old.ifaces[oi]
+		anyMoved = anyMoved || moved[i]
+	}
+	// Plan: copy a procedure whose source, interface and callees'
+	// interfaces are unchanged; rebuild the rest over their CFGs, the
+	// mod/ref solve's where it built one. Lay out the vertices, sites and
+	// actuals both kinds of body take.
+	copyOf := make([]*Proc, n)
+	cfgs := adv.CFGs
+	nv, ns, na, ne := 0, 0, 0, 0
+	for i, p := range g.Procs {
+		oi := ed.OldIndex[i]
+		reuse := oi >= 0 && !ed.Changed[i] && !moved[i]
+		for _, c := range ed.Callees[ed.CallStart[i]:ed.CallStart[i+1]] {
+			reuse = reuse && !(anyMoved && moved[c])
+		}
+		if reuse {
+			po := old.Procs[oi]
+			copyOf[i] = po
+			nv += len(po.Vertices) - skeletonSize(po)
+			ns += len(po.Sites)
+			for _, sid := range po.Sites {
+				na += len(old.Sites[sid].ActualIns) + len(old.Sites[sid].ActualOuts)
+			}
+			continue
+		}
+		if cfgs[i] == nil {
+			cfgs[i] = cfg.Build(p.Fn)
+		}
+		sh := b.shapeOf(cfgs[i])
+		nv, ns, na = nv+sh.verts, ns+sh.sites, na+sh.acts
+		if oi >= 0 {
+			ne += int(old.intraEdges[oi])
 		}
 	}
-
-	// Phase A: skeletons, in procedure order, exactly as Build does. The
-	// skeleton is cheap (a handful of vertices from the already-computed
-	// mod/ref sets), so it is rebuilt even for reused procedures — which
-	// also revalidates the signature: a reused procedure's fresh skeleton
-	// must match its old one vertex for vertex.
+	for _, p := range g.Procs {
+		nv += 1 + b.numFormals(p)
+	}
+	g.Vertices = make([]Vertex, 0, nv)
+	b.sites = make([]Site, 0, ns)
+	b.acts = make([]VertexID, 0, na)
+	b.edges = make([]Edge, 0, ne)
 	b.buildSkeletons()
 
-	// Phase B: bodies, in procedure order. An unchanged procedure's body
-	// is copied as blocks from old; the rest are rebuilt.
+	// Bodies, in procedure order: copied as blocks from old, or rebuilt.
 	var cp bodyCopier
 	var sc bodyScratch
-	for _, p := range b.g.Procs {
-		if oi, ok := old.ProcByName[p.Name]; ok && old.buildSigs[p.Name] == sigs[p.Name] {
-			if b.copyBody(old, old.Procs[oi], p, &cp) {
+	for i, p := range g.Procs {
+		if po := copyOf[i]; po != nil {
+			if b.copyBody(old, po, p, &cp) {
 				st.ProcsReused++
 				continue
 			}
-			// Structural mismatch despite equal signatures (hash
-			// collision): fall back to an ordinary rebuild. copyBody has
-			// left nothing behind for this procedure.
+			// Structural mismatch despite equal hashes (a collision): fall
+			// back to an ordinary rebuild. copyBody has left nothing
+			// behind for this procedure.
+			cfgs[i] = cfg.Build(p.Fn)
 		}
-		if err := b.buildProcBody(p, &sc); err != nil {
+		lo := len(b.edges)
+		b.edges = skeletonEdges(p, b.edges)
+		if err := b.buildProcBody(p, cfgs[i], &sc); err != nil {
 			return nil, nil, err
 		}
+		g.intraEdges[i] = int32(len(b.edges) - lo)
 		st.ProcsRebuilt++
 	}
+	nc := 0
+	for i := range b.sites {
+		nc += connectBound(&b.sites[i])
+	}
+	b.edges = slices.Grow(b.edges, nc)
 	b.connectProcs()
-	b.finish(b.edges)
-	return b.g, st, nil
+	b.finish(old, b.edges)
+	return g, st, nil
 }
 
 // replayable checks the cheap structural preconditions of a body copy:
-// statement lists of equal length and matching statement kinds. Equal build
-// signatures already imply this (equal normalized source parses to equal
-// structure); the check guards against hash collisions.
+// statement lists of equal length and matching statement kinds. Equal
+// source hashes already imply this (equal normalized source parses to
+// equal structure); the check guards against hash collisions.
 func replayable(os, ns []lang.Stmt) bool {
 	if len(os) != len(ns) {
 		return false
@@ -125,69 +240,79 @@ func replayable(os, ns []lang.Stmt) bool {
 	return true
 }
 
-// bodyCopier maps an old procedure's statements to the new version's
-// by lang.NodeID, reused across the procedures one Advance copies.
+// bodyCopier pairs an old procedure's statements with the new version's,
+// reused across the procedures one Advance copies.
 type bodyCopier struct {
 	// os and ns list the old and new procedure's statements in pre-order.
 	os, ns []lang.Stmt
-	// old[id] and new[id] pair the statement numbered id in the old
-	// program with its new counterpart; stamp[id] names the procedure
-	// that set them (its index plus one).
-	old, new []lang.Stmt
-	stamp    []int32
+	// pos[id-lo] is 1 + the index in os of the old statement numbered id,
+	// or 0. A procedure's statements are numbered consecutively in a
+	// normalized program, so pos is about as long as the procedure; it is
+	// cleared after each procedure, and grows to the longest.
+	lo  lang.NodeID
+	pos []int32
 }
 
-// mapStmts pairs os with ns positionally for procedure proc: identical
-// normalized source parses to the identical statement sequence. It
-// reports false if two old statements share an ID.
-func (c *bodyCopier) mapStmts(proc int, os, ns []lang.Stmt) bool {
-	tag := int32(proc + 1)
-	for i, s := range os {
-		id := int(s.Base().ID)
-		if id < 0 {
+// pair lists po's and pn's statements and indexes the old ones by ID. It
+// reports false, with nothing left indexed, if the lists do not line up
+// or two old statements share an ID.
+func (c *bodyCopier) pair(po, pn *lang.FuncDecl) bool {
+	c.os, c.ns = c.os[:0], c.ns[:0]
+	lang.WalkStmts(po.Body, func(s lang.Stmt) { c.os = append(c.os, s) })
+	lang.WalkStmts(pn.Body, func(s lang.Stmt) { c.ns = append(c.ns, s) })
+	if !replayable(c.os, c.ns) || len(c.os) == 0 {
+		return len(c.os) == len(c.ns) && len(c.os) == 0
+	}
+	lo, hi := c.os[0].Base().ID, c.os[0].Base().ID
+	for _, s := range c.os {
+		id := s.Base().ID
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	if lo < 0 {
+		return false
+	}
+	c.lo = lo
+	span := int(hi-lo) + 1
+	if span > len(c.pos) {
+		c.pos = make([]int32, max(span, 2*len(c.pos)))
+	}
+	for i, s := range c.os {
+		k := s.Base().ID - lo
+		if c.pos[k] != 0 {
+			c.clear()
 			return false
 		}
-		if id >= len(c.stamp) {
-			n := max(2*len(c.stamp), id+1, 64)
-			c.old = append(c.old, make([]lang.Stmt, n-len(c.old))...)
-			c.new = append(c.new, make([]lang.Stmt, n-len(c.new))...)
-			c.stamp = append(c.stamp, make([]int32, n-len(c.stamp))...)
-		}
-		if c.stamp[id] == tag {
-			return false
-		}
-		c.old[id], c.new[id], c.stamp[id] = s, ns[i], tag
+		c.pos[k] = int32(i + 1)
 	}
 	return true
 }
 
-// lookup returns the new statement paired with old statement s of
-// procedure proc.
-func (c *bodyCopier) lookup(proc int, s lang.Stmt) (lang.Stmt, bool) {
-	id := int(s.Base().ID)
-	if id < 0 || id >= len(c.stamp) || c.stamp[id] != int32(proc+1) || c.old[id] != s {
+// lookup returns the new statement paired with old statement s.
+func (c *bodyCopier) lookup(s lang.Stmt) (lang.Stmt, bool) {
+	k := int(s.Base().ID - c.lo)
+	if k < 0 || k >= len(c.pos) || c.pos[k] == 0 || c.os[c.pos[k]-1] != s {
 		return nil, false
 	}
-	return c.new[id], true
+	return c.ns[c.pos[k]-1], true
 }
 
-// copyBody appends po's body — vertices, call sites and intraprocedural
-// edges — to the graph as pn's, whose skeleton is already built. Build
-// lays a procedure out as one skeleton range and one body range, so the
-// vertices copy as one block with remapped IDs, sites and statements, and
-// the edges as po's out lists in vertex order, with the skeleton edges
-// buildProcSkeleton already emitted left out. That is the order and
-// numbering a from-scratch build produces. It reports false, leaving the
-// graph as it was, if the old and new structures do not line up.
+// clear empties pos of the current procedure's statements.
+func (c *bodyCopier) clear() {
+	for _, s := range c.os {
+		c.pos[s.Base().ID-c.lo] = 0
+	}
+}
+
+// copyBody appends po's body — vertices and call sites — to the graph as
+// pn's, whose skeleton is already built, and records the procedure's
+// blocks, whose intraprocedural edges finish copies from old's lists.
+// Build lays a procedure out as one skeleton range and one body range, so
+// the vertices copy as one block with remapped IDs, sites and statements.
+// It reports false, leaving the graph as it was, if the old and new
+// structures do not line up.
 func (b *builder) copyBody(old *Graph, po, pn *Proc, c *bodyCopier) bool {
 	skel := skeletonSize(po)
 	if skeletonSize(pn) != skel || len(po.Vertices) < skel {
-		return false
-	}
-	c.os, c.ns = c.os[:0], c.ns[:0]
-	lang.WalkStmts(po.Fn.Body, func(s lang.Stmt) { c.os = append(c.os, s) })
-	lang.WalkStmts(pn.Fn.Body, func(s lang.Stmt) { c.ns = append(c.ns, s) })
-	if !replayable(c.os, c.ns) || !c.mapStmts(po.Index, c.os, c.ns) {
 		return false
 	}
 	oldSkel, newSkel := po.Entry, pn.Entry
@@ -217,20 +342,22 @@ func (b *builder) copyBody(old *Graph, po, pn *Proc, c *bodyCopier) bool {
 			return false
 		}
 	}
-
-	vertBase, siteBase := VertexID(len(b.g.Vertices)), SiteID(len(b.sites))
-	remap := func(v VertexID) (VertexID, bool) {
-		switch {
-		case v >= oldSkel && v < oldSkel+VertexID(skel):
-			return newSkel + (v - oldSkel), true
-		case v >= oldBody && v < oldBody+VertexID(len(body)):
-			return vertBase + (v - oldBody), true
-		}
-		return 0, false
+	if !c.pair(po.Fn, pn.Fn) {
+		return false
 	}
+	defer c.clear()
+
+	vertBase, siteBase, actBase := VertexID(len(b.g.Vertices)), SiteID(len(b.sites)), len(b.acts)
+	blk := blockCopy{
+		oldEntry: oldSkel, entry: newSkel, skel: skel,
+		oldBody: oldBody, body: vertBase, n: len(body),
+		edges: int(old.intraEdges[po.Index]),
+	}
+	inBody := func(v VertexID) bool { return v >= oldBody && v < oldBody+VertexID(len(body)) }
 	undo := func() bool {
 		b.g.Vertices = b.g.Vertices[:vertBase]
 		b.sites = b.sites[:siteBase]
+		b.acts = b.acts[:actBase]
 		return false
 	}
 
@@ -250,7 +377,7 @@ func (b *builder) copyBody(old *Graph, po, pn *Proc, c *bodyCopier) bool {
 			v.Site = siteBase + (v.Site - oldSite)
 		}
 		if v.Stmt != nil {
-			s, ok := c.lookup(po.Index, v.Stmt)
+			s, ok := c.lookup(v.Stmt)
 			if !ok {
 				return undo()
 			}
@@ -259,17 +386,11 @@ func (b *builder) copyBody(old *Graph, po, pn *Proc, c *bodyCopier) bool {
 	}
 
 	// Call sites, in po.Sites order — statement order, the order Build
-	// assigns — with their actual lists in one backing.
-	nacts := 0
-	for _, sid := range po.Sites {
-		nacts += len(old.Sites[sid].ActualIns) + len(old.Sites[sid].ActualOuts)
-	}
-	acts := make([]VertexID, 0, nacts)
+	// assigns — with their actual lists carved from the shared backing.
 	for _, sid := range po.Sites {
 		so := old.Sites[sid]
-		stmt, ok := c.lookup(po.Index, so.Stmt)
-		cv, ok2 := remap(so.CallVertex)
-		if !ok || !ok2 {
+		stmt, ok := c.lookup(so.Stmt)
+		if !ok || !inBody(so.CallVertex) {
 			return undo()
 		}
 		sn := Site{
@@ -278,90 +399,33 @@ func (b *builder) copyBody(old *Graph, po, pn *Proc, c *bodyCopier) bool {
 			Callee:     so.Callee,
 			Lib:        so.Lib,
 			Stmt:       stmt,
-			CallVertex: cv,
+			CallVertex: blk.remap(so.CallVertex),
 		}
-		lo := len(acts)
+		lo := len(b.acts)
 		for _, a := range so.ActualIns {
-			v, ok := remap(a)
-			if !ok {
+			if !inBody(a) {
 				return undo()
 			}
-			acts = append(acts, v)
+			b.acts = append(b.acts, blk.remap(a))
 		}
-		mid := len(acts)
+		mid := len(b.acts)
 		for _, a := range so.ActualOuts {
-			v, ok := remap(a)
-			if !ok {
+			if !inBody(a) {
 				return undo()
 			}
-			acts = append(acts, v)
+			b.acts = append(b.acts, blk.remap(a))
 		}
-		sn.ActualIns, sn.ActualOuts = acts[lo:mid:mid], acts[mid:len(acts):len(acts)]
+		hi := len(b.acts)
+		sn.ActualIns, sn.ActualOuts = b.acts[lo:mid:mid], b.acts[mid:hi:hi]
 		b.sites = append(b.sites, sn)
-	}
-
-	// Intraprocedural control and flow edges, out list by out list. Call,
-	// param-in, and param-out edges are re-derived by connectProcs.
-	for _, ov := range po.Vertices {
-		for _, e := range old.Out(ov) {
-			if e.Kind != EdgeControl && e.Kind != EdgeFlow {
-				continue
-			}
-			to, ok := remap(e.To)
-			if !ok || (ov == oldSkel && e.Kind == EdgeControl && e.To < oldSkel+VertexID(skel)) {
-				continue // another procedure's vertex, or a skeleton edge
-			}
-			from, _ := remap(ov)
-			b.addEdge(from, to, e.Kind)
-		}
 	}
 	b.bodies[pn.Index] = bodySpan{
 		lo: vertBase, hi: VertexID(len(b.g.Vertices)),
 		siteLo: siteBase, siteHi: SiteID(len(b.sites)),
 	}
+	b.copies = append(b.copies, blk)
+	b.g.intraEdges[pn.Index] = int32(blk.edges)
 	return true
-}
-
-// computeBuildSigsWorkers derives each procedure's build signature from
-// the normalized program and its mod/ref analysis (see the file comment),
-// with the interface and signature hashes over a worker pool. It also
-// returns the raw per-procedure content hashes, printed through one
-// printer, so the graph can retain them for later diffing.
-func computeBuildSigsWorkers(prog *lang.Program, mr *dataflow.ModRef, workers int) (sigs, hashes map[string]uint64) {
-	hashes = lang.ProgramHashes(prog)
-	return computeBuildSigsFromHashes(prog, mr, hashes, workers), hashes
-}
-
-// computeBuildSigsFromHashes derives the build signatures from
-// already-computed per-procedure content hashes — the advance path holds
-// the new version's hashes from its diff and must not print again.
-func computeBuildSigsFromHashes(prog *lang.Program, mr *dataflow.ModRef, hashes map[string]uint64, workers int) map[string]uint64 {
-	ifaces := make(map[string]uint64, len(prog.Funcs))
-	ifaceSlots := make([]uint64, len(prog.Funcs))
-	par.For(workers, len(prog.Funcs), func(i int) {
-		ifaceSlots[i] = ifaceHash(prog.Funcs[i], mr)
-	})
-	for i, fn := range prog.Funcs {
-		ifaces[fn.Name] = ifaceSlots[i]
-	}
-	sigSlots := make([]uint64, len(prog.Funcs))
-	par.For(workers, len(prog.Funcs), func(i int) {
-		fn := prog.Funcs[i]
-		h := newFNV()
-		h.u64(hashes[fn.Name])
-		h.u64(ifaces[fn.Name])
-		for _, callee := range directCallees(fn) {
-			h.str(callee)
-			h.byte(0)
-			h.u64(ifaces[callee])
-		}
-		sigSlots[i] = uint64(h)
-	})
-	sigs := make(map[string]uint64, len(prog.Funcs))
-	for i, fn := range prog.Funcs {
-		sigs[fn.Name] = sigSlots[i]
-	}
-	return sigs
 }
 
 // ifaceHash hashes the parts of a procedure's interface its callers' PDGs
@@ -383,18 +447,6 @@ func ifaceHash(fn *lang.FuncDecl, mr *dataflow.ModRef) uint64 {
 	return uint64(h)
 }
 
-// directCallees returns the unique direct callee names of fn, sorted.
-func directCallees(fn *lang.FuncDecl) []string {
-	var out []string
-	lang.WalkStmts(fn.Body, func(s lang.Stmt) {
-		if c, ok := s.(*lang.CallStmt); ok && !c.Indirect {
-			out = append(out, c.Callee)
-		}
-	})
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
 // fnv64 is 64-bit FNV-1a, the hash hash/fnv's New64a computes, held by
 // value so that hashing allocates nothing.
 type fnv64 uint64
@@ -406,13 +458,6 @@ func (h *fnv64) byte(b byte) { *h = (*h ^ fnv64(b)) * 1099511628211 }
 func (h *fnv64) str(s string) {
 	for i := 0; i < len(s); i++ {
 		h.byte(s[i])
-	}
-}
-
-// u64 hashes v's eight bytes, least significant first.
-func (h *fnv64) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v >> (8 * i)))
 	}
 }
 

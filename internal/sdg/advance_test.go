@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"specslice/internal/dataflow"
 	"specslice/internal/lang"
 )
 
@@ -175,24 +176,95 @@ func TestAdvanceMatchesBuild(t *testing.T) {
 		},
 	}
 
-	oldProg := parseAdv(t, advBase)
-	oldG := MustBuild(oldProg)
-	for _, tc := range edits {
+	// Both versions come as lang.Parse returns them, whose procedure
+	// hashes Advance prints, and as specslice.ParseNormalized returns them
+	// (Parse, then lang.Canonicalize), whose hashes Canonicalize recorded.
+	for _, canon := range []bool{false, true} {
+		parse := func(t *testing.T, src string) *lang.Program {
+			p := parseAdv(t, src)
+			if canon {
+				lang.Canonicalize(p)
+			}
+			return p
+		}
+		oldG := MustBuild(parse(t, advBase))
+		for _, tc := range edits {
+			t.Run(fmt.Sprintf("%s/canonical=%v", tc.name, canon), func(t *testing.T) {
+				newSrc := tc.edit(advBase)
+				got, delta, err := Advance(oldG, parse(t, newSrc))
+				if err != nil {
+					t.Fatalf("Advance: %v", err)
+				}
+				want := MustBuild(parse(t, newSrc))
+				graphsIdentical(t, got, want)
+				if delta.ProcsReused != tc.wantReused {
+					t.Errorf("ProcsReused = %d, want %d (delta %+v)", delta.ProcsReused, tc.wantReused, *delta)
+				}
+				if delta.ProcsReused+delta.ProcsRebuilt != len(want.Procs) {
+					t.Errorf("reused %d + rebuilt %d != %d procs", delta.ProcsReused, delta.ProcsRebuilt, len(want.Procs))
+				}
+			})
+		}
+	}
+}
+
+// TestAdvanceModRefStats checks what DeltaStats says about the mod/ref
+// advance: which path ran, how many procedures it re-solved, and in how
+// many caller rounds.
+func TestAdvanceModRefStats(t *testing.T) {
+	cases := []struct {
+		name         string
+		edit         func(string) string
+		wantFallback string
+		wantResolved int
+		wantRounds   int
+	}{
+		{
+			// leaf's summary is unchanged, so no caller is re-solved.
+			name:         "summary-preserving statement edit",
+			edit:         func(s string) string { return strings.Replace(s, "return a * b + 1;", "return a * b + 7;", 1) },
+			wantResolved: 1,
+		},
+		{
+			// store no longer reads gb before writing it: its summary
+			// changes, and one round pulls in exactly its callers, mid and
+			// main.
+			name:         "summary-changing edit",
+			edit:         func(s string) string { return strings.Replace(s, "gb = gb + v;", "gb = v;", 1) },
+			wantResolved: 3,
+			wantRounds:   1,
+		},
+		{
+			name: "global added",
+			edit: func(s string) string {
+				return strings.Replace(s, "int ga; int gb;", "int ga; int gb; int gc;", 1)
+			},
+			wantFallback: dataflow.FallbackGlobals,
+			wantResolved: 4,
+		},
+	}
+	oldG := MustBuild(parseAdv(t, advBase))
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			newSrc := tc.edit(advBase)
-			got, delta, err := Advance(oldG, parseAdv(t, newSrc))
+			_, d, err := Advance(oldG, parseAdv(t, tc.edit(advBase)))
 			if err != nil {
 				t.Fatalf("Advance: %v", err)
 			}
-			want := MustBuild(parseAdv(t, newSrc))
-			graphsIdentical(t, got, want)
-			if delta.ProcsReused != tc.wantReused {
-				t.Errorf("ProcsReused = %d, want %d (delta %+v)", delta.ProcsReused, tc.wantReused, *delta)
-			}
-			if delta.ProcsReused+delta.ProcsRebuilt != len(want.Procs) {
-				t.Errorf("reused %d + rebuilt %d != %d procs", delta.ProcsReused, delta.ProcsRebuilt, len(want.Procs))
+			if d.ModRefFallback != tc.wantFallback || d.ModRefResolved != tc.wantResolved || d.ModRefRounds != tc.wantRounds {
+				t.Errorf("fallback %q, resolved %d, rounds %d; want %q, %d, %d",
+					d.ModRefFallback, d.ModRefResolved, d.ModRefRounds, tc.wantFallback, tc.wantResolved, tc.wantRounds)
 			}
 		})
+	}
+	// A graph that retains no analysis state advances by a full rebuild.
+	bare := MustBuild(parseAdv(t, advBase))
+	bare.modref = nil
+	_, d, err := Advance(bare, parseAdv(t, advBase))
+	if err != nil {
+		t.Fatalf("Advance: %v", err)
+	}
+	if d.ModRefFallback != dataflow.FallbackNoState || d.ProcsReused != 0 {
+		t.Errorf("no old state: fallback %q, reused %d; want %q, 0", d.ModRefFallback, d.ProcsReused, dataflow.FallbackNoState)
 	}
 }
 

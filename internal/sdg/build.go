@@ -41,8 +41,10 @@ func BuildWorkers(prog *lang.Program, workers int) (*Graph, error) {
 	// The mod/ref local phase builds every procedure's CFG; the bodies
 	// below reuse them instead of building each a second time.
 	mr, cfgs := dataflow.ComputeModRefCFGs(prog, workers)
-	sigs, hashes := computeBuildSigsWorkers(prog, mr, workers)
-	b := newBuilder(prog, mr, sigs, hashes)
+	b := newBuilder(prog, mr, nil)
+	b.g.procHashes = lang.ProcHashes(prog)
+	b.g.ifaces = make([]uint64, len(prog.Funcs))
+	par.For(workers, len(prog.Funcs), func(i int) { b.g.ifaces[i] = ifaceHash(prog.Funcs[i], mr) })
 	tModRef := time.Now()
 
 	// Layout: all skeletons in procedure order, then all bodies in
@@ -60,6 +62,9 @@ func BuildWorkers(prog *lang.Program, workers int) (*Graph, error) {
 	}
 	b.g.Vertices = make([]Vertex, 0, nv)
 	b.buildSkeletons()
+	for _, p := range b.g.Procs {
+		b.edges = skeletonEdges(p, b.edges)
+	}
 	verts, acts := b.g.Vertices[:nv], make([]VertexID, na)
 	b.sites = make([]Site, ns)
 	for i := range bufs {
@@ -95,6 +100,7 @@ func BuildWorkers(prog *lang.Program, workers int) (*Graph, error) {
 		}
 		segs = append(segs, bufs[i].edges)
 		b.bodies[i] = bufs[i].span()
+		b.g.intraEdges[i] = int32(skeletonSize(b.g.Procs[i]) - 1 + len(bufs[i].edges))
 	}
 	b.g.Vertices = verts
 	tPDG := time.Now()
@@ -104,7 +110,7 @@ func BuildWorkers(prog *lang.Program, workers int) (*Graph, error) {
 	}
 	b.edges = make([]Edge, 0, nc)
 	b.connectProcs()
-	b.finish(append(segs, b.edges)...)
+	b.finish(nil, append(segs, b.edges)...)
 	tConnect := time.Now()
 	mrStats := mr.Stats()
 	b.g.buildStats = BuildStats{
@@ -160,17 +166,22 @@ func MustBuildWorkers(prog *lang.Program, workers int) *Graph {
 type builder struct {
 	g  *Graph
 	mr *dataflow.ModRef
-	// edges is the builder's own edge stream. Advance emits every edge
-	// into it: skeletons, then bodies in procedure order, then the
-	// interprocedural wiring. Build keeps each body's edges as a segment
-	// of their own and passes finish the skeleton stream, the body
-	// segments and the wiring in that order.
+	// edges is the builder's own edge stream. Build emits the skeletons'
+	// edges into it, keeps each body's edges as a segment of their own,
+	// and emits the interprocedural wiring into it again, passing finish
+	// the three in that order. Advance emits each rebuilt procedure's
+	// skeleton and body edges into it, in procedure order, then the
+	// wiring; the copied procedures' edges come from the old graph.
 	edges []Edge
 	// sites holds the call sites by value, in ID order; finish points
 	// Graph.Sites into it.
 	sites []Site
+	// acts backs the actual lists of the sites Advance copies.
+	acts []VertexID
 	// bodies[i] is procedure i's body: its vertex and site ranges.
 	bodies []bodySpan
+	// copies lists the procedures Advance copied, in procedure order.
+	copies []blockCopy
 }
 
 type bodySpan struct {
@@ -178,21 +189,28 @@ type bodySpan struct {
 	siteLo, siteHi SiteID
 }
 
-func newBuilder(prog *lang.Program, mr *dataflow.ModRef, sigs, hashes map[string]uint64) *builder {
+// newBuilder starts the graph of prog. byName, when not nil, is an older
+// graph's ProcByName over the same procedure list, which the new graph
+// shares: no builder writes a map it did not make.
+func newBuilder(prog *lang.Program, mr *dataflow.ModRef, byName map[string]int) *builder {
 	n := len(prog.Funcs)
 	g := &Graph{
 		Prog:       prog,
 		Procs:      make([]*Proc, n),
-		ProcByName: make(map[string]int, n),
-		buildSigs:  sigs,
-		procHashes: hashes,
+		ProcByName: byName,
 		modref:     mr,
+		intraEdges: make([]int32, n),
+	}
+	if byName == nil {
+		g.ProcByName = make(map[string]int, n)
 	}
 	procs := make([]Proc, n)
 	for i, fn := range prog.Funcs {
 		procs[i] = Proc{Index: i, Name: fn.Name, Fn: fn}
 		g.Procs[i] = &procs[i]
-		g.ProcByName[fn.Name] = i
+		if byName == nil {
+			g.ProcByName[fn.Name] = i
+		}
 	}
 	return &builder{g: g, mr: mr, bodies: make([]bodySpan, n)}
 }
@@ -208,16 +226,18 @@ func (b *builder) addEdge(from, to VertexID, kind EdgeKind) {
 }
 
 // buildSkeletons creates every procedure's entry and formal vertices, in
-// procedure order: the first vertices of every graph.
+// procedure order: the first vertices of every graph. The formal lists
+// share one backing.
 func (b *builder) buildSkeletons() {
-	nv := 0
+	nv, nf := 0, 0
 	for _, p := range b.g.Procs {
-		nv += 1 + b.numFormals(p)
+		f := b.numFormals(p)
+		nv, nf = nv+1+f, nf+f
 	}
 	b.g.Vertices = slices.Grow(b.g.Vertices, nv)
-	b.edges = slices.Grow(b.edges, nv-len(b.g.Procs))
+	formals := make([]VertexID, 0, nf)
 	for _, p := range b.g.Procs {
-		b.buildProcSkeleton(p)
+		formals = b.buildProcSkeleton(p, formals)
 	}
 }
 
@@ -229,30 +249,41 @@ func (b *builder) numFormals(p *Proc) int {
 	return n
 }
 
-// buildProcSkeleton creates the entry and formal vertices of p, with the
-// entry's control edges to them.
-func (b *builder) buildProcSkeleton(p *Proc) {
+// buildProcSkeleton creates the entry and formal vertices of p, appending
+// the formals to formals, which it returns.
+func (b *builder) buildProcSkeleton(p *Proc, formals []VertexID) []VertexID {
 	fn := p.Fn
 	ins, outs := b.mr.FormalInGlobalNames(fn.Name), b.mr.GMODNames(fn.Name)
 	p.Entry = b.addVertex(Vertex{Kind: KindEntry, Proc: p.Index, Site: -1, Param: NoParam})
-	formals := make([]VertexID, 0, b.numFormals(p))
+	lo := len(formals)
 	for i, prm := range fn.Params {
 		formals = append(formals, b.addVertex(Vertex{Kind: KindFormalIn, Proc: p.Index, Site: -1, Param: i, Var: prm.Name}))
 	}
 	for _, gname := range ins {
 		formals = append(formals, b.addVertex(Vertex{Kind: KindFormalIn, Proc: p.Index, Site: -1, Param: NoParam, Var: gname}))
 	}
-	nIn := len(formals)
+	mid := len(formals)
 	if fn.ReturnsValue {
 		formals = append(formals, b.addVertex(Vertex{Kind: KindFormalOut, Proc: p.Index, Site: -1, Param: NoParam, Var: RetVar, IsReturn: true}))
 	}
 	for _, gname := range outs {
 		formals = append(formals, b.addVertex(Vertex{Kind: KindFormalOut, Proc: p.Index, Site: -1, Param: NoParam, Var: gname}))
 	}
-	p.FormalIns, p.FormalOuts = formals[:nIn:nIn], formals[nIn:]
-	for _, v := range formals {
-		b.addEdge(p.Entry, v, EdgeControl)
+	hi := len(formals)
+	p.FormalIns, p.FormalOuts = formals[lo:mid:mid], formals[mid:hi:hi]
+	return formals
+}
+
+// skeletonEdges appends p's skeleton edges, from its entry to each formal,
+// to edges.
+func skeletonEdges(p *Proc, edges []Edge) []Edge {
+	for _, v := range p.FormalIns {
+		edges = append(edges, Edge{From: p.Entry, To: v, Kind: EdgeControl})
 	}
+	for _, v := range p.FormalOuts {
+		edges = append(edges, Edge{From: p.Entry, To: v, Kind: EdgeControl})
+	}
+	return edges
 }
 
 // skeletonSize returns the number of skeleton (entry + formal) vertices of
@@ -383,9 +414,9 @@ type bodyScratch struct {
 }
 
 // finish lists each procedure's vertices and sites, points Graph.Sites at
-// the site values, and installs the edge stream, given as its segments in
-// order.
-func (b *builder) finish(segs ...[]Edge) {
+// the site values, and installs the edges: those of the procedures copied
+// from old, and the stream, given as its segments in order.
+func (b *builder) finish(old *Graph, segs ...[]Edge) {
 	g := b.g
 	g.Sites = make([]*Site, len(b.sites))
 	sids := make([]SiteID, len(b.sites))
@@ -406,7 +437,7 @@ func (b *builder) finish(segs ...[]Edge) {
 		p.Vertices = ids[start:len(ids):len(ids)]
 		p.Sites = sids[body.siteLo:body.siteHi:body.siteHi]
 	}
-	g.InstallEdges(segs...)
+	g.installEdges(old, b.copies, segs...)
 }
 
 // defEvent / useEvent attribute a variable definition or use to a vertex.
@@ -464,21 +495,21 @@ func appendUses(uses []useEvent, from int, v VertexID, e lang.Expr) []useEvent {
 	return uses
 }
 
-// buildProcBody builds p's CFG and body at the end of the graph — the
-// Advance rebuild path, which runs procedures strictly in order: its
+// buildProcBody builds p's body over its CFG graph at the end of the graph
+// — the Advance rebuild path, which runs procedures strictly in order: its
 // vertices and sites are appended to the graph's and its edges to the
 // builder's stream.
-func (b *builder) buildProcBody(p *Proc, sc *bodyScratch) error {
-	graph := cfg.Build(p.Fn)
+func (b *builder) buildProcBody(p *Proc, graph *cfg.Graph, sc *bodyScratch) error {
 	sh := b.shapeOf(graph)
-	nv, ns := len(b.g.Vertices), len(b.sites)
+	nv, ns, na := len(b.g.Vertices), len(b.sites), len(b.acts)
 	b.g.Vertices = slices.Grow(b.g.Vertices, sh.verts)
 	b.sites = slices.Grow(b.sites, sh.sites)
+	b.acts = slices.Grow(b.acts, sh.acts)
 	bb := bodyBuf{
 		shape:    sh,
 		skelBase: VertexID(nv), verts: b.g.Vertices[nv : nv : nv+sh.verts],
 		siteBase: SiteID(ns), sites: b.sites[ns : ns : ns+sh.sites],
-		acts:  make([]VertexID, 0, sh.acts),
+		acts:  b.acts[na : na : na+sh.acts],
 		edges: b.edges,
 		sc:    sc,
 	}
@@ -487,6 +518,7 @@ func (b *builder) buildProcBody(p *Proc, sc *bodyScratch) error {
 	}
 	b.g.Vertices = b.g.Vertices[:nv+sh.verts]
 	b.sites = b.sites[:ns+sh.sites]
+	b.acts = b.acts[:na+sh.acts]
 	b.edges = bb.edges
 	b.bodies[p.Index] = bb.span()
 	return nil

@@ -251,15 +251,14 @@ type Graph struct {
 	// grouped by target. InstallEdges fills both from one edge stream.
 	out, in           []Edge
 	outStart, inStart []int32
-	// buildSigs maps each procedure name to its build signature: a hash of
-	// every input its PDG construction depends on (normalized source plus
-	// its own and its callees' mod/ref interfaces). Advance reuses a
-	// procedure's PDG exactly when its signature is unchanged.
-	buildSigs map[string]uint64
-	// procHashes retains each procedure's raw content hash
-	// (lang.ProcHash), so advancing from this graph diffs the versions
-	// without printing the old program again.
-	procHashes map[string]uint64
+	// procHashes[i] is procedure i's content hash (lang.ProcHash) and
+	// ifaces[i] the hash of its mod/ref interface (ifaceHash); intraEdges[i]
+	// counts its intraprocedural edges, skeleton included. Advance reads
+	// them to decide which procedures it copies, and to size the copy,
+	// without printing or walking this graph's program: O(procedures)
+	// words.
+	procHashes, ifaces []uint64
+	intraEdges         []int32
 	// modref caches the program's interprocedural mod/ref analysis, so
 	// Advance can reuse the summaries of procedures whose call subtree an
 	// edit did not touch instead of re-running the fixpoints program-wide.
@@ -288,53 +287,142 @@ func (g *Graph) AddVertex(v Vertex) VertexID {
 
 // InstallEdges sets the graph's adjacency to the given edge stream, which
 // must be duplicate-free and reference only existing vertices; the stream
-// may come as several segments, read in order. It is the only way a graph
-// gets edges. Two stable counting sorts, by source and by target, lay the
-// stream out as the out and in lists, so each list keeps the stream's
-// order.
-func (g *Graph) InstallEdges(segs ...[]Edge) {
+// may come as several segments, read in order. Each out and in list keeps
+// the stream's order.
+func (g *Graph) InstallEdges(segs ...[]Edge) { g.installEdges(nil, nil, segs...) }
+
+// blockCopy records one procedure whose vertices Advance copied from an
+// older graph as two blocks: its skeleton, [entry, entry+skel) here and
+// [oldEntry, oldEntry+skel) there, and its body, [body, body+n) here and
+// [oldBody, oldBody+n) there. edges is the number of its intraprocedural
+// edges.
+type blockCopy struct {
+	oldEntry, entry VertexID
+	oldBody, body   VertexID
+	skel, n         int
+	edges           int
+}
+
+// remap returns the vertex here that was old vertex v of the procedure.
+func (c *blockCopy) remap(v VertexID) VertexID {
+	if d := v - c.oldEntry; d >= 0 && d < VertexID(c.skel) {
+		return c.entry + d
+	}
+	return c.body + (v - c.oldBody)
+}
+
+// installEdges lays out the graph's adjacency as CSR out and in lists
+// from two sources. First, every vertex of a copied procedure (copies, in
+// procedure order) gets the intraprocedural part of its old lists in old,
+// remapped: a list is its control and flow edges followed by its
+// interprocedural ones, since every builder emits interprocedural edges
+// last, so that part is a prefix, copied in one pass with an ID offset.
+// A copied out list keeps its old order, Build's; a copied in list is
+// ordered by source vertex, stably, the order Advance has always given
+// copied procedures (a copy used to re-emit their edges out list by out
+// list). Then the stream segs, read in order, is appended to its edges'
+// lists by a stable counting sort. It is the only way a graph gets edges;
+// the stream must be duplicate-free and reference only existing vertices.
+func (g *Graph) installEdges(old *Graph, copies []blockCopy, segs ...[]Edge) {
 	n, m := len(g.Vertices), 0
 	for _, seg := range segs {
 		m += len(seg)
+	}
+	for i := range copies {
+		m += copies[i].edges
 	}
 	starts := make([]int32, 2*(n+1))
 	g.outStart, g.inStart = starts[:n+1:n+1], starts[n+1:]
 	backing := make([]Edge, 2*m)
 	g.out, g.in = backing[:m:m], backing[m:]
-	csr(segs, g.out, g.outStart, false)
-	csr(segs, g.in, g.inStart, true)
-}
-
-// csr places the edges of segs, in order, into dst grouped by source (or,
-// with byTo, by target) vertex, stably, and leaves start[v] at the first
-// slot of v's group (start has one entry per vertex plus a final one
-// holding len(dst)).
-func csr(segs [][]Edge, dst []Edge, start []int32, byTo bool) {
-	key := func(e *Edge) VertexID {
-		if byTo {
-			return e.To
-		}
-		return e.From
-	}
+	// Count the stream's edges per vertex, one slot up.
 	for _, edges := range segs {
 		for i := range edges {
-			start[key(&edges[i])+1]++
+			g.outStart[edges[i].From+1]++
+			g.inStart[edges[i].To+1]++
 		}
 	}
-	for v := 1; v < len(start); v++ {
-		start[v] += start[v-1]
+	// In vertex order, place the copied edges and leave start[v+1] at the
+	// first slot of v's stream edges, the cursor the stream advances to
+	// the end of v's list, which is where v+1's begins. Skeletons precede
+	// bodies, each in procedure order, so the copied blocks are met in
+	// vertex order.
+	outStart, inStart, out, in := g.outStart, g.inStart, g.out, g.in
+	var oc, ic int32
+	v := VertexID(0)
+	for phase := 0; phase < 2; phase++ {
+		for i := range copies {
+			c := &copies[i]
+			lo, oldLo, size := c.entry, c.oldEntry, c.skel
+			if phase == 1 {
+				lo, oldLo, size = c.body, c.oldBody, c.n
+			}
+			for ; v < lo; v++ {
+				k := outStart[v+1]
+				outStart[v+1], oc = oc, oc+k
+				k = inStart[v+1]
+				inStart[v+1], ic = ic, ic+k
+			}
+			oe, skel := c.oldEntry, VertexID(c.skel)
+			de, db := c.entry-c.oldEntry, c.body-c.oldBody
+			for ov := oldLo; ov < oldLo+VertexID(size); ov, v = ov+1, v+1 {
+				for _, e := range old.out[old.outStart[ov]:old.outStart[ov+1]] {
+					if e.Kind > EdgeFlow {
+						break
+					}
+					if e.To-oe >= 0 && e.To-oe < skel {
+						e.To += de
+					} else {
+						e.To += db
+					}
+					e.From = v
+					out[oc] = e
+					oc++
+				}
+				first := ic
+				for _, e := range old.in[old.inStart[ov]:old.inStart[ov+1]] {
+					if e.Kind > EdgeFlow {
+						break
+					}
+					if e.From-oe >= 0 && e.From-oe < skel {
+						e.From += de
+					} else {
+						e.From += db
+					}
+					e.To = v
+					// Ordered by source, stably: a copied list was, and a
+					// rebuilt procedure's came in emission order.
+					j := ic
+					for ; j > first && in[j-1].From > e.From; j-- {
+						in[j] = in[j-1]
+					}
+					in[j] = e
+					ic++
+				}
+				k := outStart[v+1]
+				outStart[v+1], oc = oc, oc+k
+				k = inStart[v+1]
+				inStart[v+1], ic = ic, ic+k
+			}
+		}
 	}
-	// start[v] is now the end of v-1's group; placing advances it to the
-	// end of v's, so shifting by one afterwards restores the beginnings.
+	for ; v < VertexID(n); v++ {
+		k := outStart[v+1]
+		outStart[v+1], oc = oc, oc+k
+		k = inStart[v+1]
+		inStart[v+1], ic = ic, ic+k
+	}
 	for _, edges := range segs {
-		for i := range edges {
-			k := key(&edges[i])
-			dst[start[k]] = edges[i]
-			start[k]++
+		for _, e := range edges {
+			g.out[g.outStart[e.From+1]] = e
+			g.outStart[e.From+1]++
+			g.in[g.inStart[e.To+1]] = e
+			g.inStart[e.To+1]++
 		}
 	}
-	copy(start[1:], start[:len(start)-1])
-	start[0] = 0
+	if g.outStart[n] != int32(m) || g.inStart[n] != int32(m) {
+		panic(fmt.Sprintf("sdg: internal error: laid out %d out and %d in edges of %d", g.outStart[n], g.inStart[n], m))
+	}
 }
 
 // Out returns the outgoing edges of v. The list is a view into the

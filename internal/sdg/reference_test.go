@@ -243,7 +243,7 @@ func TestFlowEdgesMatchReference(t *testing.T) {
 	}
 	procs, edges := 0, 0
 	for _, pc := range progs {
-		b := newBuilder(pc.prog, dataflow.ComputeModRef(pc.prog), nil, nil)
+		b := newBuilder(pc.prog, dataflow.ComputeModRef(pc.prog), nil)
 		b.buildSkeletons()
 		for _, p := range b.g.Procs {
 			graph := cfg.Build(p.Fn)

@@ -410,6 +410,15 @@ type AdvanceStats struct {
 	// version instead of recomputed.
 	ProcsReused  int `json:"procs_reused"`
 	ProcsRebuilt int `json:"procs_rebuilt"`
+	// ModRefFallback names why the mod/ref summaries were recomputed for
+	// the whole program — "globals" (the global declarations changed),
+	// "indirect" (a version has an indirect call) or "no old state" — and
+	// is empty when they advanced incrementally. ModRefResolved counts the
+	// procedures whose summaries were re-solved, in ModRefRounds caller
+	// rounds.
+	ModRefFallback string `json:"modref_fallback,omitempty"`
+	ModRefResolved int    `json:"modref_resolved"`
+	ModRefRounds   int    `json:"modref_rounds"`
 }
 
 // Advance returns a new engine for p — typically the previous program
@@ -427,8 +436,11 @@ func (e *Engine) Advance(p *Program) (*Engine, AdvanceStats, error) {
 		return nil, AdvanceStats{}, err
 	}
 	return &Engine{s: &SDG{g: neng.Graph(), eng: neng}}, AdvanceStats{
-		ProcsReused:  delta.ProcsReused,
-		ProcsRebuilt: delta.ProcsRebuilt,
+		ProcsReused:    delta.ProcsReused,
+		ProcsRebuilt:   delta.ProcsRebuilt,
+		ModRefFallback: delta.ModRefFallback,
+		ModRefResolved: delta.ModRefResolved,
+		ModRefRounds:   delta.ModRefRounds,
 	}, nil
 }
 
