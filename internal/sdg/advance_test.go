@@ -189,7 +189,11 @@ func TestAdvanceMatchesBuild(t *testing.T) {
 		}
 		oldG := MustBuild(parse(t, advBase))
 		for _, tc := range edits {
-			t.Run(fmt.Sprintf("%s/canonical=%v", tc.name, canon), func(t *testing.T) {
+			name := tc.name
+			if canon {
+				name += " canonicalized"
+			}
+			t.Run(name, func(t *testing.T) {
 				newSrc := tc.edit(advBase)
 				got, delta, err := Advance(oldG, parse(t, newSrc))
 				if err != nil {
