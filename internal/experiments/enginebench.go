@@ -302,7 +302,7 @@ func RunEngineBench(iters, workers int) (*EngineBench, error) {
 
 	// Cold-build sweep on the gzip suite (97 procedures — wide enough
 	// call-graph levels that the procedure-parallel phases have real work
-	// to spread): mod/ref + build signatures + PDG bodies + wiring at
+	// to spread): mod/ref + interface hashes + PDG bodies + wiring at
 	// fixed worker counts.
 	gzProg := lang.MustParse(workload.GenerateSource(benchConfig("gzip")))
 	const coldIters = 3

@@ -274,7 +274,7 @@ func TestAdvanceModRefStats(t *testing.T) {
 
 func TestAdvanceStableUnderReformat(t *testing.T) {
 	// A reformat-only edit (indentation change) must reuse every PDG: the
-	// build signature hashes the normalized source, not the raw text.
+	// procedure hash covers the normalized source, not the raw text.
 	oldG := MustBuild(parseAdv(t, advBase))
 	reform := strings.ReplaceAll(advBase, "\n  ", "\n        ")
 	got, delta, err := Advance(oldG, parseAdv(t, reform))
