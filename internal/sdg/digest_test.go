@@ -2,6 +2,7 @@ package sdg_test
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -201,10 +202,11 @@ func (x *graphHasher) sum() string { return hex.EncodeToString(x.h.Sum(nil)) }
 // TestSDGCorpusDigest pins the graphs Build and Advance produce on a fixed
 // corpus: Build of the 8 Siemens suites × 6 copies, gzip and Figs. 1–2;
 // and Advance along a 24-step editor chain per suite, interface-preserving
-// and unrestricted. The digest covers numbering, attributes, labels,
-// statement positions and out/in list order, so any change to how the
-// graph is stored must reproduce it exactly. The walk also asserts that
-// no out list repeats a (to, kind) pair.
+// and unrestricted, once over the editor's lang.Parse programs and once
+// over their canonicalized twins. The digest covers numbering,
+// attributes, labels, statement positions and out/in list order, so any
+// change to how the graph is stored must reproduce it exactly. The walk
+// also asserts that no out list repeats a (to, kind) pair.
 func TestSDGCorpusDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus digest builds ~500 graphs")
@@ -219,20 +221,45 @@ func TestSDGCorpusDigest(t *testing.T) {
 		}
 		x.graph(t, fmt.Sprintf("build %d", i), g)
 	}
+	// The chains are walked twice from here: as the editor's lang.Parse
+	// programs, whose procedure hashes Advance prints, and canonicalized
+	// as specslice.ParseNormalized leaves them, whose hashes
+	// lang.Canonicalize recorded. Both must give the pinned graphs.
+	state, err := x.h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := newGraphHasher()
+	if err := y.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		t.Fatal(err)
+	}
+	canonical := func(p *lang.Program) *lang.Program {
+		c := lang.MustParse(lang.Print(p))
+		lang.Canonicalize(c)
+		return c
+	}
 	for si, base := range siemensPrograms(1) {
 		for _, preserve := range []bool{true, false} {
 			chain := editorChain(base, int64(7000+si), chainSteps, preserve)
-			g := sdg.MustBuild(chain[0])
+			g, gc := sdg.MustBuild(chain[0]), sdg.MustBuild(canonical(chain[0]))
 			for k, next := range chain[1:] {
 				var err error
 				if g, _, err = sdg.Advance(g, next); err != nil {
 					t.Fatalf("suite %d preserve=%v step %d: %v", si, preserve, k, err)
 				}
-				x.graph(t, fmt.Sprintf("advance %d %v %d", si, preserve, k), g)
+				if gc, _, err = sdg.Advance(gc, canonical(next)); err != nil {
+					t.Fatalf("suite %d preserve=%v step %d, canonicalized: %v", si, preserve, k, err)
+				}
+				name := fmt.Sprintf("advance %d %v %d", si, preserve, k)
+				x.graph(t, name, g)
+				y.graph(t, name, gc)
 			}
 		}
 	}
 	if got := x.sum(); got != sdgCorpusDigest {
 		t.Fatalf("SDG corpus digest = %s, want %s", got, sdgCorpusDigest)
+	}
+	if got := y.sum(); got != sdgCorpusDigest {
+		t.Fatalf("SDG corpus digest over canonicalized programs = %s, want %s", got, sdgCorpusDigest)
 	}
 }
