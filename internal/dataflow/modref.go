@@ -318,11 +318,11 @@ type Edit struct {
 	GlobalsChanged bool
 }
 
-// The reasons AdvanceEdit recomputes every procedure's summaries.
+// The reasons AdvanceEdit recomputes every procedure's summaries. There
+// is none for indirect calls: AdvanceEdit takes programs without them.
 const (
-	FallbackGlobals  = "globals"      // the global declarations changed
-	FallbackIndirect = "indirect"     // a version has an indirect call
-	FallbackNoState  = "no old state" // there is no old analysis
+	FallbackGlobals = "globals"      // the global declarations changed
+	FallbackNoState = "no old state" // there is no old analysis
 )
 
 // AdvanceStats says how AdvanceEdit went.

@@ -132,12 +132,17 @@ func (s ArenaSizes) max(o ArenaSizes) ArenaSizes {
 	}
 }
 
-// Sizes returns the largest high-water marks of the engine's finished
-// runs, or, before any, what SizeFrom handed it.
+// Sizes returns the largest high-water marks of the latest runs of the
+// engine's idle arenas, or, before any run has finished, what SizeFrom
+// handed it. Inherited marks thus last only until the engine's own first
+// run, so a chain of engines follows the program's current size.
 func (e *PrestarEngine) Sizes() ArenaSizes {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := e.sizes
+	if len(e.free) == 0 {
+		return e.sizes
+	}
+	var s ArenaSizes
 	for _, ar := range e.free {
 		s = s.max(ar.last)
 	}

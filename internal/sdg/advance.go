@@ -51,8 +51,9 @@ type DeltaStats struct {
 	// ProcsRemoved counts old procedures with no same-name successor.
 	ProcsRemoved int
 	// ModRefFallback names why mod/ref was recomputed for the whole
-	// program (dataflow.FallbackGlobals, FallbackIndirect or
-	// FallbackNoState), and is empty when it advanced incrementally.
+	// program (dataflow.FallbackGlobals or FallbackNoState), and is empty
+	// when it advanced incrementally. A program with an indirect call is
+	// rejected before mod/ref runs.
 	// ModRefResolved counts the procedures whose summaries were re-solved,
 	// and ModRefRounds the caller rounds that widened that set.
 	ModRefFallback string
@@ -99,13 +100,18 @@ func Advance(old *Graph, newProg *lang.Program) (*Graph, *DeltaStats, error) {
 	ed.Callees = make([]int32, 0, len(old.Sites))
 	for i, fn := range newProg.Funcs {
 		oi, ok := i, sameProcs
-		if !sameProcs && retained {
+		if !sameProcs {
 			oi, ok = old.ProcByName[fn.Name]
 		}
+		if ok {
+			st.ProcsRemoved--
+		}
+		// Without retained state nothing is reused: every procedure
+		// counts as changed.
+		ok = ok && retained
 		ed.OldIndex[i] = -1
 		if ok {
 			ed.OldIndex[i] = int32(oi)
-			st.ProcsRemoved--
 		}
 		ed.Changed[i] = !ok || old.procHashes[oi] != hashes[i]
 		if ed.Changed[i] {

@@ -2,6 +2,7 @@ package sdg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,8 +49,8 @@ func parseAdv(t *testing.T, src string) *lang.Program {
 
 // graphsIdentical requires got to be indistinguishable from want: same
 // vertex numbering, attributes, statement positions, sites, procs, and
-// edge sets. This is the property that makes Advance safe to substitute
-// for Build anywhere downstream.
+// every vertex's out and in list, in order. This is the property that
+// makes Advance safe to substitute for Build anywhere downstream.
 func graphsIdentical(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if got.NumVertices() != want.NumVertices() {
@@ -97,22 +98,19 @@ func graphsIdentical(t *testing.T, got, want *Graph) {
 			t.Fatalf("proc %d (%s) differs:\ngot  %+v\nwant %+v", i, w.Name, *g, *w)
 		}
 	}
-	edgeSet := func(g *Graph) map[Edge]bool {
-		m := map[Edge]bool{}
-		for _, e := range g.Edges() {
-			m[e] = true
-		}
-		return m
+	if got.NumEdges() != want.NumEdges() {
+		t.Fatalf("edges: got %d, want %d", got.NumEdges(), want.NumEdges())
 	}
-	ge, we := edgeSet(got), edgeSet(want)
-	for e := range we {
-		if !ge[e] {
-			t.Errorf("missing edge %v -%v-> %v", want.VertexString(e.From), e.Kind, want.VertexString(e.To))
-		}
-	}
-	for e := range ge {
-		if !we[e] {
-			t.Errorf("extra edge %v -%v-> %v", got.VertexString(e.From), e.Kind, got.VertexString(e.To))
+	for i := range want.Vertices {
+		v := VertexID(i)
+		for _, dir := range []struct {
+			name string
+			list func(*Graph, VertexID) []Edge
+		}{{"out", (*Graph).Out}, {"in", (*Graph).In}} {
+			g, w := dir.list(got, v), dir.list(want, v)
+			if !slices.Equal(g, w) {
+				t.Fatalf("%s list of %s differs:\ngot  %v\nwant %v", dir.name, want.VertexString(v), g, w)
+			}
 		}
 	}
 }
@@ -267,8 +265,9 @@ func TestAdvanceModRefStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Advance: %v", err)
 	}
-	if d.ModRefFallback != dataflow.FallbackNoState || d.ProcsReused != 0 {
-		t.Errorf("no old state: fallback %q, reused %d; want %q, 0", d.ModRefFallback, d.ProcsReused, dataflow.FallbackNoState)
+	if d.ModRefFallback != dataflow.FallbackNoState || d.ProcsReused != 0 || d.ProcsRemoved != 0 {
+		t.Errorf("no old state: fallback %q, reused %d, removed %d; want %q, 0, 0",
+			d.ModRefFallback, d.ProcsReused, d.ProcsRemoved, dataflow.FallbackNoState)
 	}
 }
 

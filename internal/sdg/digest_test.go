@@ -21,7 +21,7 @@ import (
 // vertices with their attributes, labels and statement positions, sites,
 // procedures, and every vertex's out and in lists in order. Recompute it
 // only for a change that is meant to alter the SDG.
-const sdgCorpusDigest = "6b55119eb097de276ba35f9a047a0d980dcc3d14929af293c45154e9a631d4b1"
+const sdgCorpusDigest = "15981928f9ffb4d66f5b6dbbde971992067076af54945adbc266ac8b8f81a868"
 
 // corpusCopies is how many generated copies of each Siemens suite the
 // corpus builds; copy k uses the suite's seed plus 1000·k, as the
@@ -229,9 +229,14 @@ func TestSDGCorpusDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := newGraphHasher()
-	if err := y.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
-		t.Fatal(err)
+	// A third walk hashes Build of every version in place of Advance, so
+	// the digest also asserts that each advanced graph is exactly the
+	// graph Build gives the same version, list order included.
+	y, z := newGraphHasher(), newGraphHasher()
+	for _, w := range []*graphHasher{y, z} {
+		if err := w.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+			t.Fatal(err)
+		}
 	}
 	canonical := func(p *lang.Program) *lang.Program {
 		c := lang.MustParse(lang.Print(p))
@@ -253,6 +258,7 @@ func TestSDGCorpusDigest(t *testing.T) {
 				name := fmt.Sprintf("advance %d %v %d", si, preserve, k)
 				x.graph(t, name, g)
 				y.graph(t, name, gc)
+				z.graph(t, name, sdg.MustBuild(next))
 			}
 		}
 	}
@@ -261,5 +267,8 @@ func TestSDGCorpusDigest(t *testing.T) {
 	}
 	if got := y.sum(); got != sdgCorpusDigest {
 		t.Fatalf("SDG corpus digest over canonicalized programs = %s, want %s", got, sdgCorpusDigest)
+	}
+	if got := z.sum(); got != sdgCorpusDigest {
+		t.Fatalf("SDG corpus digest with Build in place of Advance = %s, want %s", got, sdgCorpusDigest)
 	}
 }

@@ -316,13 +316,12 @@ func (c *blockCopy) remap(v VertexID) VertexID {
 // procedure order) gets the intraprocedural part of its old lists in old,
 // remapped: a list is its control and flow edges followed by its
 // interprocedural ones, since every builder emits interprocedural edges
-// last, so that part is a prefix, copied in one pass with an ID offset.
-// A copied out list keeps its old order, Build's; a copied in list is
-// ordered by source vertex, stably, the order Advance has always given
-// copied procedures (a copy used to re-emit their edges out list by out
-// list). Then the stream segs, read in order, is appended to its edges'
-// lists by a stable counting sort. It is the only way a graph gets edges;
-// the stream must be duplicate-free and reference only existing vertices.
+// last, so that part is a prefix, copied in one pass with an ID offset
+// and in its old order. old came from Build or Advance, so that order is
+// the one Build emits the procedure's edges in. Then the stream segs,
+// read in order, is appended to its edges' lists by a stable counting
+// sort. It is the only way a graph gets edges; the stream must be
+// duplicate-free and reference only existing vertices.
 func (g *Graph) installEdges(old *Graph, copies []blockCopy, segs ...[]Edge) {
 	n, m := len(g.Vertices), 0
 	for _, seg := range segs {
@@ -379,7 +378,6 @@ func (g *Graph) installEdges(old *Graph, copies []blockCopy, segs ...[]Edge) {
 					out[oc] = e
 					oc++
 				}
-				first := ic
 				for _, e := range old.in[old.inStart[ov]:old.inStart[ov+1]] {
 					if e.Kind > EdgeFlow {
 						break
@@ -390,13 +388,7 @@ func (g *Graph) installEdges(old *Graph, copies []blockCopy, segs ...[]Edge) {
 						e.From += db
 					}
 					e.To = v
-					// Ordered by source, stably: a copied list was, and a
-					// rebuilt procedure's came in emission order.
-					j := ic
-					for ; j > first && in[j-1].From > e.From; j-- {
-						in[j] = in[j-1]
-					}
-					in[j] = e
+					in[ic] = e
 					ic++
 				}
 				k := outStart[v+1]

@@ -411,11 +411,11 @@ type AdvanceStats struct {
 	ProcsReused  int `json:"procs_reused"`
 	ProcsRebuilt int `json:"procs_rebuilt"`
 	// ModRefFallback names why the mod/ref summaries were recomputed for
-	// the whole program — "globals" (the global declarations changed),
-	// "indirect" (a version has an indirect call) or "no old state" — and
-	// is empty when they advanced incrementally. ModRefResolved counts the
-	// procedures whose summaries were re-solved, in ModRefRounds caller
-	// rounds.
+	// the whole program — "globals" (the global declarations changed) or
+	// "no old state" — and is empty when they advanced incrementally.
+	// ModRefResolved counts the procedures whose summaries were re-solved,
+	// in ModRefRounds caller rounds. Advance rejects a program with an
+	// indirect call before mod/ref runs, so that is never a reason.
 	ModRefFallback string `json:"modref_fallback,omitempty"`
 	ModRefResolved int    `json:"modref_resolved"`
 	ModRefRounds   int    `json:"modref_rounds"`
