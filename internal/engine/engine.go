@@ -142,19 +142,22 @@ func (e *Engine) RemoveFeature(criterion []sdg.VertexID) (*core.Result, error) {
 func (e *Engine) Footprint() int64 {
 	_ = e.Warm()
 	// vertexBytes and edgeBytes come from the heap built graphs retain:
-	// on the 8 Siemens suites and gzip, once each edge is charged its two
-	// copies and sites and procedures their constants below, a vertex
-	// costs 86–108 bytes (117 on tcas, the smallest). ruleBytes and
+	// on the 8 Siemens suites and gzip, once sites and procedures are
+	// charged their constants below, a vertex cost 86–108 bytes (117 on
+	// tcas, the smallest) when each edge was also charged its in-list
+	// copy; with edges charged their out-list copy alone, the estimate
+	// reads 0.93–1.09 of the retained heap on that corpus. ruleBytes and
 	// transBytes come from the heap the encoding and the reachable
 	// automaton alone retain on the same corpus: 43–48 bytes per rule (44
 	// overall; locations are under 1% of rules), and 37–45 bytes per
 	// transition beyond the live call graph (39 overall).
 	// TestFootprintMatchesRetainedHeap holds the whole estimate within 25%
 	// of a warmed engine's heap. The HRB summary edges an engine computes
-	// later, on its first monovariant request, are not charged.
+	// later, on its first monovariant request, are not charged, nor are
+	// the graph's in lists, laid out on the same request.
 	const (
-		vertexBytes = 96  // Vertex value + out/in CSR offsets + share of per-procedure state
-		edgeBytes   = 48  // one copy in the out lists, one in the in lists
+		vertexBytes = 96  // Vertex value + out CSR offset + share of per-procedure state
+		edgeBytes   = 24  // one copy in the out lists
 		siteBytes   = 176 // *Site + struct
 		procBytes   = 176 // *Proc + struct
 		idBytes     = 8   // one VertexID/SiteID slot in a slice

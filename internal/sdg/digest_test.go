@@ -21,7 +21,7 @@ import (
 // vertices with their attributes, labels and statement positions, sites,
 // procedures, and every vertex's out and in lists in order. Recompute it
 // only for a change that is meant to alter the SDG.
-const sdgCorpusDigest = "15981928f9ffb4d66f5b6dbbde971992067076af54945adbc266ac8b8f81a868"
+const sdgCorpusDigest = "4f9dc673fb9ef0bc5d9fb5ee6bc7e6212b81a9c4ca1c72907c346c34d36dacba"
 
 // corpusCopies is how many generated copies of each Siemens suite the
 // corpus builds; copy k uses the suite's seed plus 1000·k, as the

@@ -9,6 +9,7 @@ package sdg
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -245,12 +246,17 @@ type Graph struct {
 
 	ProcByName map[string]int
 
-	// out and in are the adjacency in compressed sparse row form: out
-	// holds every edge grouped by source vertex, v's out list being
-	// out[outStart[v]:outStart[v+1]], and in holds every edge again,
-	// grouped by target. InstallEdges fills both from one edge stream.
-	out, in           []Edge
-	outStart, inStart []int32
+	// out is the adjacency in compressed sparse row form: every edge,
+	// grouped by source vertex, v's out list being
+	// out[outStart[v]:outStart[v+1]]. InstallEdges fills it from one edge
+	// stream. in holds every edge again, grouped by target, laid out from
+	// out on the first call to In: only summary edges and Weiser slices
+	// walk edges backward, and most graphs serve neither.
+	out      []Edge
+	outStart []int32
+	inOnce   sync.Once
+	in       []Edge
+	inStart  []int32
 	// procHashes[i] is procedure i's content hash (lang.ProcHash) and
 	// ifaces[i] the hash of its mod/ref interface (ifaceHash); intraEdges[i]
 	// counts its intraprocedural edges, skeleton included. Advance reads
@@ -287,8 +293,8 @@ func (g *Graph) AddVertex(v Vertex) VertexID {
 
 // InstallEdges sets the graph's adjacency to the given edge stream, which
 // must be duplicate-free and reference only existing vertices; the stream
-// may come as several segments, read in order. Each out and in list keeps
-// the stream's order.
+// may come as several segments, read in order. Each out list keeps the
+// stream's order.
 func (g *Graph) InstallEdges(segs ...[]Edge) { g.installEdges(nil, nil, segs...) }
 
 // blockCopy records one procedure whose vertices Advance copied from an
@@ -311,17 +317,16 @@ func (c *blockCopy) remap(v VertexID) VertexID {
 	return c.body + (v - c.oldBody)
 }
 
-// installEdges lays out the graph's adjacency as CSR out and in lists
-// from two sources. First, every vertex of a copied procedure (copies, in
-// procedure order) gets the intraprocedural part of its old lists in old,
-// remapped: a list is its control and flow edges followed by its
-// interprocedural ones, since every builder emits interprocedural edges
-// last, so that part is a prefix, copied in one pass with an ID offset
-// and in its old order. old came from Build or Advance, so that order is
-// the one Build emits the procedure's edges in. Then the stream segs,
-// read in order, is appended to its edges' lists by a stable counting
-// sort. It is the only way a graph gets edges; the stream must be
-// duplicate-free and reference only existing vertices.
+// installEdges lays out the graph's out lists from two sources. First,
+// every vertex of a copied procedure (copies, in procedure order) gets the
+// intraprocedural part of its old out list in old, remapped: a list is its
+// control and flow edges followed by its interprocedural ones, since every
+// builder emits interprocedural edges last, so that part is a prefix,
+// copied in one pass with an ID offset and in its old order, the order
+// Build emits the procedure's edges in. Then the stream segs, read in
+// order, is appended to its edges' lists by a stable counting sort. It is
+// the only way a graph gets edges; the stream must be duplicate-free and
+// reference only existing vertices.
 func (g *Graph) installEdges(old *Graph, copies []blockCopy, segs ...[]Edge) {
 	n, m := len(g.Vertices), 0
 	for _, seg := range segs {
@@ -330,15 +335,12 @@ func (g *Graph) installEdges(old *Graph, copies []blockCopy, segs ...[]Edge) {
 	for i := range copies {
 		m += copies[i].edges
 	}
-	starts := make([]int32, 2*(n+1))
-	g.outStart, g.inStart = starts[:n+1:n+1], starts[n+1:]
-	backing := make([]Edge, 2*m)
-	g.out, g.in = backing[:m:m], backing[m:]
+	g.outStart = make([]int32, n+1)
+	g.out = make([]Edge, m)
 	// Count the stream's edges per vertex, one slot up.
 	for _, edges := range segs {
 		for i := range edges {
 			g.outStart[edges[i].From+1]++
-			g.inStart[edges[i].To+1]++
 		}
 	}
 	// In vertex order, place the copied edges and leave start[v+1] at the
@@ -346,8 +348,8 @@ func (g *Graph) installEdges(old *Graph, copies []blockCopy, segs ...[]Edge) {
 	// the end of v's list, which is where v+1's begins. Skeletons precede
 	// bodies, each in procedure order, so the copied blocks are met in
 	// vertex order.
-	outStart, inStart, out, in := g.outStart, g.inStart, g.out, g.in
-	var oc, ic int32
+	outStart, out := g.outStart, g.out
+	var oc int32
 	v := VertexID(0)
 	for phase := 0; phase < 2; phase++ {
 		for i := range copies {
@@ -359,8 +361,6 @@ func (g *Graph) installEdges(old *Graph, copies []blockCopy, segs ...[]Edge) {
 			for ; v < lo; v++ {
 				k := outStart[v+1]
 				outStart[v+1], oc = oc, oc+k
-				k = inStart[v+1]
-				inStart[v+1], ic = ic, ic+k
 			}
 			oe, skel := c.oldEntry, VertexID(c.skel)
 			de, db := c.entry-c.oldEntry, c.body-c.oldBody
@@ -378,42 +378,43 @@ func (g *Graph) installEdges(old *Graph, copies []blockCopy, segs ...[]Edge) {
 					out[oc] = e
 					oc++
 				}
-				for _, e := range old.in[old.inStart[ov]:old.inStart[ov+1]] {
-					if e.Kind > EdgeFlow {
-						break
-					}
-					if e.From-oe >= 0 && e.From-oe < skel {
-						e.From += de
-					} else {
-						e.From += db
-					}
-					e.To = v
-					in[ic] = e
-					ic++
-				}
 				k := outStart[v+1]
 				outStart[v+1], oc = oc, oc+k
-				k = inStart[v+1]
-				inStart[v+1], ic = ic, ic+k
 			}
 		}
 	}
 	for ; v < VertexID(n); v++ {
 		k := outStart[v+1]
 		outStart[v+1], oc = oc, oc+k
-		k = inStart[v+1]
-		inStart[v+1], ic = ic, ic+k
 	}
 	for _, edges := range segs {
 		for _, e := range edges {
 			g.out[g.outStart[e.From+1]] = e
 			g.outStart[e.From+1]++
-			g.in[g.inStart[e.To+1]] = e
-			g.inStart[e.To+1]++
 		}
 	}
-	if g.outStart[n] != int32(m) || g.inStart[n] != int32(m) {
-		panic(fmt.Sprintf("sdg: internal error: laid out %d out and %d in edges of %d", g.outStart[n], g.inStart[n], m))
+	if g.outStart[n] != int32(m) {
+		panic(fmt.Sprintf("sdg: internal error: laid out %d out edges of %d", g.outStart[n], m))
+	}
+}
+
+// layoutIn lays out the in lists from the out lists by a stable counting
+// sort on target: v's in list is ordered by source vertex, and edges from
+// one source keep their out-list order.
+func (g *Graph) layoutIn() {
+	n := len(g.Vertices)
+	g.inStart = make([]int32, n+1)
+	g.in = make([]Edge, len(g.out))
+	for i := range g.out {
+		g.inStart[g.out[i].To+1]++
+	}
+	for v := 0; v < n; v++ {
+		g.inStart[v+1] += g.inStart[v]
+	}
+	next := slices.Clone(g.inStart[:n])
+	for _, e := range g.out {
+		g.in[next[e.To]] = e
+		next[e.To]++
 	}
 }
 
@@ -424,8 +425,10 @@ func (g *Graph) Out(v VertexID) []Edge {
 	return g.out[lo:hi:hi]
 }
 
-// In returns the incoming edges of v, as a view like Out's.
+// In returns the incoming edges of v, as a view like Out's, ordered by
+// source vertex. The first call lays out every vertex's in list.
 func (g *Graph) In(v VertexID) []Edge {
+	g.inOnce.Do(g.layoutIn)
 	lo, hi := g.inStart[v], g.inStart[v+1]
 	return g.in[lo:hi:hi]
 }

@@ -1,6 +1,9 @@
 package sdg
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"specslice/internal/dataflow"
@@ -260,5 +263,36 @@ int main() {
 `
 	if _, err := Build(lang.MustParse(src)); err == nil {
 		t.Fatal("Build accepted an indirect call; want funcptr-transform error")
+	}
+}
+
+// TestInListsTransposeOutLists checks the in lists In lays out on first
+// use, from goroutines racing to that first call: every vertex's in list
+// holds exactly the edges into it, ordered by source vertex, the edges
+// from one source in their out-list order.
+func TestInListsTransposeOutLists(t *testing.T) {
+	g := MustBuild(lang.MustParse(fig1Src))
+	want := make([][]Edge, g.NumVertices())
+	for _, e := range g.Edges() {
+		want[e.To] = append(want[e.To], e)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := range want {
+				if got := g.In(VertexID(v)); !slices.Equal(got, want[v]) {
+					errs <- fmt.Sprintf("in list of v%d = %v, want %v", v, got, want[v])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
